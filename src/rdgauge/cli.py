@@ -214,10 +214,12 @@ def _cmd_bdrate(args) -> int:
             bd_mod.curves_from_records(test_records, args.metric))
     print(f"BD-rate({args.metric}) {args.anchor} -> {args.test}: "
           f"{result.value:+.4f}%")
-    print(f"  overlap [{result.overlap[0]:.4g}, {result.overlap[1]:.4g}], "
-          f"{result.method_note}")
+    print(f"  {result.overlap_label} [{result.overlap[0]:.4g}, "
+          f"{result.overlap[1]:.4g}], {result.method_note}")
     if args.csv:
-        header = "anchor,test,metric,bd_percent,q_low,q_high,n_anchor,n_test"
+        bounds = ("q_low,q_high" if args.method == "smart"
+                  else "span_q_low,span_q_high")
+        header = f"anchor,test,metric,bd_percent,{bounds},n_anchor,n_test"
         row = bd_mod.result_csv_row(args.anchor, args.test, args.metric, result)
         Path(args.csv).write_text(header + "\n" + row + "\n", encoding="utf-8")
     return EXIT_OK
@@ -290,6 +292,7 @@ def _cmd_report(args) -> int:
 
     reports = []
     curves: dict[str, list] = {}
+    aggregates: dict[tuple[str, str, int], Optional[bd_mod.RDCurve]] = {}
     picked: list[tuple[str, str, int]] = []
     summaries_by_label: dict[str, scenario.ConfigSummary] = {}
     for sid in scenario_ids:
@@ -310,12 +313,15 @@ def _cmd_report(args) -> int:
             config = (pick.family, pick.preset, pick.passes)
             if config not in picked:
                 picked.append(config)
-            config_records = scenario.records_for_config(records, *config)
-            try:
-                scenario_curves.append(bd_mod.aggregate_curve(
-                    config_records, ladder, args.metric, id=pick.label))
-            except (RdgaugeError, ValueError):
-                continue
+            if config not in aggregates:
+                config_records = scenario.records_for_config(records, *config)
+                try:
+                    aggregates[config] = bd_mod.aggregate_curve(
+                        config_records, ladder, args.metric, id=pick.label)
+                except (RdgaugeError, ValueError):
+                    aggregates[config] = None
+            if aggregates[config] is not None:
+                scenario_curves.append(aggregates[config])
         curves[sid] = scenario_curves
 
     grids = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import bd as bd_mod
-from .errors import AggregationError, AnalysisError, CurveError, OverlapError
+from .errors import AnalysisError
 from .store import MetricRecord
 
 OBJECTIVE_MAX_COVERAGE = "max_coverage"
@@ -262,14 +262,28 @@ def bd_grid(
     method: str = "classic",
     metric_kind: str = bd_mod.METRIC_VMAF,
 ) -> ComparisonGrid:
-    """Pairwise BD-Rate matrix; overlap failures become explicit N/A cells."""
+    """Pairwise BD-Rate matrix; overlap failures become explicit N/A cells.
+
+    Each config's curves (per clip for classic, one aggregate for smart)
+    are built once and shared by every cell in its row and column; a
+    config whose aggregate curve cannot be built is N/A against all.
+    """
     if method not in ("classic", "smart"):
         raise ValueError(f"unknown grid method {method!r}")
     slices = [records_for_config(records, *cfg) for cfg in configs]
     labels = [f"{f}:{p}:{n}p" for (f, p, n) in configs]
-    curves = None
     if method == "classic":
         curves = [bd_mod.curves_from_records(s, metric_kind) for s in slices]
+        pair = bd_mod.classic_bd_rate
+    else:
+        curves = []
+        for s, label in zip(slices, labels):
+            try:
+                curves.append(bd_mod.aggregate_curve(
+                    s, ladder, metric_kind, id=label))
+            except AnalysisError:
+                curves.append(None)
+        pair = bd_mod.bd_rate
 
     cells: list[list[Optional[float]]] = []
     for i in range(len(configs)):
@@ -278,14 +292,12 @@ def bd_grid(
             if i == j:
                 row.append(0.0)
                 continue
+            if curves[i] is None or curves[j] is None:
+                row.append(None)
+                continue
             try:
-                if method == "smart":
-                    result = bd_mod.smart_bd_rate(
-                        slices[i], slices[j], ladder, metric_kind)
-                else:
-                    result = bd_mod.classic_bd_rate(curves[i], curves[j])
-                row.append(result.value)
-            except (OverlapError, CurveError, AggregationError, AnalysisError):
+                row.append(pair(curves[i], curves[j]).value)
+            except AnalysisError:
                 row.append(None)
         cells.append(row)
     return ComparisonGrid(labels=labels, cells=cells, kind="bd", method=method)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_records
 from oracles import (
     bd_quality_trapezoid,
     bd_rate_trapezoid,
     random_curve_pair,
     random_curve_points,
 )
-from rdgauge import bd
+from rdgauge import bd, scenario
 from rdgauge.errors import (
     AggregationError,
     AnalysisError,
@@ -95,6 +96,73 @@ class TestInterpolate:
             qs = np.linspace(f.lo, f.hi, 1000)
             vals = f(qs)
             assert np.all(np.diff(vals) >= -1e-12)
+
+
+class TestClosedFormPchip:
+    """Slope rules and closed-form integrals of MonotoneInterpolant."""
+
+    def test_two_points_are_a_straight_line(self):
+        f = bd.MonotoneInterpolant([1.0, 3.0], [2.0, 6.0])
+        assert float(f(2.5)) == pytest.approx(5.0, abs=1e-15)
+        assert f.integrate(1.0, 3.0) == pytest.approx(8.0, abs=1e-15)
+        assert f.integrate(3.0, 1.5) == pytest.approx(-6.75, abs=1e-15)
+
+    def test_three_points_match_hand_computed_hermite(self):
+        # secants 2 and 0.5 over widths 1 and 2: interior slope is the
+        # weighted harmonic mean 6/7, left end 2.5, right end estimate
+        # -0.5 disagrees in sign with its secant and becomes 0
+        f = bd.MonotoneInterpolant([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
+        d1 = 6.0 / 7.0
+        assert float(f(0.5)) == pytest.approx(
+            0.125 * 2.5 + 0.5 * 2.0 - 0.125 * d1, abs=1e-14)
+        assert float(f(2.0)) == pytest.approx(
+            0.5 * 2.0 + 0.125 * 2 * d1 + 0.5 * 3.0, abs=1e-14)
+        whole = (1.0 + (2.5 - d1) / 12.0) + (5.0 + 4.0 * d1 / 12.0)
+        assert f.integrate(0.0, 3.0) == pytest.approx(whole, abs=1e-14)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_end_slope_that_flips_sign_goes_to_zero(self, mirror):
+        # one-sided estimate (3*1 - 4) / 2 = -0.5 opposes the secant 1
+        x, y = [0.0, 1.0, 2.0], [0.0, 1.0, 5.0]
+        at, end_segment = 0.5, (0.0, 1.0)
+        if mirror:
+            x, y, at, end_segment = [-2.0, -1.0, 0.0], y[::-1], -0.5, (-1.0, 0.0)
+        f = bd.MonotoneInterpolant(x, y)
+        # Hermite cubic with end slope 0 and interior slope 1.6
+        assert float(f(at)) == pytest.approx(0.3, abs=1e-14)
+        assert f.integrate(*end_segment) == pytest.approx(0.5 - 1.6 / 12.0,
+                                                          abs=1e-14)
+
+    def test_end_slope_clamped_to_three_secants(self):
+        # secants 1 then -10: estimate 6.5 exceeds 3 * 1, so it is 3
+        f = bd.MonotoneInterpolant([0.0, 1.0, 2.0], [0.0, 1.0, -9.0])
+        assert float(f(0.5)) == pytest.approx(0.125 * 3.0 + 0.5, abs=1e-14)
+        assert f.integrate(0.0, 1.0) == pytest.approx(0.75, abs=1e-14)
+
+    def test_nan_outside_knots(self):
+        f = bd.MonotoneInterpolant([0.0, 1.0, 2.0], [0.0, 1.0, 5.0])
+        vals = f(np.array([-0.1, 0.0, 2.0, 2.1]))
+        assert np.isnan(vals[[0, 3]]).all()
+        assert vals[1] == 0.0 and vals[2] == 5.0
+        assert math.isnan(f.integrate(-0.1, 1.0))
+
+    def test_matches_scipy(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(41)
+        for k in range(500):
+            n = int(rng.integers(2, 14))
+            x = np.cumsum(rng.uniform(0.1, 10.0, n))
+            # alternate monotone curves with sign-changing ones
+            y = (np.cumsum(rng.uniform(0.0, 1.0, n)) if k % 2
+                 else rng.normal(size=n))
+            ours = bd.MonotoneInterpolant(x, y)
+            ref = interpolate.PchipInterpolator(x, y, extrapolate=False)
+            at = np.concatenate([x, rng.uniform(x[0], x[-1], 50)])
+            np.testing.assert_allclose(ours(at), ref(at), rtol=0, atol=1e-12)
+            a, b = rng.uniform(x[0], x[-1], 2)
+            for lo, hi in ((a, b), (x[0], x[-1])):
+                assert ours.integrate(lo, hi) == pytest.approx(
+                    float(ref.integrate(lo, hi)), rel=1e-12, abs=1e-12)
 
 
 class TestBDRate:
@@ -379,3 +447,64 @@ def test_csv_helpers():
     result = bd.bd_rate(curve, curve)
     row = bd.result_csv_row("a", "b", "vmaf", result)
     assert row.startswith("a,b,vmaf,0.000000,30,45,4,4")
+
+
+class TestGridBuildsOnce:
+    """Each curve's interpolant, and each config's aggregate, once per grid."""
+
+    LADDER = (500, 1000, 2000, 4000, 8000)
+    CONFIGS = [("x264", "medium", 1), ("x264", "slow", 1),
+               ("svt-av1", "6", 1), ("svt-av1", "8", 1)]
+    N_CLIPS = 5
+
+    def _records(self):
+        clips = [f"c{i}" for i in range(self.N_CLIPS)]
+        records = []
+        for k, (family, preset, passes) in enumerate(self.CONFIGS):
+            records += make_records(clips, family, preset, passes, self.LADDER,
+                                    rate_factor=1.0 - 0.1 * k)
+        return records
+
+    def test_one_interpolant_per_curve_in_classic_grid(self, monkeypatch):
+        built = []
+        original = bd.interpolate
+
+        def counting(curve):
+            built.append(curve)
+            return original(curve)
+
+        monkeypatch.setattr(bd, "interpolate", counting)
+        grid = scenario.bd_grid(self.CONFIGS, self._records(), self.LADDER)
+        assert len(built) == len(self.CONFIGS) * self.N_CLIPS
+        assert len({id(c) for c in built}) == len(built)
+        assert all(cell is not None for row in grid.cells for cell in row)
+
+    def test_one_aggregate_per_config_in_smart_grid(self, monkeypatch):
+        records = self._records()
+        # a config with a single rung cannot form an aggregate curve
+        configs = self.CONFIGS + [("x265", "fast", 1)]
+        records += [MetricRecord(clip_id="c0", family="x265", preset="fast",
+                                 passes=1, target_kbps=500.0,
+                                 measured_kbps=500.0, vmaf=50.0)]
+        seen = []
+        original = bd.aggregate_curve
+
+        def counting(recs, *args, **kwargs):
+            seen.append((recs[0].family, recs[0].preset, recs[0].passes))
+            return original(recs, *args, **kwargs)
+
+        monkeypatch.setattr(bd, "aggregate_curve", counting)
+        grid = scenario.bd_grid(configs, records, self.LADDER, method="smart")
+        assert sorted(seen) == sorted(configs)
+        monkeypatch.undo()
+
+        slices = [scenario.records_for_config(records, *c) for c in configs]
+        for i in range(len(configs)):
+            for j in range(len(configs)):
+                if i == j:
+                    assert grid.cells[i][j] == 0.0
+                elif "x265" in (configs[i][0], configs[j][0]):
+                    assert grid.cells[i][j] is None
+                else:
+                    want = bd.smart_bd_rate(slices[i], slices[j], self.LADDER)
+                    assert grid.cells[i][j] == want.value

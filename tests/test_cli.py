@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 from conftest import make_records
@@ -103,7 +107,6 @@ class TestAnalytics:
         assert rc == 0
         out = capsys.readouterr().out
         assert "BD-rate(vmaf)" in out
-        import re
         value = float(re.search(r"([+-]\d+\.\d+)%", out).group(1))
         assert value < 0  # cheaper config saves bitrate
 
@@ -127,6 +130,43 @@ class TestAnalytics:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("anchor,test,metric,bd_percent")
         assert lines[1].startswith("x264:medium:1,svt-av1:6:1,vmaf,")
+
+    def test_classic_interval_is_labelled_a_span(self, tmp_path, capsys):
+        # clip "lo" lives below VMAF 20 and clip "hi" above 60 on both
+        # sides, so no quality interval is shared by the two clips
+        store_path = tmp_path / "s.jsonl"
+        for clip, scale in (("lo", 40000.0), ("hi", 500.0)):
+            records = make_records([clip], "x264", "medium", 1,
+                                   (500, 1000, 2000, 4000), scale_base=scale)
+            records += make_records([clip], "svt-av1", "6", 1,
+                                    (500, 1000, 2000, 4000), rate_factor=0.75,
+                                    efficiency=1 / 0.75, scale_base=scale)
+            for rec in records:
+                store.append(store_path, rec)
+        out_csv = tmp_path / "classic.csv"
+        rc = main(["bdrate", "--store", str(store_path),
+                   "--anchor", "x264:medium:1", "--test", "svt-av1:6:1",
+                   "--ladder", "500,1000,2000,4000", "--csv", str(out_csv)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "overlap [" not in out
+        lo, hi = map(float, re.search(
+            r"quality span of the included clips \[([\d.]+), ([\d.]+)\]",
+            out).groups())
+        assert lo < 20.0 and hi > 60.0
+        assert "classic mean over 2 clips" in out
+        header = out_csv.read_text().splitlines()[0]
+        assert header == ("anchor,test,metric,bd_percent,span_q_low,span_q_high,"
+                          "n_anchor,n_test")
+
+        out_csv = tmp_path / "smart.csv"
+        rc = main(["bdrate", "--store", str(store_path),
+                   "--anchor", "x264:medium:1", "--test", "svt-av1:6:1",
+                   "--ladder", "500,1000,2000,4000", "--method", "smart",
+                   "--csv", str(out_csv)])
+        assert rc == 0
+        assert "  overlap [" in capsys.readouterr().out
+        assert ",q_low,q_high," in out_csv.read_text().splitlines()[0]
 
     def test_curves_csv(self, tmp_path, capsys):
         store_path = tmp_path / "s.jsonl"
@@ -218,3 +258,12 @@ class TestEnvironmentErrors:
                    "--store", str(tmp_path / "s.jsonl"),
                    "--work-dir", str(tmp_path / "w")])
         assert rc == 3
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import rdgauge.cli, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": path}, check=True)
