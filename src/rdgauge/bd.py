@@ -113,12 +113,14 @@ def clean_curve(
         if not math.isfinite(quality):
             raise CurveError(f"quality must be finite, got {quality}")
         pts.append((rate, quality))
-    pts = sorted(set(pts))
-    survivors = [
-        p for p in pts
-        if not any(q != p and q[1] >= p[1] and q[0] <= p[0] for q in pts)
-    ]
-    survivors.sort(key=lambda p: p[1])
+    # By rate, best quality first among equal rates: a point survives
+    # when its quality beats every point of no greater rate.
+    survivors = []
+    best = -math.inf
+    for rate, quality in sorted(set(pts), key=lambda p: (p[0], -p[1])):
+        if quality > best:
+            survivors.append((rate, quality))
+            best = quality
     if len(survivors) < 2:
         raise CurveError(
             f"curve {id!r}: only {len(survivors)} point(s) survive cleaning; "

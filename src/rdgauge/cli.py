@@ -143,8 +143,15 @@ def _cmd_vmaf(args) -> int:
 
 def _cmd_complexity(args) -> int:
     records = []
+    failed = 0
     for clip in _clip_list(args):
-        rec = cx_mod.analyze_clip(clip)
+        try:
+            rec = cx_mod.analyze_clip(clip)
+        except (RdgaugeError, OSError) as exc:
+            # one bad clip must not discard the clips already analysed
+            failed += 1
+            print(f"{Path(clip).stem}: error: {exc}", file=sys.stderr)
+            continue
         records.append(rec)
         print(f"{rec.clip_id}: SE={rec.clip_se:.4f} TE={rec.clip_te:.4f} "
               f"frames={len(rec.frame_se)}")
@@ -155,7 +162,7 @@ def _cmd_complexity(args) -> int:
     if args.scatter_csv:
         Path(args.scatter_csv).write_text(
             "\n".join(cx_mod.scatter_csv_rows(records)) + "\n", encoding="utf-8")
-    return EXIT_OK
+    return EXIT_DATA if failed else EXIT_OK
 
 
 def _cmd_import(args) -> int:

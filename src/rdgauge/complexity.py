@@ -6,6 +6,16 @@ depth. Temporal energy (TE) of a frame pair adds the mean absolute
 change in block texture energy to the mean absolute luma difference.
 A clip is summarised by mean SE and max TE. Edge blocks are completed
 by replication padding; only luma contributes.
+
+Padding is part of the definition of TE: the mean absolute luma
+difference is taken over the padded plane, so the replicated rows and
+columns count as pixels (a 1080-row frame is averaged over 1088 rows).
+A change in the last real row or column therefore weighs more than one
+elsewhere. TE values depend on this choice.
+
+Each frame's luma plane is padded once in the dtype it was read in; the
+block energies, the flat-block test and the absolute difference all
+read that one padded plane.
 """
 
 from __future__ import annotations
@@ -28,20 +38,28 @@ def _depth_scale(bit_depth: int) -> float:
     return float(1 << (bit_depth - 8))
 
 
-def _pad_plane(plane: np.ndarray) -> np.ndarray:
-    """Float64 copy padded to BLOCK multiples by edge replication."""
-    h, w = plane.shape
-    pad_h = (-h) % BLOCK
-    pad_w = (-w) % BLOCK
-    out = plane.astype(np.float64)
-    if pad_h or pad_w:
-        out = np.pad(out, ((0, pad_h), (0, pad_w)), mode="edge")
-    return out
+def _frame_energy(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded luma plane and its block-energy grid.
+
+    The plane is padded to BLOCK multiples by edge replication in its
+    own dtype; the grid is normalised by block area but not bit depth.
+    """
+    h, w = luma.shape
+    padded = np.pad(luma, ((0, (-h) % BLOCK), (0, (-w) % BLOCK)), mode="edge")
+    return padded, kernels.block_energies(padded) / float(BLOCK * BLOCK)
 
 
-def _energy_grid(luma: np.ndarray) -> np.ndarray:
-    """Normalised (by block area) texture energy per block."""
-    return kernels.block_energies(_pad_plane(luma)) / float(BLOCK * BLOCK)
+def _change_energy(
+    cur: tuple[np.ndarray, np.ndarray], prev: tuple[np.ndarray, np.ndarray]
+) -> float:
+    """TE, before bit-depth scaling, of two ``_frame_energy`` results."""
+    (plane, grid), (prev_plane, prev_grid) = cur, prev
+    texture = np.abs(grid - prev_grid).mean()
+    # max - min is |a - b| without unsigned wrap-around; the integer sum
+    # is exact, so this equals the float64 mean bit for bit.
+    diff = np.maximum(plane, prev_plane) - np.minimum(plane, prev_plane)
+    mad = float(diff.sum()) / diff.size
+    return float(texture + mad)
 
 
 def block_texture_energy(block: np.ndarray, bit_depth: int = 8) -> float:
@@ -60,7 +78,7 @@ def block_texture_energy(block: np.ndarray, bit_depth: int = 8) -> float:
 
 def frame_spatial_energy(frame: Frame) -> float:
     """Mean block texture energy over the frame's luma plane."""
-    grid = _energy_grid(frame.y)
+    _, grid = _frame_energy(frame.y)
     return float(grid.mean()) / _depth_scale(frame.bit_depth)
 
 
@@ -76,15 +94,8 @@ def temporal_energy(frame_t: Frame, frame_prev: Frame) -> float:
         )
     if frame_t.bit_depth != frame_prev.bit_depth:
         raise Y4MValidationError("bit depth mismatch between frames")
-    a = _pad_plane(frame_t.y)
-    b = _pad_plane(frame_prev.y)
-    texture = np.abs(_energy_grid_padded(a) - _energy_grid_padded(b)).mean()
-    mad = np.abs(a - b).mean()
-    return float(texture + mad) / _depth_scale(frame_t.bit_depth)
-
-
-def _energy_grid_padded(padded: np.ndarray) -> np.ndarray:
-    return kernels.block_energies(padded) / float(BLOCK * BLOCK)
+    energy = _change_energy(_frame_energy(frame_t.y), _frame_energy(frame_prev.y))
+    return energy / _depth_scale(frame_t.bit_depth)
 
 
 @dataclass(frozen=True)
@@ -136,17 +147,13 @@ def analyze_clip(
         scale = _depth_scale(reader.header.bit_depth)
         frame_se: list[float] = []
         frame_te: list[float] = []
-        prev_padded: Optional[np.ndarray] = None
-        prev_grid: Optional[np.ndarray] = None
+        prev = None
         for frame in reader.frames():
-            padded = _pad_plane(frame.y)
-            grid = _energy_grid_padded(padded)
-            frame_se.append(float(grid.mean()) / scale)
-            if prev_grid is not None:
-                texture = np.abs(grid - prev_grid).mean()
-                mad = np.abs(padded - prev_padded).mean()
-                frame_te.append(float(texture + mad) / scale)
-            prev_padded, prev_grid = padded, grid
+            cur = _frame_energy(frame.y)
+            frame_se.append(float(cur[1].mean()) / scale)
+            if prev is not None:
+                frame_te.append(_change_energy(cur, prev) / scale)
+            prev = cur
     finally:
         if own:
             reader.close()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_records
 from oracles import (
@@ -66,6 +68,24 @@ class TestCleanCurve:
     def test_non_positive_rate_rejected(self):
         with pytest.raises(CurveError):
             bd.clean_curve([(0.0, 30), (100, 35)])
+
+    @given(st.lists(st.tuples(st.sampled_from([100.0, 200.0, 300.0, 450.5]),
+                              st.sampled_from([20.0, 30.0, 30.5, 40.0, 50.0])),
+                    max_size=12))
+    def test_survivors_match_quadratic_rule(self, pts):
+        # the pairwise definition: drop a point when another one reaches at
+        # least its quality at no more rate
+        unique = sorted(set(pts))
+        expected = sorted(
+            (p for p in unique
+             if not any(q != p and q[1] >= p[1] and q[0] <= p[0] for q in unique)),
+            key=lambda p: p[1])
+        if len(expected) < 2:
+            with pytest.raises(CurveError):
+                bd.clean_curve(pts)
+            return
+        got = bd.clean_curve(pts).points
+        assert [(p.rate, p.quality) for p in got] == expected
 
 
 class TestInterpolate:

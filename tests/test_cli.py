@@ -223,6 +223,29 @@ class TestComplexityCommand:
         assert row["frames"] == 3
         assert csv_path.read_text().startswith("clip_id,clip_se,clip_te")
 
+    def test_bad_clip_keeps_finished_clips(self, tmp_path, capsys):
+        header = y4m.make_header(32, 32)
+        clips = []
+        for name, n_frames in (("a_good", 3), ("b_cut", 2), ("c_good", 2)):
+            path = tmp_path / f"{name}.y4m"
+            with open(path, "wb") as f:
+                y4m.write_clip(header, y4m.synthetic_clip(header, n_frames), f)
+            clips.append(path)
+        data = clips[1].read_bytes()
+        clips[1].write_bytes(data[:-100])  # truncate the last frame
+        rows = tmp_path / "cx.jsonl"
+        csv_path = tmp_path / "scatter.csv"
+        rc = main(["complexity", "--clips", ",".join(map(str, clips)),
+                   "--out", str(rows), "--scatter-csv", str(csv_path)])
+        assert rc == 2
+        written = [json.loads(line) for line in rows.read_text().splitlines()]
+        assert [(r["clip"], r["frames"]) for r in written] == [
+            ("a_good", 3), ("c_good", 2)]
+        assert csv_path.read_text().splitlines()[1:] == [
+            f"{r['clip']},{r['clip_se']:.9g},{r['clip_te']:.9g}" for r in written]
+        err = capsys.readouterr().err
+        assert re.search(r"^b_cut: error: .*truncated", err, re.M)
+
 
 class TestReportCommand:
     def test_full_report(self, tmp_path, capsys):

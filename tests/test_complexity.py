@@ -114,6 +114,24 @@ class TestTemporalEnergy:
         assert complexity.temporal_energy(a, b) == pytest.approx(
             complexity.temporal_energy(b, a), rel=1e-12)
 
+    def test_padding_rows_count_in_mad(self):
+        # 40 rows pad to 64: the last real row is replicated 24 times.
+        # Both frames step by 10 at row 39 (up in one, down in the other),
+        # so block energies match and TE is the MAD alone.
+        rng = np.random.default_rng(18)
+        top = rng.integers(0, 256, (32, 32))
+        a = np.vstack([top, np.full((8, 32), 100)])
+        b = a.copy()
+        a[39] = 110
+        b[39] = 90
+        expected = 20 * 32 * (1 + 24) / (64 * 32)  # 25 of 64 rows differ
+        fa, fb = _frame_from_luma(a), _frame_from_luma(b)
+        assert complexity.temporal_energy(fa, fb) == pytest.approx(
+            expected, abs=1e-9)
+        rec = complexity.analyze_clip(
+            y4m.Y4MReader(_clip_stream([fa, fb], y4m.make_header(32, 40))), "pad")
+        assert rec.frame_te[0] == pytest.approx(expected, abs=1e-9)
+
     def test_dimension_mismatch(self):
         a = _frame_from_luma(np.zeros((32, 32)))
         b = _frame_from_luma(np.zeros((64, 64)))
