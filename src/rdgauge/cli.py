@@ -126,8 +126,9 @@ def _cmd_encode(args) -> int:
     for outcome in outcomes:
         counts[outcome.status] += 1
         if outcome.status == "failed":
-            print(f"FAILED {outcome.job.slug()}: {outcome.stderr_tail[-200:]}",
-                  file=sys.stderr)
+            tail = outcome.stderr_tail.strip()[-200:]
+            print(f"FAILED {outcome.job.slug()}: {outcome.reason}"
+                  + (f": {tail}" if tail else ""), file=sys.stderr)
     print(f"encoded: {counts['ok']} ok, {counts['failed']} failed, "
           f"{counts['skipped']} skipped")
     return EXIT_OK if counts["failed"] == 0 else EXIT_DATA
@@ -289,7 +290,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = store.load(_require_store(args))
+    groups = scenario.group_by_config(store.load(_require_store(args)))
     ladder = _parse_ladder(args.ladder)
     scenario_ids = [s.strip() for s in args.scenarios.split(",") if s.strip()]
 
@@ -307,7 +308,7 @@ def _cmd_report(args) -> int:
         if args.budget_hours is not None and sid == "S3":
             overrides["time_budget_hours"] = args.budget_hours
         spec = scenario.make_scenario(sid, **overrides)
-        summaries = scenario.summarize(records, spec)
+        summaries = scenario.summarize(groups, spec)
         rep = scenario.select_presets(summaries, spec)
         reports.append(rep)
         for s in summaries:
@@ -321,10 +322,10 @@ def _cmd_report(args) -> int:
             if config not in picked:
                 picked.append(config)
             if config not in aggregates:
-                config_records = scenario.records_for_config(records, *config)
                 try:
                     aggregates[config] = bd_mod.aggregate_curve(
-                        config_records, ladder, args.metric, id=pick.label)
+                        groups.get(config, []), ladder, args.metric,
+                        id=pick.label)
                 except (RdgaugeError, ValueError):
                     aggregates[config] = None
             if aggregates[config] is not None:
@@ -333,7 +334,7 @@ def _cmd_report(args) -> int:
 
     grids = []
     if len(picked) > 1:
-        grids.append(scenario.bd_grid(picked, records, ladder, args.method,
+        grids.append(scenario.bd_grid(picked, groups, ladder, args.method,
                                       args.metric))
         picked_summaries = [summaries_by_label[f"{f}:{p}:{n}p"]
                             for (f, p, n) in picked]

@@ -3,7 +3,10 @@
 Runs encoder processes with per-pass monotonic wall-clock timing,
 persists outcomes through the results store, and invokes the external
 VMAF tool over finished encodes. Completed (clip, family, preset,
-passes, tbr) keys are skipped unless forced.
+passes, tbr) keys are skipped unless forced. A plan probes each
+distinct clip's duration once, before any job runs; a clip that cannot
+be probed or has no frames, and an encode that leaves no output, fail
+only their own jobs.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from typing import Callable, Optional, Sequence, Union
 from . import store as store_mod
 from . import y4m
 from .encoders import EncodeJob, build_commands, get_spec, job_paths
-from .errors import MetricError, MetricParseError, MissingBinaryError
+from .errors import (MetricError, MetricParseError, MissingBinaryError,
+                     RdgaugeError)
 from .store import MetricRecord
 
 log = logging.getLogger(__name__)
@@ -54,6 +58,7 @@ class JobOutcome:
     measured_kbps: float = 0.0
     output_path: str = ""
     stderr_tail: str = ""
+    reason: str = ""  # why a failed job failed
 
     @property
     def total_seconds(self) -> float:
@@ -100,6 +105,17 @@ def clip_duration_seconds(path: Union[str, Path]) -> float:
     return frames * header.fps_den / header.fps_num
 
 
+def probe_duration(path: str) -> tuple[float, str]:
+    """(seconds, "") for a clip with frames, else (0.0, why it has none)."""
+    try:
+        seconds = clip_duration_seconds(path)
+    except (RdgaugeError, OSError) as exc:
+        return 0.0, f"cannot probe clip {path}: {exc}"
+    if seconds <= 0:
+        return 0.0, f"clip has no frames: {path}"
+    return seconds, ""
+
+
 def execute(
     job: EncodeJob,
     *,
@@ -109,13 +125,16 @@ def execute(
     force: bool = False,
     measure: Optional[Callable[["JobOutcome"], tuple[float, float]]] = None,
     known_keys: Optional[set] = None,
+    durations: Optional[dict[str, tuple[float, str]]] = None,
 ) -> JobOutcome:
     """Run all passes of a job in order and persist the outcome.
 
     ``measure`` may map a finished outcome to (vmaf, psnr_y); when the
     store path is set, an ok outcome is appended as a MetricRecord.
     ``known_keys`` lets a scheduler preload the store's completed keys
-    instead of re-reading the file per job.
+    instead of re-reading the file per job, and ``durations`` maps each
+    input path to its ``probe_duration`` result instead of probing the
+    clip per job.
     """
     work_dir = Path(work_dir or os.environ.get(ENV_WORK_DIR, "."))
     work_dir.mkdir(parents=True, exist_ok=True)
@@ -129,6 +148,11 @@ def execute(
             log.info("skipping completed job %s", job.slug())
             return JobOutcome(job=job, status="skipped")
 
+    duration, reason = (durations[job.input_path] if durations is not None
+                        else probe_duration(job.input_path))
+    if reason:
+        return JobOutcome(job=job, status="failed", reason=reason)
+
     spec = get_spec(job.family)
     binary = resolve_binary(spec.binary, bin_dir)
     commands = build_commands(job, work_dir, bin_dir=None)
@@ -136,7 +160,6 @@ def execute(
         vec[0] = binary
 
     output_path, passlog = job_paths(job, work_dir)
-    duration = clip_duration_seconds(job.input_path)
 
     hw_lock = _nvenc_lock if job.family == "nvenc-av1" else None
     if hw_lock:
@@ -155,12 +178,22 @@ def execute(
                     job=job, status="failed", wall_seconds=tuple(walls),
                     output_path=output_path,
                     stderr_tail=(proc.stderr or "")[-_STDERR_TAIL:],
+                    reason=f"{Path(vec[0]).name} exited with status "
+                           f"{proc.returncode}",
                 )
     finally:
         if hw_lock:
             hw_lock.release()
 
-    output_bytes = os.path.getsize(output_path)
+    try:
+        output_bytes = os.path.getsize(output_path)
+    except FileNotFoundError:
+        output_bytes = 0
+    if not output_bytes:
+        return JobOutcome(
+            job=job, status="failed", wall_seconds=tuple(walls),
+            output_path=output_path,
+            reason=f"encoder wrote no output {output_path}")
     measured_kbps = output_bytes * 8.0 / duration / 1000.0
     reported = container_kbps(output_path, bin_dir)
     if reported and abs(measured_kbps - reported) > 0.02 * reported:
@@ -205,7 +238,8 @@ def run_plan(
 
     Timing-strict mode serialises everything so wall-clock comparisons
     stay meaningful; otherwise jobs are independent and run on a worker
-    pool.
+    pool. Each distinct clip is probed once, up front, and its duration
+    or failure reason is shared by all of its jobs.
     """
     if timing_strict:
         workers = 1
@@ -214,6 +248,10 @@ def run_plan(
     if store_path and "known_keys" not in execute_kwargs:
         execute_kwargs["known_keys"] = {
             rec.key() for rec in store_mod.load(store_path)}
+    if "durations" not in execute_kwargs:
+        execute_kwargs["durations"] = {
+            path: probe_duration(path)
+            for path in dict.fromkeys(job.input_path for job in jobs)}
     if workers == 1:
         return [execute(job, **execute_kwargs) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import bd as bd_mod
 from .errors import AnalysisError
@@ -28,6 +28,10 @@ from .store import MetricRecord
 OBJECTIVE_MAX_COVERAGE = "max_coverage"
 OBJECTIVE_BUDGETED = "max_coverage_within_budget"
 OBJECTIVE_FASTEST_WITHIN_SLACK = "fastest_within_coverage_slack"
+
+Config = tuple[str, str, int]  # (family, preset, passes)
+# Records as a flat sequence, or already split by ``group_by_config``.
+Records = Union[Sequence[MetricRecord], Mapping[Config, list[MetricRecord]]]
 
 
 @dataclass(frozen=True)
@@ -92,14 +96,23 @@ class ConfigSummary:
         return self.n_checkpoint_above / self.n_checkpoint_records
 
 
-def summarize(records: Sequence[MetricRecord],
-              spec: ScenarioSpec) -> list[ConfigSummary]:
-    """Per-config gate counts over deduped records, order-independent."""
-    groups: dict[tuple, list[MetricRecord]] = {}
+def group_by_config(records: Iterable[MetricRecord]
+                    ) -> dict[Config, list[MetricRecord]]:
+    """Records split by (family, preset, passes), each list in input order."""
+    groups: dict[Config, list[MetricRecord]] = {}
     for rec in records:
         groups.setdefault((rec.family, rec.preset, rec.passes), []).append(rec)
+    return groups
+
+
+def _grouped(records: Records) -> Mapping[Config, list[MetricRecord]]:
+    return records if isinstance(records, Mapping) else group_by_config(records)
+
+
+def summarize(records: Records, spec: ScenarioSpec) -> list[ConfigSummary]:
+    """Per-config gate counts over deduped records, order-independent."""
     out = []
-    for (family, preset, passes), recs in sorted(groups.items()):
+    for (family, preset, passes), recs in sorted(_grouped(records).items()):
         above = sum(1 for r in recs
                     if r.vmaf is not None and r.vmaf > spec.vmaf_threshold)
         ckpt = [r for r in recs if r.target_kbps == spec.checkpoint_kbps]
@@ -256,8 +269,8 @@ def records_for_config(records: Sequence[MetricRecord], family: str,
 
 
 def bd_grid(
-    configs: Sequence[tuple[str, str, int]],
-    records: Sequence[MetricRecord],
+    configs: Sequence[Config],
+    records: Records,
     ladder: Sequence[float],
     method: str = "classic",
     metric_kind: str = bd_mod.METRIC_VMAF,
@@ -270,7 +283,8 @@ def bd_grid(
     """
     if method not in ("classic", "smart"):
         raise ValueError(f"unknown grid method {method!r}")
-    slices = [records_for_config(records, *cfg) for cfg in configs]
+    groups = _grouped(records)
+    slices = [groups.get(cfg, []) for cfg in configs]
     labels = [f"{f}:{p}:{n}p" for (f, p, n) in configs]
     if method == "classic":
         curves = [bd_mod.curves_from_records(s, metric_kind) for s in slices]

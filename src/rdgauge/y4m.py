@@ -160,18 +160,19 @@ def _chroma_depth(tag: str) -> int:
 
 def _read_line(stream: BinaryIO, what: str) -> Optional[bytes]:
     """Read up to a newline; None at clean EOF, error on EOF mid-line."""
-    chunks = bytearray()
-    while True:
-        b = stream.read(1)
-        if not b:
-            if not chunks:
-                return None
-            raise Y4MFormatError(f"stream ended inside {what} line")
-        if b == b"\n":
-            return bytes(chunks)
-        chunks += b
-        if len(chunks) > _MAX_LINE:
+    line = stream.readline(_MAX_LINE + 1)
+    if not line:
+        return None
+    if line[-1:] != b"\n":
+        if len(line) > _MAX_LINE:
             raise Y4MFormatError(f"{what} line longer than {_MAX_LINE} bytes")
+        raise Y4MFormatError(f"stream ended inside {what} line")
+    return line[:-1]
+
+
+def _check_marker(line: bytes) -> None:
+    if line.split(b" ")[0] != FRAME_MARKER:
+        raise Y4MFormatError(f"expected FRAME marker, got {line[:20]!r}")
 
 
 def parse_header(stream: BinaryIO) -> VideoHeader:
@@ -239,8 +240,7 @@ def read_frame(stream: BinaryIO, header: VideoHeader) -> Optional[Frame]:
     line = _read_line(stream, "frame marker")
     if line is None:
         return None
-    if line.split(b" ")[0] != FRAME_MARKER:
-        raise Y4MFormatError(f"expected FRAME marker, got {line[:20]!r}")
+    _check_marker(line)
 
     payload = stream.read(header.frame_payload_bytes)
     if len(payload) != header.frame_payload_bytes:
@@ -256,28 +256,6 @@ def read_frame(stream: BinaryIO, header: VideoHeader) -> Optional[Frame]:
     u = samples[ny:ny + nc].reshape(header.chroma_height, header.chroma_width)
     v = samples[ny + nc:].reshape(header.chroma_height, header.chroma_width)
     return Frame(y=y, u=u, v=v, bit_depth=header.bit_depth)
-
-
-def skip_frame(stream: BinaryIO, header: VideoHeader) -> bool:
-    """Advance past one frame without decoding; False at clean EOF."""
-    line = _read_line(stream, "frame marker")
-    if line is None:
-        return False
-    if line.split(b" ")[0] != FRAME_MARKER:
-        raise Y4MFormatError(f"expected FRAME marker, got {line[:20]!r}")
-    target = header.frame_payload_bytes
-    if stream.seekable():
-        here = stream.tell()
-        stream.seek(0, os.SEEK_END)
-        end = stream.tell()
-        if end - here < target:
-            raise IncompleteFrameError("frame payload truncated")
-        stream.seek(here + target)
-    else:
-        got = len(stream.read(target))
-        if got != target:
-            raise IncompleteFrameError("frame payload truncated")
-    return True
 
 
 class Y4MReader:
@@ -359,11 +337,27 @@ def read_clip(source: Union[str, Path, BinaryIO]) -> tuple[VideoHeader, list[Fra
 
 
 def probe_clip(path: Union[str, Path]) -> tuple[VideoHeader, int]:
-    """Header plus frame count, skipping payloads via seek."""
+    """Header plus frame count.
+
+    Walks the frame markers, which may carry parameters, and seeks over
+    each payload; a payload that runs past the end of the file is an
+    IncompleteFrameError.
+    """
     with open(path, "rb") as stream:
         header = parse_header(stream)
+        size = os.fstat(stream.fileno()).st_size
+        payload = header.frame_payload_bytes
+        pos = stream.tell()
         count = 0
-        while skip_frame(stream, header):
+        while True:
+            line = _read_line(stream, "frame marker")
+            if line is None:
+                break
+            _check_marker(line)
+            pos += len(line) + 1 + payload
+            if pos > size:
+                raise IncompleteFrameError("frame payload truncated")
+            stream.seek(pos)
             count += 1
     return header, count
 

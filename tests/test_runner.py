@@ -1,10 +1,13 @@
 import json
 import os
 import stat
+import sys
+from collections import Counter
 
 import pytest
 
 from rdgauge import runner, store, y4m
+from rdgauge.cli import main
 from rdgauge.encoders import EncodeJob
 from rdgauge.errors import MetricError, MetricParseError, MissingBinaryError
 
@@ -32,15 +35,22 @@ def fake_bin(tmp_path):
     return bin_dir
 
 
+def _write_clip(path, n_frames):
+    header = y4m.make_header(8, 8, fps_num=24)
+    with open(path, "wb") as f:
+        y4m.write_clip(header, y4m.synthetic_clip(header, n_frames, seed=1), f)
+    return path
+
+
 @pytest.fixture
 def small_clip(tmp_path):
     # 48 frames at 24 fps -> exactly 2 seconds
-    header = y4m.make_header(8, 8, fps_num=24)
-    frames = y4m.synthetic_clip(header, 48, seed=1)
-    path = tmp_path / "clip.y4m"
-    with open(path, "wb") as f:
-        y4m.write_clip(header, frames, f)
-    return path
+    return _write_clip(tmp_path / "clip.y4m", 48)
+
+
+@pytest.fixture
+def empty_clip(tmp_path):
+    return _write_clip(tmp_path / "empty.y4m", 0)
 
 
 def _job(small_clip, **kw):
@@ -152,6 +162,23 @@ class TestExecute:
         assert outcome.status == "ok"
         assert any("container-reported" in r.message for r in caplog.records)
 
+    def test_zero_frame_clip_fails_without_spawning(self, fake_bin, empty_clip,
+                                                    tmp_path):
+        store_path = tmp_path / "s.jsonl"
+        outcome = runner.execute(_job(empty_clip), work_dir=tmp_path / "w",
+                                 bin_dir=fake_bin, store_path=store_path)
+        assert outcome.status == "failed"
+        assert outcome.reason.startswith("clip has no frames")
+        assert not (fake_bin / "calls.log").exists()
+        assert store.load(store_path) == []
+
+    def test_encoder_exit_status_is_the_reason(self, fake_bin, small_clip,
+                                               tmp_path):
+        (fake_bin / "fail_marker").touch()
+        outcome = runner.execute(_job(small_clip), work_dir=tmp_path / "w",
+                                 bin_dir=fake_bin)
+        assert outcome.reason == "ffmpeg exited with status 1"
+
 
 class TestRunPlan:
     def test_parallel_plan(self, fake_bin, small_clip, tmp_path):
@@ -178,6 +205,49 @@ class TestRunPlan:
         runner.run_plan(jobs[:2], **kw)
         outcomes = runner.run_plan(jobs, **kw)
         assert [o.status for o in outcomes] == ["skipped", "skipped", "ok"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_each_clip_probed_once_per_plan(self, fake_bin, tmp_path,
+                                            monkeypatch, workers):
+        clips = [_write_clip(tmp_path / f"{name}.y4m", 24)
+                 for name in ("a", "b")]
+        jobs = [_job(clip, clip_id=clip.stem, target_kbps=tbr)
+                for tbr in range(100, 900, 100) for clip in clips]
+        probes = Counter()
+        original = y4m.probe_clip
+
+        def counting(path):
+            probes[str(path)] += 1
+            return original(path)
+
+        monkeypatch.setattr(y4m, "probe_clip", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = runner.run_plan(
+                jobs, workers=workers, work_dir=tmp_path / "w",
+                bin_dir=fake_bin, store_path=tmp_path / "s.jsonl")
+        finally:
+            sys.setswitchinterval(interval)
+        assert [o.status for o in outcomes] == ["ok"] * 16
+        assert probes == {str(clip): 1 for clip in clips}
+        assert {o.measured_kbps for o in outcomes} == {80.0}  # 10000 B in 1 s
+
+    def test_missing_output_fails_only_its_job(self, fake_bin, small_clip,
+                                               tmp_path):
+        # SvtAv1EncApp exits 0 without writing; ffmpeg jobs still succeed.
+        silent = fake_bin / "SvtAv1EncApp"
+        silent.write_text("#!/bin/sh\nexit 0\n")
+        jobs = [_job(small_clip, target_kbps=100),
+                _job(small_clip, family="svt-av1", preset="10"),
+                _job(small_clip, target_kbps=200)]
+        store_path = tmp_path / "s.jsonl"
+        outcomes = runner.run_plan(jobs, workers=1, work_dir=tmp_path / "w",
+                                   bin_dir=fake_bin, store_path=store_path)
+        assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
+        assert outcomes[1].reason == (
+            f"encoder wrote no output {outcomes[1].output_path}")
+        assert sorted(r.family for r in store.load(store_path)) == ["x264"] * 2
 
 
 VMAF_LOG = {
@@ -236,3 +306,28 @@ def test_measure_quality_frame_mismatch(tmp_path, monkeypatch):
 
 def test_clip_duration(small_clip):
     assert runner.clip_duration_seconds(small_clip) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("bad", ["zero-frame", "truncated"])
+def test_bad_clip_fails_only_its_own_jobs(fake_bin, small_clip, tmp_path,
+                                          capsys, bad):
+    bad_clip = _write_clip(tmp_path / "bad.y4m", 0 if bad == "zero-frame" else 3)
+    if bad == "truncated":
+        with open(bad_clip, "r+b") as f:
+            f.truncate(bad_clip.stat().st_size - 1)
+    store_path = tmp_path / "s.jsonl"
+    rc = main(["encode", "--clips", f"{small_clip},{bad_clip}",
+               "--families", "x264", "--presets", "medium", "--passes", "1",
+               "--ladder", "100,200", "--store", str(store_path),
+               "--work-dir", str(tmp_path / "w"),
+               "--binary-dir", str(fake_bin)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "encoded: 2 ok, 2 failed, 0 skipped" in captured.out
+    reason = "clip has no frames" if bad == "zero-frame" else "truncated"
+    assert captured.err.count(reason) == 2
+    assert {(r.clip_id, r.target_kbps) for r in store.load(store_path)} == {
+        ("clip", 100.0), ("clip", 200.0)}
+    calls = (fake_bin / "calls.log").read_text().splitlines()
+    assert len(calls) == 2
+    assert not any(str(bad_clip) in call for call in calls)

@@ -90,6 +90,7 @@ class TestSummarize:
         baseline = summarize(records, spec)
         for perm in itertools.permutations(records):
             assert summarize(list(perm), spec) == baseline
+        assert summarize(scenario.group_by_config(records), spec) == baseline
 
 
 class TestSelectPresets:
@@ -233,6 +234,9 @@ class TestBDGrid:
             c01, c10 = grid.cells[0][1], grid.cells[1][0]
             assert (1 + c01 / 100) * (1 + c10 / 100) == pytest.approx(1.0, abs=1e-4)
             assert c01 == pytest.approx(-30.0, abs=1e-6)
+            grouped = bd_grid(configs, scenario.group_by_config(records),
+                              self.LADDER, method=method)
+            assert grouped.cells == grid.cells
 
     def test_overlap_failure_renders_na(self):
         configs = [("x264", "medium", 1), ("x264", "fast", 1)]

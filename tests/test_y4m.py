@@ -201,6 +201,52 @@ def test_probe_clip(tmp_path):
     assert count == 7
 
 
+HEADER_2X2 = b"YUV4MPEG2 W2 H2 F25:1\n"  # 6-byte frame payloads
+LONGEST_MARKER = b"FRAME " + b"X" * (y4m._MAX_LINE - 6)
+
+
+@pytest.mark.parametrize("body, frames", [
+    (b"", 0),
+    (b"FRAME\n" + bytes(6), 1),
+    (b"FRAME Ixyz\n" + bytes(6) + b"FRAME\n" + bytes(6)
+     + b"FRAME XA=1 Ip\n" + bytes(6), 3),
+    (LONGEST_MARKER + b"\n" + bytes(6), 1),
+])
+def test_probe_counts_frame_markers(tmp_path, body, frames):
+    path = tmp_path / "p.y4m"
+    path.write_bytes(HEADER_2X2 + body)
+    assert y4m.probe_clip(path)[1] == frames
+    assert len(y4m.read_clip(path)[1]) == frames
+
+
+@pytest.mark.parametrize("body, error, match", [
+    (b"FRAME\n" + bytes(6) + b"FRAME\n" + bytes(5), IncompleteFrameError,
+     "truncated"),
+    (b"FRAME\n" + bytes(6) + b"FRA", Y4MFormatError,
+     "ended inside frame marker"),
+    (LONGEST_MARKER + b"X\n" + bytes(6), Y4MFormatError, "longer than"),
+    (b"FRAME\n" + bytes(6) + b"GRAME\n" + bytes(6), Y4MFormatError,
+     "expected FRAME marker"),
+])
+def test_probe_and_read_reject_bad_frames(tmp_path, body, error, match):
+    path = tmp_path / "p.y4m"
+    path.write_bytes(HEADER_2X2 + body)
+    with pytest.raises(error, match=match):
+        y4m.probe_clip(path)
+    with pytest.raises(error, match=match):
+        y4m.read_clip(path)
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"YUV4MPEG2 W2 H2 F25:1", "ended inside header"),
+    (b"YUV4MPEG2 W2 H2 F25:1 X" + b"x" * y4m._MAX_LINE + b"\n",
+     "longer than"),
+])
+def test_header_line_errors(data, match):
+    with pytest.raises(Y4MFormatError, match=match):
+        y4m.parse_header(io.BytesIO(data))
+
+
 def test_reader_streams_sequentially(tmp_path):
     header = y4m.make_header(4, 4)
     frames = _random_frames(header, 3, np.random.default_rng(4))
