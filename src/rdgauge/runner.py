@@ -5,8 +5,15 @@ persists outcomes through the results store, and invokes the external
 VMAF tool over finished encodes. Completed (clip, family, preset,
 passes, tbr) keys are skipped unless forced. A plan probes each
 distinct clip's duration once, before any job runs; a clip that cannot
-be probed or has no frames, and an encode that leaves no output, fail
-only their own jobs.
+be probed or has no frames, an encode that leaves no output, and a
+quality measurement that fails, fail only their own jobs.
+
+Rate accounting: ``measured_kbps`` counts every byte of the output file
+over the clip's duration, container overhead included (for IVF, the
+32-byte file header plus 12 bytes per frame). As a sanity check, the
+rate the output's own header implies (IVF frame count and time base, or
+the MP4 ``mvhd`` duration) is read in-process, without an external
+prober, and a disagreement of more than 2% is logged as a warning.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import json
 import logging
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
 import threading
@@ -38,6 +46,7 @@ ENV_BIN_DIR = "RDGAUGE_BIN_DIR"
 ENV_WORK_DIR = "RDGAUGE_WORK_DIR"
 
 _STDERR_TAIL = 2000
+_IVF_HEADER = 32  # bytes of the IVF file header
 
 # Store appends are funnelled through a single writer.
 _store_lock = threading.Lock()
@@ -130,7 +139,9 @@ def execute(
     """Run all passes of a job in order and persist the outcome.
 
     ``measure`` may map a finished outcome to (vmaf, psnr_y); when the
-    store path is set, an ok outcome is appended as a MetricRecord.
+    store path is set, a finished encode is appended as a MetricRecord.
+    If ``measure`` raises MetricError, the record keeps vmaf and psnr_y
+    None and the outcome fails with the reason.
     ``known_keys`` lets a scheduler preload the store's completed keys
     instead of re-reading the file per job, and ``durations`` maps each
     input path to its ``probe_duration`` result instead of probing the
@@ -195,7 +206,7 @@ def execute(
             output_path=output_path,
             reason=f"encoder wrote no output {output_path}")
     measured_kbps = output_bytes * 8.0 / duration / 1000.0
-    reported = container_kbps(output_path, bin_dir)
+    reported = container_kbps(output_path)
     if reported and abs(measured_kbps - reported) > 0.02 * reported:
         log.warning(
             "%s: measured %.1f kb/s disagrees with container-reported "
@@ -212,7 +223,12 @@ def execute(
     if store_path:
         vmaf = psnr = None
         if measure is not None:
-            vmaf, psnr = measure(outcome)
+            try:
+                vmaf, psnr = measure(outcome)
+            except MetricError as exc:
+                # keep the encode; its quality can be measured again later
+                outcome.status = "failed"
+                outcome.reason = f"quality measurement failed: {exc}"
         record = MetricRecord(
             clip_id=job.record_clip_id, family=job.family, preset=job.preset,
             passes=job.passes, target_kbps=float(job.target_kbps),
@@ -305,8 +321,8 @@ def measure_quality(
                "-lavfi", filt, "-f", "null", "-"]
         proc = subprocess.run(vec, capture_output=True, text=True)
         if proc.returncode != 0:
-            raise MetricError(
-                f"metric tool failed: {(proc.stderr or '')[-_STDERR_TAIL:]}")
+            tail = (proc.stderr or "").strip()[-_STDERR_TAIL:]
+            raise MetricError(f"metric tool failed: {tail}")
         vmaf, psnr, n_frames = parse_vmaf_log(Path(log_path).read_text())
     finally:
         try:
@@ -320,19 +336,84 @@ def measure_quality(
     return vmaf, psnr
 
 
-def container_kbps(path: Union[str, Path],
-                   bin_dir: Optional[Union[str, Path]] = None) -> Optional[float]:
-    """Container-reported bitrate via ffprobe, None when unavailable."""
+def container_kbps(path: Union[str, Path]) -> Optional[float]:
+    """Bit rate in kb/s that the file's own header implies, or None.
+
+    The duration comes from an IVF header (frame count times time base)
+    or from the ``mvhd`` box of an MP4's ``moov``; the rate is the file
+    size over it. A file that is neither, or whose header is truncated
+    or gives no duration, yields None rather than an error.
+    """
     try:
-        binary = resolve_binary("ffprobe", bin_dir)
-    except MissingBinaryError:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            head = f.read(_IVF_HEADER)
+            if head[:4] == b"DKIF":
+                seconds = _ivf_seconds(head)
+            else:
+                seconds = _mp4_seconds(f, size)
+    except OSError:
         return None
-    vec = [binary, "-v", "quiet", "-print_format", "json", "-show_format",
-           str(path)]
-    proc = subprocess.run(vec, capture_output=True, text=True)
-    if proc.returncode != 0:
+    if not seconds:
         return None
-    try:
-        return float(json.loads(proc.stdout)["format"]["bit_rate"]) / 1000.0
-    except (KeyError, ValueError, json.JSONDecodeError):
+    return size * 8.0 / seconds / 1000.0
+
+
+def _ivf_seconds(head: bytes) -> Optional[float]:
+    if len(head) < _IVF_HEADER:
         return None
+    den, num, frames = struct.unpack_from("<III", head, 16)
+    return frames * num / den if den else None
+
+
+def _mp4_seconds(f, size: int) -> Optional[float]:
+    for kind, start, end in _boxes(f, 0, size):
+        if kind == b"moov":
+            for kind, start, end in _boxes(f, start, end):
+                if kind == b"mvhd":
+                    f.seek(start)
+                    return _mvhd_seconds(f.read(min(end - start, 32)))
+            return None
+    return None
+
+
+def _boxes(f, start: int, end: int):
+    """(type, body start, box end) of each ISO-BMFF box in [start, end).
+
+    Handles a 64-bit ``largesize`` (size 1) and a box that runs to
+    ``end`` (size 0); stops at the first header that is cut short or a
+    box that overruns ``end``.
+    """
+    pos = start
+    while pos + 8 <= end:
+        f.seek(pos)
+        head = f.read(8)
+        if len(head) < 8:
+            return
+        box_size, kind = struct.unpack(">I4s", head)
+        body = pos + 8
+        if box_size == 1:
+            large = f.read(8)
+            if len(large) < 8:
+                return
+            box_size = struct.unpack(">Q", large)[0]
+            body += 8
+        elif box_size == 0:
+            box_size = end - pos
+        if box_size < body - pos or pos + box_size > end:
+            return
+        yield kind, body, pos + box_size
+        pos += box_size
+
+
+def _mvhd_seconds(body: bytes) -> Optional[float]:
+    """Duration over timescale from an ``mvhd`` full box, version 0 or 1."""
+    if body[:1] == b"\x00" and len(body) >= 20:
+        timescale, duration = struct.unpack_from(">II", body, 12)
+    elif body[:1] == b"\x01" and len(body) >= 32:
+        timescale, duration = struct.unpack_from(">IQ", body, 20)
+    else:
+        return None
+    if not timescale:
+        return None
+    return duration / timescale

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import struct
 import sys
 from collections import Counter
 
@@ -11,16 +12,39 @@ from rdgauge.cli import main
 from rdgauge.encoders import EncodeJob
 from rdgauge.errors import MetricError, MetricParseError, MissingBinaryError
 
+# Logs every call but the version probe. A libvmaf call writes
+# vmaf.json to its log_path, or fails when its arguments contain the
+# text in vmaf_fail. An encode writes the bytes of the file named
+# output when there is one, else 10000 zero bytes.
 FAKE_FFMPEG = """#!/bin/sh
 dir="$(dirname "$0")"
 [ $# -le 1 ] && exit 0  # version probe, write nothing
 echo "$@" >> "$dir/calls.log"
+log=""
+for last; do
+  case "$last" in
+    *log_path=*) log="${last##*log_path=}"; log="${log%%:*}" ;;
+  esac
+done
+if [ -n "$log" ]; then
+  if [ -e "$dir/vmaf_fail" ]; then
+    read -r bad < "$dir/vmaf_fail"
+    case "$*" in
+      *"$bad"*) echo "simulated libvmaf failure" >&2; exit 1 ;;
+    esac
+  fi
+  cat "$dir/vmaf.json" > "$log"
+  exit 0
+fi
 if [ -e "$dir/fail_marker" ]; then
   echo "simulated encoder failure" >&2
   exit 1
 fi
-for last; do :; done
-head -c 10000 /dev/zero > "$last"
+if [ -e "$dir/output" ]; then
+  cat "$dir/output" > "$last"
+else
+  head -c 10000 /dev/zero > "$last"
+fi
 """
 
 
@@ -32,7 +56,31 @@ def fake_bin(tmp_path):
         path = bin_dir / name
         path.write_text(FAKE_FFMPEG)
         path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    (bin_dir / "vmaf.json").write_text(json.dumps(VMAF_LOG))
     return bin_dir
+
+
+def _ivf(frames, den, num, payload=b"", count=None):
+    """IVF bytes: a 32-byte header declaring ``count`` frames (default
+    ``frames``) at a time base of num/den s, then ``frames`` frames of
+    ``payload``, each behind a 12-byte frame header."""
+    head = struct.pack("<4sHH4sHHIII4x", b"DKIF", 0, 32, b"AV01", 8, 8,
+                       den, num, frames if count is None else count)
+    frame = struct.pack("<IQ", len(payload), 0) + payload
+    return head + frame * frames
+
+
+def _box(kind, body=b"", size=None):
+    return struct.pack(">I4s", 8 + len(body) if size is None else size,
+                       kind) + body
+
+
+def _mvhd(timescale, duration, version=0):
+    if version == 0:
+        fields = struct.pack(">IIII", 0, 0, timescale, duration)
+    else:
+        fields = struct.pack(">QQIQ", 0, 0, timescale, duration)
+    return _box(b"mvhd", bytes([version, 0, 0, 0]) + fields + bytes(80))
 
 
 def _write_clip(path, n_frames):
@@ -151,16 +199,33 @@ class TestExecute:
 
     def test_container_bitrate_mismatch_warns(self, fake_bin, small_clip,
                                               tmp_path, caplog):
-        # fake ffprobe reports 100 kb/s; measured will be 40 kb/s
-        probe = fake_bin / "ffprobe"
-        probe.write_text('#!/bin/sh\n'
-                         'echo \'{"format": {"bit_rate": "100000"}}\'\n')
-        probe.chmod(probe.stat().st_mode | stat.S_IEXEC)
+        # the IVF header says 120 frames at 24 fps (5 s), so the header
+        # rate is 10000 B over 5 s = 16 kb/s; measured over 2 s is 40
+        data = _ivf(0, 24, 1, count=120)
+        (fake_bin / "output").write_bytes(data + bytes(10000 - len(data)))
         with caplog.at_level("WARNING"):
             outcome = runner.execute(_job(small_clip), work_dir=tmp_path / "w",
                                      bin_dir=fake_bin)
         assert outcome.status == "ok"
+        assert runner.container_kbps(outcome.output_path) == pytest.approx(16.0)
+        assert outcome.measured_kbps == pytest.approx(40.0)
         assert any("container-reported" in r.message for r in caplog.records)
+
+    def test_measured_rate_counts_container_bytes(self, fake_bin, small_clip,
+                                                  tmp_path, caplog):
+        # 48 frames at 24 fps, as long as the 2 s clip: the rate counts
+        # the 32-byte file header and the 12-byte frame headers too
+        data = _ivf(48, 24, 1, payload=bytes(100))
+        (fake_bin / "output").write_bytes(data)
+        with caplog.at_level("WARNING"):
+            outcome = runner.execute(_job(small_clip), work_dir=tmp_path / "w",
+                                     bin_dir=fake_bin)
+        assert outcome.output_bytes == len(data) == 32 + 48 * (12 + 100)
+        assert outcome.measured_kbps == len(data) * 8 / 2.0 / 1000
+        assert runner.container_kbps(outcome.output_path) == pytest.approx(
+            outcome.measured_kbps)
+        assert not any("container-reported" in r.message
+                       for r in caplog.records)
 
     def test_zero_frame_clip_fails_without_spawning(self, fake_bin, empty_clip,
                                                     tmp_path):
@@ -331,3 +396,140 @@ def test_bad_clip_fails_only_its_own_jobs(fake_bin, small_clip, tmp_path,
     calls = (fake_bin / "calls.log").read_text().splitlines()
     assert len(calls) == 2
     assert not any(str(bad_clip) in call for call in calls)
+
+
+# ftyp and mdat boxes around which the MP4 cases place a moov
+FTYP = _box(b"ftyp", b"isom" + bytes(4) + b"isomiso2")
+MDAT = _box(b"mdat", bytes(4000))
+
+
+def _kbps(tmp_path, data):
+    path = tmp_path / "out.mp4"
+    path.write_bytes(data)
+    return runner.container_kbps(path)
+
+
+class TestContainerKbps:
+    def test_ivf(self, tmp_path):
+        # 50 frames at a time base of 1001/30000 s
+        data = _ivf(50, 30000, 1001, payload=bytes(500))
+        seconds = 50 * 1001 / 30000
+        assert _kbps(tmp_path, data) == pytest.approx(
+            len(data) * 8 / seconds / 1000)
+
+    @pytest.mark.parametrize("layout", ["moov-first", "moov-after-mdat",
+                                        "largesize-mdat", "mvhd-v1",
+                                        "size-0-last-box"])
+    def test_mp4(self, tmp_path, layout):
+        # 2.5 s at a timescale of 1000 (or 90000 for version 1)
+        moov = _box(b"moov", _box(b"udta", bytes(16)) + _mvhd(1000, 2500))
+        if layout == "moov-first":
+            data = FTYP + moov + MDAT
+        elif layout == "moov-after-mdat":
+            data = FTYP + MDAT + moov
+        elif layout == "largesize-mdat":
+            body = bytes(4000)
+            mdat = struct.pack(">I4sQ", 1, b"mdat", 16 + len(body)) + body
+            data = FTYP + mdat + moov
+        elif layout == "mvhd-v1":
+            data = FTYP + MDAT + _box(b"moov", _mvhd(90000, 225000, version=1))
+        else:
+            data = FTYP + MDAT + _box(b"moov", _mvhd(1000, 2500), size=0)
+        assert _kbps(tmp_path, data) == pytest.approx(len(data) * 8 / 2500)
+
+    @pytest.mark.parametrize("case", [
+        "ivf-zero-frames", "ivf-zero-denominator", "ivf-truncated-header",
+        "mvhd-zero-timescale", "mvhd-zero-duration", "mvhd-overruns-moov",
+        "mvhd-short-v0", "mvhd-short-v1",
+        "mvhd-unknown-version", "moov-without-mvhd", "truncated-moov",
+        "truncated-largesize", "no-moov", "empty", "zero-filled",
+        "unknown-bytes"])
+    def test_none_without_an_exception(self, tmp_path, case):
+        moov = _box(b"moov", _mvhd(1000, 2500))
+        data = {
+            "ivf-zero-frames": _ivf(0, 24, 1),
+            "ivf-zero-denominator": _ivf(10, 0, 1),
+            "ivf-truncated-header": _ivf(10, 24, 1)[:31],
+            "mvhd-zero-timescale": FTYP + _box(b"moov", _mvhd(0, 2500)),
+            "mvhd-zero-duration": FTYP + _box(b"moov", _mvhd(1000, 0)),
+            "mvhd-overruns-moov": FTYP + _box(
+                b"moov", _mvhd(1000, 2500)[:24]),
+            "mvhd-short-v0": FTYP + _box(b"moov", _box(b"mvhd", bytes(19))),
+            "mvhd-short-v1": FTYP + _box(
+                b"moov", _box(b"mvhd", b"\x01" + bytes(30))),
+            "mvhd-unknown-version": FTYP + _box(
+                b"moov", _mvhd(1000, 2500, version=2)),
+            "moov-without-mvhd": FTYP + _box(b"moov", _box(b"trak")) + MDAT,
+            "truncated-moov": FTYP + MDAT + moov[:-1],
+            "truncated-largesize": FTYP + struct.pack(">I4sI", 1, b"mdat", 0),
+            "no-moov": FTYP + MDAT,
+            "empty": b"",
+            "zero-filled": bytes(10000),
+            "unknown-bytes": b"0" * 10000,
+        }[case]
+        assert _kbps(tmp_path, data) is None
+
+    def test_every_truncation_is_none(self, tmp_path):
+        # moov is the last box, so every strict prefix cuts it short
+        data = FTYP + MDAT + _box(b"moov", _mvhd(1000, 2500))
+        assert _kbps(tmp_path, data) == pytest.approx(len(data) * 8 / 2500)
+        for n in range(len(data)):
+            assert _kbps(tmp_path, data[:n]) is None
+
+    def test_missing_file_is_none(self, tmp_path):
+        assert runner.container_kbps(tmp_path / "absent.mp4") is None
+
+
+def _encode(args, clip, fake_bin, tmp_path, *extra):
+    return main(["encode", "--clips", str(clip), *args,
+                 "--store", str(tmp_path / "s.jsonl"),
+                 "--work-dir", str(tmp_path / "w"),
+                 "--binary-dir", str(fake_bin), *extra])
+
+
+@pytest.mark.parametrize("with_vmaf", [False, True])
+@pytest.mark.parametrize("family,preset,passes,encodes", [
+    ("x264", "medium", 1, 1), ("x264", "medium", 2, 2),
+    ("svt-av1", "10", 2, 1)])
+def test_processes_per_job(fake_bin, small_clip, tmp_path, family, preset,
+                           passes, encodes, with_vmaf):
+    # The fake tools log every call except their --version probe, which
+    # runs once per binary and is cached. An ffprobe stands by and must
+    # never be called.
+    probe = fake_bin / "ffprobe"
+    probe.write_text('#!/bin/sh\n'
+                     'echo "ffprobe $*" >> "$(dirname "$0")/calls.log"\n')
+    probe.chmod(probe.stat().st_mode | stat.S_IEXEC)
+    (fake_bin / "output").write_bytes(_ivf(48, 24, 1, payload=bytes(100)))
+    rc = _encode(["--families", family, "--presets", preset,
+                  "--passes", str(passes), "--ladder", "100"],
+                 small_clip, fake_bin, tmp_path,
+                 *(["--with-vmaf"] if with_vmaf else []))
+    assert rc == 0
+    calls = (fake_bin / "calls.log").read_text().splitlines()
+    assert len(calls) == encodes + with_vmaf
+    assert sum("libvmaf" in call for call in calls) == with_vmaf
+    assert not any(call.startswith("ffprobe") for call in calls)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_metric_failure_fails_only_its_job(fake_bin, small_clip, tmp_path,
+                                           capsys, jobs):
+    (fake_bin / "vmaf_fail").write_text("_200k.mp4\n")
+    rc = _encode(["--families", "x264", "--presets", "medium",
+                  "--passes", "1", "--ladder", "100,200,300",
+                  "--jobs", jobs, "--with-vmaf"], small_clip, fake_bin,
+                 tmp_path)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "encoded: 2 ok, 1 failed, 0 skipped" in captured.out
+    failed = [line for line in captured.err.splitlines()
+              if line.startswith("FAILED")]
+    assert failed == [
+        "FAILED clip_x264_medium_1p_200k: quality measurement failed: "
+        "metric tool failed: simulated libvmaf failure"]
+    records = {r.target_kbps: r for r in store.load(tmp_path / "s.jsonl")}
+    assert sorted(records) == [100.0, 200.0, 300.0]
+    assert records[200.0].vmaf is None and records[200.0].psnr_y is None
+    assert records[200.0].measured_kbps == pytest.approx(40.0)
+    assert records[100.0].vmaf == records[300.0].vmaf == pytest.approx(91.495)
