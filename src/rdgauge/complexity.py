@@ -72,7 +72,7 @@ def block_texture_energy(block: np.ndarray, bit_depth: int = 8) -> float:
     block = np.asarray(block, dtype=np.float64)
     if block.shape != (BLOCK, BLOCK):
         raise Y4MValidationError(f"expected a {BLOCK}x{BLOCK} block, got {block.shape}")
-    raw = kernels.block_energies_numpy(block)[0, 0]
+    raw = kernels.block_energies(block)[0, 0]
     return float(raw) / (BLOCK * BLOCK) / _depth_scale(bit_depth)
 
 

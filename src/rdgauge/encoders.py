@@ -211,42 +211,41 @@ def build_command(
     job: EncodeJob,
     pass_index: int,
     work_dir: Union[str, Path] = ".",
-    bin_dir: Optional[Union[str, Path]] = None,
 ) -> list[str]:
     """Argument vector for one pass of a job.
 
     Single-invocation modes (1-pass, SVT-AV1 2-pass, NVENC multipass)
-    only have a pass 1; asking for their pass 2 is a plan error.
+    only have a pass 1; asking for their pass 2 is a plan error. The
+    first element is the tool's bare name; ``runner.execute`` runs the
+    path that ``runner.resolve_binary`` finds for it.
     """
     if pass_index < 1 or pass_index > job.passes:
         raise PlanError(f"pass_index {pass_index} out of range for {job.passes}-pass job")
     spec = get_spec(job.family)
     output, passlog = job_paths(job, work_dir)
-    binary = str(Path(bin_dir) / spec.binary) if bin_dir else spec.binary
 
     if spec.invocation_style == "native_app":
         if pass_index != 1:
             raise PlanError("SVT-AV1 chains both passes in a single invocation")
-        return _svt_vector(job, binary, output)
+        return _svt_vector(job, spec.binary, output)
 
     if job.family == "nvenc-av1":
         if pass_index != 1:
             raise PlanError("NVENC multipass runs in a single invocation")
-        return _nvenc_vector(job, binary, output)
+        return _nvenc_vector(job, spec.binary, output)
 
-    return _ffmpeg_sw_vector(job, binary, pass_index, output, passlog)
+    return _ffmpeg_sw_vector(job, spec.binary, pass_index, output, passlog)
 
 
 def build_commands(
     job: EncodeJob,
     work_dir: Union[str, Path] = ".",
-    bin_dir: Optional[Union[str, Path]] = None,
 ) -> list[list[str]]:
     """All vectors to run in order; chained only for x264/x265 2-pass."""
     spec = get_spec(job.family)
     chained = spec.invocation_style == "ffmpeg_wrapped" and spec.params_flag
     n = job.passes if (chained and job.passes == 2) else 1
-    return [build_command(job, i + 1, work_dir, bin_dir) for i in range(n)]
+    return [build_command(job, i + 1, work_dir) for i in range(n)]
 
 
 def _ffmpeg_sw_vector(job, binary, pass_index, output, passlog) -> list[str]:

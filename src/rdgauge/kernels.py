@@ -1,21 +1,13 @@
-"""Block texture-energy kernels.
+"""Block texture-energy kernel.
 
 The hot loop of complexity analysis is a 32x32 orthonormal DCT over
-every luma block of a frame (a 4K frame has 8100 blocks). Two
-interchangeable backends compute the per-block AC magnitude sums:
-
-* ``numba`` -- an @njit kernel, used by default when numba imports;
-* ``numpy`` -- a separable transform done as two plain 2-D GEMMs per
-  strip of block rows, always available.
-
-Set ``RDGAUGE_KERNEL=numpy`` (or ``numba``) to force a backend;
-``python3 perfbench/run.py --workload complexity --trace 1`` times the
-active one.
+every luma block of a frame (a 4K frame has 8100 blocks).
+``block_energies`` computes the per-block AC magnitude sums in numpy as
+a separable transform: two plain 2-D GEMMs per strip of block rows.
+``python3 perfbench/run.py --workload complexity --trace 1`` times it.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -23,7 +15,6 @@ BLOCK = 32
 # Block rows per strip: two float64 buffers of 32 * STRIP_ROWS * width
 # each (2 MB at 1080p) stay cache-sized while the GEMMs stay large.
 STRIP_ROWS = 4
-ENV_FLAG = "RDGAUGE_KERNEL"
 
 
 def dct_matrix(n: int) -> np.ndarray:
@@ -41,7 +32,7 @@ _DCT_T = np.ascontiguousarray(_DCT.T)
 _ONES = np.ones(BLOCK)
 
 
-def block_energies_numpy(plane: np.ndarray) -> np.ndarray:
+def block_energies(plane: np.ndarray) -> np.ndarray:
     """Per-block sum of |AC coefficients| of a plane.
 
     ``plane`` may be an integer or float array; its dimensions must be
@@ -82,54 +73,6 @@ def block_energies_numpy(plane: np.ndarray) -> np.ndarray:
     return out
 
 
-try:
-    import numba
-
-    @numba.njit(cache=True)
-    def _block_energies_njit(plane, dct, dct_t):  # pragma: no cover - jitted
-        nby = plane.shape[0] // 32
-        nbx = plane.shape[1] // 32
-        out = np.empty((nby, nbx))
-        for by in range(nby):
-            for bx in range(nbx):
-                block = plane[by * 32:(by + 1) * 32, bx * 32:(bx + 1) * 32].copy()
-                if block.min() == block.max():  # flat: exactly zero texture
-                    out[by, bx] = 0.0
-                    continue
-                coeffs = np.dot(np.dot(dct, block), dct_t)
-                total = 0.0
-                for i in range(32):
-                    for j in range(32):
-                        total += abs(coeffs[i, j])
-                out[by, bx] = total - abs(coeffs[0, 0])
-        return out
-
-    def block_energies_numba(plane: np.ndarray) -> np.ndarray:
-        plane = np.ascontiguousarray(plane, dtype=np.float64)
-        return _block_energies_njit(plane, _DCT, _DCT_T)
-
-    HAVE_NUMBA = True
-except ImportError:  # pure-numpy environments
-    block_energies_numba = None
-    HAVE_NUMBA = False
-
-
 def active_backend() -> str:
-    """Backend name after applying the RDGAUGE_KERNEL override."""
-    choice = os.environ.get(ENV_FLAG, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("RDGAUGE_KERNEL=numba but numba is not installed")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"unknown {ENV_FLAG} value {choice!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def block_energies(plane: np.ndarray) -> np.ndarray:
-    """Dispatch to the active backend. See block_energies_numpy."""
-    if active_backend() == "numba":
-        return block_energies_numba(plane)
-    return block_energies_numpy(plane)
+    """Name of the block-energy kernel, recorded with benchmark results."""
+    return "numpy"

@@ -68,6 +68,7 @@ class JobOutcome:
     output_path: str = ""
     stderr_tail: str = ""
     reason: str = ""  # why a failed job failed
+    source_frames: int = 0  # frames in the input clip, from its probe
 
     @property
     def total_seconds(self) -> float:
@@ -109,20 +110,16 @@ def tool_version(binary: str) -> str:
     return version
 
 
-def clip_duration_seconds(path: Union[str, Path]) -> float:
-    header, frames = y4m.probe_clip(path)
-    return frames * header.fps_den / header.fps_num
-
-
-def probe_duration(path: str) -> tuple[float, str]:
-    """(seconds, "") for a clip with frames, else (0.0, why it has none)."""
+def probe_duration(path: str) -> tuple[float, int, str]:
+    """(seconds, frames, "") for a clip with frames, else (0.0, 0, why
+    it has none)."""
     try:
-        seconds = clip_duration_seconds(path)
+        header, frames = y4m.probe_clip(path)
     except (RdgaugeError, OSError) as exc:
-        return 0.0, f"cannot probe clip {path}: {exc}"
-    if seconds <= 0:
-        return 0.0, f"clip has no frames: {path}"
-    return seconds, ""
+        return 0.0, 0, f"cannot probe clip {path}: {exc}"
+    if frames <= 0:
+        return 0.0, 0, f"clip has no frames: {path}"
+    return frames * header.fps_den / header.fps_num, frames, ""
 
 
 def execute(
@@ -134,7 +131,7 @@ def execute(
     force: bool = False,
     measure: Optional[Callable[["JobOutcome"], tuple[float, float]]] = None,
     known_keys: Optional[set] = None,
-    durations: Optional[dict[str, tuple[float, str]]] = None,
+    durations: Optional[dict[str, tuple[float, int, str]]] = None,
 ) -> JobOutcome:
     """Run all passes of a job in order and persist the outcome.
 
@@ -159,14 +156,15 @@ def execute(
             log.info("skipping completed job %s", job.slug())
             return JobOutcome(job=job, status="skipped")
 
-    duration, reason = (durations[job.input_path] if durations is not None
-                        else probe_duration(job.input_path))
+    duration, frames, reason = (durations[job.input_path]
+                                if durations is not None
+                                else probe_duration(job.input_path))
     if reason:
         return JobOutcome(job=job, status="failed", reason=reason)
 
     spec = get_spec(job.family)
     binary = resolve_binary(spec.binary, bin_dir)
-    commands = build_commands(job, work_dir, bin_dir=None)
+    commands = build_commands(job, work_dir)
     for vec in commands:
         vec[0] = binary
 
@@ -217,7 +215,7 @@ def execute(
     outcome = JobOutcome(
         job=job, status="ok", wall_seconds=tuple(walls),
         output_bytes=output_bytes, measured_kbps=measured_kbps,
-        output_path=output_path,
+        output_path=output_path, source_frames=frames,
     )
 
     if store_path:
@@ -255,7 +253,7 @@ def run_plan(
     Timing-strict mode serialises everything so wall-clock comparisons
     stay meaningful; otherwise jobs are independent and run on a worker
     pool. Each distinct clip is probed once, up front, and its duration
-    or failure reason is shared by all of its jobs.
+    and frame count or failure reason is shared by all of its jobs.
     """
     if timing_strict:
         workers = 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
@@ -395,8 +395,3 @@ def synthetic_clip(
         frames.append(Frame(y=y, u=u.astype(header.dtype), v=v.astype(header.dtype),
                             bit_depth=header.bit_depth))
     return frames
-
-
-def with_chroma(header: VideoHeader, chroma: str) -> VideoHeader:
-    """Header copy with a different chroma tag (re-derives bit depth)."""
-    return replace(header, chroma=chroma, bit_depth=0)

@@ -9,42 +9,8 @@ def test_dct_matrix_is_orthonormal():
     assert np.allclose(d @ d.T, np.eye(32), atol=1e-12)
 
 
-def test_backends_agree():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    rng = np.random.default_rng(11)
-    plane = rng.uniform(0, 1023, (96, 128))
-    a = kernels.block_energies_numpy(plane)
-    b = kernels.block_energies_numba(plane)
-    assert a.shape == (3, 4)
-    assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
-
-
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_FLAG, "numpy")
+def test_backend_name():
     assert kernels.active_backend() == "numpy"
-
-
-def test_env_flag_rejects_garbage(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_FLAG, "cuda")
-    with pytest.raises(RuntimeError):
-        kernels.active_backend()
-
-
-def test_default_backend(monkeypatch):
-    monkeypatch.delenv(kernels.ENV_FLAG, raising=False)
-    expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-    assert kernels.active_backend() == expected
-
-
-def test_dispatch_runs_both_paths(monkeypatch):
-    plane = np.random.default_rng(12).uniform(0, 255, (32, 64))
-    monkeypatch.setenv(kernels.ENV_FLAG, "numpy")
-    via_numpy = kernels.block_energies(plane)
-    if kernels.HAVE_NUMBA:
-        monkeypatch.setenv(kernels.ENV_FLAG, "numba")
-        via_numba = kernels.block_energies(plane)
-        assert np.allclose(via_numpy, via_numba, rtol=1e-9, atol=1e-9)
 
 
 def _scipy_block_energies(plane):
@@ -79,7 +45,7 @@ def test_numpy_kernel_matches_scipy_dct(dtype, top, shape):
     plane[64:96, -32:] = 5
     plane[95, -1] = 6  # only the bottom-right pixel differs: not flat
     ref, flat = _scipy_block_energies(plane)
-    got = kernels.block_energies_numpy(plane)
+    got = kernels.block_energies(plane)
     assert got.dtype == np.float64 and got.shape == ref.shape
     assert flat.sum() == 2 and not flat[1, -1] and not flat[2, -1]
     assert np.all(got[flat] == 0.0)

@@ -369,8 +369,10 @@ def test_measure_quality_frame_mismatch(tmp_path, monkeypatch):
                                expected_frames=50)
 
 
-def test_clip_duration(small_clip):
-    assert runner.clip_duration_seconds(small_clip) == pytest.approx(2.0)
+def test_clip_duration(small_clip, empty_clip):
+    assert runner.probe_duration(str(small_clip)) == (2.0, 48, "")
+    seconds, frames, reason = runner.probe_duration(str(empty_clip))
+    assert (seconds, frames) == (0.0, 0) and "no frames" in reason
 
 
 @pytest.mark.parametrize("bad", ["zero-frame", "truncated"])
@@ -533,3 +535,39 @@ def test_metric_failure_fails_only_its_job(fake_bin, small_clip, tmp_path,
     assert records[200.0].vmaf is None and records[200.0].psnr_y is None
     assert records[200.0].measured_kbps == pytest.approx(40.0)
     assert records[100.0].vmaf == records[300.0].vmaf == pytest.approx(91.495)
+
+
+def test_metric_frame_count_is_checked(fake_bin, tmp_path, capsys):
+    # the fake metric log has 48 frames; the source has 24
+    clip = _write_clip(tmp_path / "clip.y4m", 24)
+    rc = _encode(["--families", "x264", "--presets", "medium",
+                  "--passes", "1", "--ladder", "100", "--with-vmaf"],
+                 clip, fake_bin, tmp_path)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "encoded: 0 ok, 1 failed, 0 skipped" in captured.out
+    assert captured.err.splitlines() == [
+        "FAILED clip_x264_medium_1p_100k: quality measurement failed: "
+        "frame-count mismatch: source has 24, metric log has 48"]
+    [record] = store.load(tmp_path / "s.jsonl")
+    assert record.vmaf is None and record.psnr_y is None
+    assert record.measured_kbps == pytest.approx(80.0)
+
+
+def test_missing_metric_tool_fails_before_any_encode(fake_bin, small_clip,
+                                                     tmp_path, monkeypatch):
+    # With PATH empty, the encoder fake can use shell builtins only.
+    calls = fake_bin / "calls.log"
+    (fake_bin / "SvtAv1EncApp").write_text(
+        f'#!/bin/sh\necho "$@" >> "{calls}"\n'
+        'for last; do :; done\nprintf "%010000d" 0 > "$last"\n')
+    (fake_bin / "ffmpeg").unlink()
+    (tmp_path / "empty").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    monkeypatch.delenv("RDGAUGE_BIN_DIR", raising=False)
+    rc = _encode(["--families", "svt-av1", "--presets", "10",
+                  "--passes", "1", "--ladder", "100,200,300", "--with-vmaf"],
+                 small_clip, fake_bin, tmp_path)
+    assert rc == 3
+    assert not calls.exists()
+    assert not (tmp_path / "s.jsonl").exists()
