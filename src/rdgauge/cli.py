@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -186,14 +187,10 @@ def _cmd_import(args) -> int:
     return EXIT_OK
 
 
-def _load_config_records(args, config) -> list[store.MetricRecord]:
-    records = store.load(_require_store(args))
-    return scenario.records_for_config(records, *config)
-
-
 def _cmd_curves(args) -> int:
     config = _parse_config(args.config)
-    records = _load_config_records(args, config)
+    records = scenario.records_for_config(
+        store.load(_require_store(args)), *config)
     ladder = _parse_ladder(args.ladder)
     if args.per_clip:
         curves = bd_mod.curves_from_records(records, args.metric)
@@ -216,8 +213,9 @@ def _cmd_curves(args) -> int:
 def _cmd_bdrate(args) -> int:
     anchor_cfg = _parse_config(args.anchor)
     test_cfg = _parse_config(args.test)
-    anchor_records = _load_config_records(args, anchor_cfg)
-    test_records = _load_config_records(args, test_cfg)
+    records = store.load(_require_store(args))
+    anchor_records = scenario.records_for_config(records, *anchor_cfg)
+    test_records = scenario.records_for_config(records, *test_cfg)
     ladder = _parse_ladder(args.ladder)
     if args.method == "smart":
         result = bd_mod.smart_bd_rate(anchor_records, test_records, ladder,
@@ -358,6 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdgauge",
         description="Encoder benchmark planning and rate-distortion analytics.")
+    parser.add_argument("-v", dest="log_level", action="store_const",
+                        const="INFO", help="same as --log-level INFO")
+    parser.add_argument("--log-level", dest="log_level", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="print log messages of this level and above "
+                             "to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     store_p = argparse.ArgumentParser(add_help=False)
@@ -497,6 +501,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    if args.log_level:
+        logging.basicConfig(level=args.log_level,
+                            format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except MissingBinaryError as exc:

@@ -327,7 +327,11 @@ def measure_quality(
             os.remove(log_path)
         except OSError:
             pass
-    if expected_frames is not None and n_frames and n_frames != expected_frames:
+    if expected_frames is not None and not n_frames:
+        log.warning("metric log for %s lists no frames; frame count not "
+                    "verified against the source's %d", encoded,
+                    expected_frames)
+    elif expected_frames is not None and n_frames != expected_frames:
         raise MetricError(
             f"frame-count mismatch: source has {expected_frames}, "
             f"metric log has {n_frames}")

@@ -4,15 +4,39 @@ One self-describing record per line, UTF-8, so appends are resumable,
 diffs are readable, and a crash mid-write costs at most the trailing
 line. Duplicate keys are resolved at load time, keeping the newest
 record (re-runs supersede).
+
+``load`` keeps an index next to the store, ``<store>.idx``, so that a
+repeat load parses only the lines appended since. The index holds the
+keep-latest state of the store's first n bytes, with n, their line
+count and a blake2b digest of them. It is a cache and is never trusted
+over the JSONL: when the store was rewritten, truncated or replaced, or
+the index is missing, corrupt or from another index format or marshal
+version, ``load`` parses the whole store and returns the same records
+it would without an index. Deleting the index is always safe. It covers
+only complete, well-formed, newline-terminated lines, so a crashed
+append is parsed again on every load until it is completed or fails as
+a malformed line. ``load`` writes the index to a temporary file in the
+same directory and renames it over the old one, so no reader sees half
+of it; a failed write is logged and changes no result. ``load`` never
+writes the JSONL. The index is read with :mod:`marshal`, whose format is
+not safe against maliciously built data; its own digest guards against
+accidents, not against someone who can write beside the store.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import marshal
 import math
+import os
+import re
+import stat
+import struct
+import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -23,6 +47,19 @@ log = logging.getLogger(__name__)
 # Wire field names, in line order.
 FIELDS = ("clip", "family", "preset", "passes", "tbr_kbps", "kbps", "vmaf",
           "psnr_y", "enc_s", "bytes", "tool", "ts")
+
+
+_INDEX_HEADER = struct.Struct("<4sHH")  # magic, index format, marshal version
+_INDEX_MAGIC = b"RDGI"
+_INDEX_FORMAT = 1
+_DIGEST_SIZE = 32
+
+# Errors that make a line malformed rather than the store unreadable.
+_LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError)
+# Two objects side by side on one line. Joined with ",\n", such a line can
+# pair up with a record split over two lines and still parse to one
+# object per line, so the store is then parsed line by line instead.
+_TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
 
 
 def _now() -> str:
@@ -87,21 +124,22 @@ class MetricRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "MetricRecord":
-        row = json.loads(line)
-        return cls(
-            clip_id=row["clip"],
-            family=row["family"],
-            preset=str(row["preset"]),
-            passes=int(row["passes"]),
-            target_kbps=row["tbr_kbps"],
-            measured_kbps=row["kbps"],
-            vmaf=row.get("vmaf"),
-            psnr_y=row.get("psnr_y"),
-            encode_seconds=row.get("enc_s"),
-            output_bytes=row.get("bytes"),
-            tool_version=row.get("tool", ""),
-            created_at=row.get("ts", ""),
-        )
+        return cls(*_fields(json.loads(line)))
+
+
+def _fields(row: dict) -> tuple:
+    """A parsed line's MetricRecord field values, in field order.
+
+    The key is the first five values and ``created_at`` the last.
+    """
+    return (row["clip"], row["family"], str(row["preset"]), int(row["passes"]),
+            row["tbr_kbps"], row["kbps"], row.get("vmaf"), row.get("psnr_y"),
+            row.get("enc_s"), row.get("bytes"), row.get("tool", ""),
+            row.get("ts", ""))
+
+
+# load returns records sorted by MetricRecord.key(), then created_at.
+_ROW_ORDER = itemgetter(0, 1, 2, 3, 4, 11)
 
 
 def append(path: Union[str, Path], record: MetricRecord) -> None:
@@ -123,32 +161,173 @@ def load(
 
     A malformed trailing line is assumed to be a crashed write and is
     skipped with a warning; a malformed line anywhere else is an error.
+    Lines already covered by the store's index are not parsed again
+    (see the module docstring).
     """
     path = Path(path)
     if not path.exists():
         return []
-    raw = path.read_text(encoding="utf-8").split("\n")
-    if raw and raw[-1] == "":
-        raw.pop()
-
-    records: dict[tuple, tuple[str, int, MetricRecord]] = {}
-    for idx, line in enumerate(raw):
-        try:
-            rec = MetricRecord.from_line(line)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if idx == len(raw) - 1:
-                log.warning("ignoring partial trailing line %d in %s", idx + 1, path)
-                continue
-            raise StoreLoadError(f"{path}: malformed line {idx + 1}: {exc}") from exc
-        seen = records.get(rec.key())
-        if seen is None or (rec.created_at, idx) >= (seen[0], seen[1]):
-            records[rec.key()] = (rec.created_at, idx, rec)
-
-    out = [rec for (_, _, rec) in records.values()]
+    data = path.read_bytes()
+    size, lines, state = _read_index(path, data)
+    if size < len(data):
+        state = _load_tail(path, data, size, lines, state)
+    rows, _, order = state
+    out = [MetricRecord(*rows[j]) for j in order]
     if where is not None:
         out = [rec for rec in out if where(rec)]
-    out.sort(key=lambda r: (r.key(), r.created_at))
     return out
+
+
+def _load_tail(path: Path, data: bytes, start: int, first: int,
+               state: tuple) -> tuple:
+    """Fold the lines from byte ``start``, the first of them line
+    ``first``, into the keep-latest ``state`` of the lines before, and
+    index the complete, well-formed lines.
+
+    One ``json.loads`` parses all newline-terminated lines at once. A line
+    is parsed on its own only when that fails or when it lacks its
+    newline; that per-line parse names a malformed line, or skips a
+    malformed last line as a crashed append leaves it.
+    """
+    text = data[start:].decode("utf-8")
+    lone_cr = False
+    if "\r" in text:  # universal newlines, as a text-mode read gives
+        lone_cr = text.count("\r") != text.count("\r\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    complete = len(lines) - 1  # lines that end in a newline
+    if lines[-1] == "":
+        lines.pop()
+    parsed = _parse_joined(lines[:complete])
+
+    latest = {row[:5]: (row[11], i, row) for row, i in zip(*state[:2])}
+    covered = latest
+    indexed = complete
+    for k, line in enumerate(lines):
+        i = first + k
+        try:
+            row = _fields(parsed[k] if k < len(parsed) else json.loads(line))
+        except _LINE_ERRORS as exc:
+            if k < len(lines) - 1:
+                raise StoreLoadError(
+                    f"{path}: malformed line {i + 1}: {exc}") from exc
+            log.warning("ignoring partial trailing line %d in %s", i + 1, path)
+            indexed = min(indexed, k)
+            continue
+        if k == complete:  # an unterminated last line is never indexed
+            covered = dict(latest)
+        key = row[:5]
+        seen = latest.get(key)
+        if seen is None or (row[11], i) >= seen[:2]:
+            latest[key] = (row[11], i, row)
+
+    end = data.rfind(b"\n") + 1
+    if indexed < complete:  # the last complete line was skipped
+        end = data.rfind(b"\n", start, end - 1) + 1 or start
+    state = _state(latest)
+    if end > start and not lone_cr:
+        _write_index(path, memoryview(data)[:end], first + indexed,
+                     state if covered is latest else _state(covered))
+    return state
+
+
+def _state(latest: dict) -> tuple[list, list, list]:
+    """The rows and line indices of a keep-latest map, in its order, and
+    the permutation that sorts the rows as ``load`` returns them."""
+    rows = [row for _, _, row in latest.values()]
+    keys = list(map(_ROW_ORDER, rows))
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    return rows, [i for _, i, _ in latest.values()], order
+
+
+def _parse_joined(lines: list[str]) -> list:
+    """Each line's object from one ``json.loads``, or [] unless every
+    line holds exactly one JSON object."""
+    joined = ",\n".join(lines)
+    if _TWO_OBJECTS.search(joined):
+        return []
+    try:
+        parsed = json.loads("[" + joined + "]")
+    except (json.JSONDecodeError, RecursionError):
+        return []
+    # A newline inside a string is invalid JSON, so when the count matches
+    # and no line holds two objects side by side, each comma joined above
+    # separated two lines and each object is its line parsed alone.
+    if len(parsed) != len(lines) or not all(type(v) is dict for v in parsed):
+        return []
+    return parsed
+
+
+def index_path(path: Union[str, Path]) -> Path:
+    """Where ``load`` keeps the index of the store at ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".idx")
+
+
+def _digest(data) -> bytes:
+    # Imported here: hashlib loads OpenSSL, a cost at start-up that the
+    # commands which never read a store should not pay.
+    import hashlib
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
+
+
+def _read_index(path: Path, data: bytes) -> tuple[int, int, tuple]:
+    """(covered bytes, covered lines, state) from a valid index of
+    ``data``, else zeros and an empty state (see ``_state``)."""
+    nothing = (0, 0, ([], [], []))
+    idx = index_path(path)
+    try:
+        blob = idx.read_bytes()
+    except FileNotFoundError:
+        return nothing
+    except OSError as exc:
+        log.warning("ignoring store index %s: %s", idx, exc)
+        return nothing
+    head = _INDEX_HEADER.size
+    body = blob[head + _DIGEST_SIZE:]
+    if len(blob) < head + _DIGEST_SIZE or blob[:4] != _INDEX_MAGIC:
+        log.warning("ignoring store index %s: not an index", idx)
+        return nothing
+    _, fmt, version = _INDEX_HEADER.unpack_from(blob)
+    if (fmt, version) != (_INDEX_FORMAT, marshal.version):
+        log.warning("ignoring store index %s: format %d, marshal version %d "
+                    "(want %d, %d)", idx, fmt, version, _INDEX_FORMAT,
+                    marshal.version)
+        return nothing
+    if blob[head:head + _DIGEST_SIZE] != _digest(body):
+        log.warning("ignoring store index %s: digest mismatch", idx)
+        return nothing
+    size, digest, lines, state = marshal.loads(body)
+    if size > len(data) or _digest(memoryview(data)[:size]) != digest:
+        log.info("%s changed within its first %d bytes; parsing it in full",
+                 path, size)
+        return nothing
+    return size, lines, state
+
+
+def _write_index(path: Path, covered, lines: int, state: tuple) -> None:
+    """Atomically replace the index with the state of the covered lines."""
+    # Marshal format 2 writes no back-references: the rows share few
+    # objects, and dumps takes half the time of the default format.
+    body = marshal.dumps((len(covered), _digest(covered), lines, state), 2)
+    blob = (_INDEX_HEADER.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version)
+            + _digest(body) + body)
+    idx = index_path(path)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=idx.parent, prefix=idx.name + ".",
+                                   suffix=".tmp")
+        with os.fdopen(fd, "wb") as f:
+            f.write(blob)
+        os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))  # readable as the store
+        os.replace(tmp, idx)
+    except OSError as exc:
+        log.warning("cannot write store index %s: %s", idx, exc)
+        if tmp is not None:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
 
 
 def has_key(path: Union[str, Path], key: tuple) -> bool:

@@ -110,6 +110,23 @@ class TestAnalytics:
         value = float(re.search(r"([+-]\d+\.\d+)%", out).group(1))
         assert value < 0  # cheaper config saves bitrate
 
+    def test_bdrate_loads_the_store_once(self, tmp_path, capsys, monkeypatch):
+        store_path = tmp_path / "s.jsonl"
+        _fill_store(store_path)
+        loads = []
+        real_load = store.load
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(store, "load", counting_load)
+        rc = main(["bdrate", "--store", str(store_path),
+                   "--anchor", "x264:medium:1", "--test", "svt-av1:6:1",
+                   "--ladder", LADDER])
+        assert rc == 0
+        assert len(loads) == 1
+
     def test_bdrate_smart_method(self, tmp_path, capsys):
         store_path = tmp_path / "s.jsonl"
         _fill_store(store_path)
@@ -290,3 +307,36 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c",
          "import rdgauge.cli, sys; assert 'scipy' not in sys.modules"],
         env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_log_level_option(tmp_path):
+    """-v and --log-level turn on log output; without them stderr stays
+    as it was."""
+    store_path = tmp_path / "s.jsonl"
+    _fill_store(store_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+    def run(*options):
+        # rewrite the store's first record in place, so the index no longer
+        # matches and the store logs its full parse at INFO level
+        data = store_path.read_bytes()
+        swap = (b"x264", b"x265") if b"x264" in data[:200] else (b"x265", b"x264")
+        store_path.write_bytes(data.replace(*swap, 1))
+        return subprocess.run(
+            [sys.executable, "-m", "rdgauge.cli", *options, "curves",
+             "--store", str(store_path), "--config", "svt-av1:6:1",
+             "--ladder", LADDER],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, check=True)
+
+    store.load(store_path)
+    quiet = run()
+    assert quiet.stderr == ""
+    for options in (["-v"], ["--log-level", "debug"]):
+        loud = run(*options)
+        assert loud.stdout == quiet.stdout
+        assert re.search(r"^INFO rdgauge\.store: .*parsing it in full$",
+                         loud.stderr, re.M)
+    assert run("--log-level", "WARNING").stderr == ""
+    assert main(["--log-level", "loud", "curves", "--config", "a:b:1"]) == 1

@@ -369,6 +369,33 @@ def test_measure_quality_frame_mismatch(tmp_path, monkeypatch):
                                expected_frames=50)
 
 
+def test_metric_log_without_frames_warns(tmp_path, caplog):
+    # a metric log with pooled means only: the frame count cannot be checked
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    script = bin_dir / "ffmpeg"
+    script.write_text(
+        "#!/bin/sh\n"
+        "log=$(echo \"$@\" | sed 's/.*log_path=//; s/:.*//')\n"
+        f"cat {tmp_path}/log.json > \"$log\"\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    pooled = {k: v for k, v in VMAF_LOG.items() if k != "frames"}
+    (tmp_path / "log.json").write_text(json.dumps(pooled))
+
+    with caplog.at_level("WARNING", logger="rdgauge.runner"):
+        vmaf, _ = runner.measure_quality("ref.y4m", "dist.mp4",
+                                         bin_dir=bin_dir)
+    assert vmaf == pytest.approx(91.495)
+    assert not caplog.records
+    with caplog.at_level("WARNING", logger="rdgauge.runner"):
+        vmaf, _ = runner.measure_quality("ref.y4m", "dist.mp4",
+                                         bin_dir=bin_dir, expected_frames=48)
+    assert vmaf == pytest.approx(91.495)
+    assert [r.getMessage() for r in caplog.records] == [
+        "metric log for dist.mp4 lists no frames; frame count not verified "
+        "against the source's 48"]
+
+
 def test_clip_duration(small_clip, empty_clip):
     assert runner.probe_duration(str(small_clip)) == (2.0, 48, "")
     seconds, frames, reason = runner.probe_duration(str(empty_clip))

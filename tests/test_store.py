@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -178,3 +182,294 @@ class TestImportTable:
         store.append(tmp_store, _record())
         row = json.loads(tmp_store.read_text().splitlines()[0])
         assert set(row) == set(store.FIELDS)
+
+
+def _reference_load(path):
+    """The per-line loader that the indexed one replaces, kept as the
+    reference: one ``from_line`` per line, keep-latest by (created_at,
+    line index), sorted by key and then created_at."""
+    path = Path(path)
+    if not path.exists():
+        return []
+    raw = path.read_text(encoding="utf-8").split("\n")
+    if raw and raw[-1] == "":
+        raw.pop()
+    records = {}
+    for idx, line in enumerate(raw):
+        try:
+            rec = MetricRecord.from_line(line)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            if idx == len(raw) - 1:
+                continue
+            raise StoreLoadError(f"{path}: malformed line {idx + 1}: {exc}") from exc
+        seen = records.get(rec.key())
+        if seen is None or (rec.created_at, idx) >= (seen[0], seen[1]):
+            records[rec.key()] = (rec.created_at, idx, rec)
+    return sorted((rec for _, _, rec in records.values()),
+                  key=lambda r: (r.key(), r.created_at))
+
+
+def _outcome(load, path):
+    """Records, or the StoreLoadError message."""
+    try:
+        return load(path)
+    except StoreLoadError as exc:
+        return str(exc)
+
+
+def _full_parse(path):
+    """``store.load`` with the index moved away, then put back."""
+    idx = store.index_path(path)
+    saved = idx.read_bytes() if idx.exists() else None
+    idx.unlink(missing_ok=True)
+    try:
+        return _outcome(store.load, path)
+    finally:
+        idx.unlink(missing_ok=True)
+        if saved is not None:
+            idx.write_bytes(saved)
+
+
+def _fill(path, n=3):
+    for i in range(n):
+        store.append(path, _record(clip_id=f"c{i}", created_at=f"t{i}"))
+
+
+def _plant(path):
+    """Index the whole store as holding one record it does not hold."""
+    data = path.read_bytes()
+    fake = _record(clip_id="planted", created_at="t9")
+    store._write_index(path, data, data.count(b"\n"),
+                       ([dataclasses.astuple(fake)], [0], [0]))
+
+
+def _patch_index(path, offset, new):
+    idx = store.index_path(path)
+    blob = bytearray(idx.read_bytes())
+    blob[offset:offset + len(new)] = new
+    idx.write_bytes(bytes(blob))
+
+
+_TS = ("2026-01-01T00:00:00", "2026-01-02T00:00:00")  # equal stamps tie
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 3), st.integers(0, 1),
+              st.floats(0, 100)),
+    st.tuples(st.just("duplicate")),
+    st.tuples(st.just("partial"), st.integers(0, 3), st.floats(0.05, 0.95)),
+    st.tuples(st.just("complete")),
+    st.tuples(st.just("truncate"), st.floats(0, 1)),
+    st.tuples(st.just("rewrite"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("corrupt_index"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("delete_index")),
+), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_ops)
+def test_indexed_load_equals_full_parse(ops):
+    """After any mix of appends, duplicates, crashed and completed
+    appends, truncation, same-length rewrites and index damage, load()
+    gives what a full parse without the index gives: the same records or
+    the same StoreLoadError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.jsonl"
+        path.touch()
+        idx = store.index_path(path)
+        pending = None  # the rest of a line cut short by a "crash"
+        last_line = None
+        for op in ops:
+            kind = op[0]
+            if kind == "append":
+                rec = _record(clip_id=f"c{op[1] % 2}",
+                              target_kbps=1000.0 * (1 + op[1] // 2),
+                              created_at=_TS[op[2]], vmaf=op[3])
+                store.append(path, rec)
+                last_line, pending = rec.to_line() + "\n", None
+            elif kind == "duplicate" and last_line is not None:
+                with open(path, "a", encoding="utf-8") as f:
+                    f.write(last_line)
+                pending = None
+            elif kind == "partial":
+                line = _record(clip_id=f"c{op[1] % 2}", created_at=_TS[1],
+                               vmaf=float(op[1])).to_line() + "\n"
+                cut = max(1, int(len(line) * op[2]))
+                with open(path, "a", encoding="utf-8") as f:
+                    f.write(line[:cut])
+                pending = line[cut:]
+            elif kind == "complete" and pending is not None:
+                with open(path, "a", encoding="utf-8") as f:
+                    f.write(pending)
+                pending = None
+            elif kind == "truncate":
+                data = path.read_bytes()
+                path.write_bytes(data[:int(len(data) * op[1])])
+                pending = None
+            elif kind == "rewrite":
+                data = bytearray(path.read_bytes())
+                digits = [i for i, b in enumerate(data) if 48 <= b <= 57]
+                if digits:
+                    i = digits[op[1] % len(digits)]
+                    data[i] = 48 + (data[i] - 47) % 10
+                    path.write_bytes(bytes(data))
+            elif kind == "corrupt_index" and idx.exists():
+                blob = bytearray(idx.read_bytes())
+                if blob:
+                    bit = op[1] % (len(blob) * 8)
+                    blob[bit // 8] ^= 1 << (bit % 8)
+                    idx.write_bytes(bytes(blob))
+            elif kind == "delete_index":
+                idx.unlink(missing_ok=True)
+
+            before = path.read_bytes()
+            got = _outcome(store.load, path)
+            assert got == _full_parse(path) == _outcome(_reference_load, path)
+            assert _outcome(store.load, path) == got  # now from the index
+            assert path.read_bytes() == before
+
+
+class TestIndex:
+    def test_repeat_load_parses_only_the_tail(self, tmp_store):
+        _fill(tmp_store)
+        store.load(tmp_store)
+        assert store.index_path(tmp_store).exists()
+        _plant(tmp_store)  # lines 1-3 are now read from the index only
+        assert [r.clip_id for r in store.load(tmp_store)] == ["planted"]
+        store.append(tmp_store, _record(clip_id="new"))
+        assert [r.clip_id for r in store.load(tmp_store)] == ["new", "planted"]
+
+    @pytest.mark.parametrize("field,offset", [("index format", 4),
+                                              ("marshal version", 6)])
+    def test_foreign_version_index_falls_back(self, tmp_store, caplog, field,
+                                              offset):
+        _fill(tmp_store)
+        _plant(tmp_store)
+        _patch_index(tmp_store, offset, struct.pack("<H", 999))
+        with caplog.at_level("WARNING"):
+            got = store.load(tmp_store)
+        assert got == _reference_load(tmp_store)
+        assert any("ignoring store index" in r.message and "999" in r.message
+                   for r in caplog.records)
+        assert store.load(tmp_store) == got  # the index was rewritten
+
+    @pytest.mark.parametrize("where", ["magic", "digest", "body", "cut",
+                                       "empty"])
+    def test_corrupt_index_falls_back(self, tmp_store, caplog, where):
+        _fill(tmp_store)
+        _plant(tmp_store)
+        idx = store.index_path(tmp_store)
+        blob = bytearray(idx.read_bytes())
+        if where == "cut":
+            blob = blob[:len(blob) // 2]
+        elif where == "empty":
+            blob = bytearray()
+        else:
+            offset = {"magic": 0, "digest": 9, "body": len(blob) // 2}[where]
+            blob[offset] ^= 0x10
+        idx.write_bytes(bytes(blob))
+        with caplog.at_level("WARNING"):
+            got = store.load(tmp_store)
+        assert got == _reference_load(tmp_store)
+        assert [r.clip_id for r in got] == ["c0", "c1", "c2"]
+        assert any("ignoring store index" in r.message for r in caplog.records)
+
+    def test_same_length_replacement_falls_back(self, tmp_store):
+        store.append(tmp_store, _record(vmaf=88.5))
+        store.append(tmp_store, _record(clip_id="shot02", vmaf=70.25))
+        store.load(tmp_store)
+        before = tmp_store.read_bytes()
+        after = before.replace(b"88.5", b"77.5")
+        assert len(after) == len(before) and after != before
+        tmp_store.write_bytes(after)
+        got = store.load(tmp_store)
+        assert [r.vmaf for r in got] == [77.5, 70.25]
+        assert got == _reference_load(tmp_store)
+
+    def test_truncated_store_falls_back(self, tmp_store):
+        _fill(tmp_store)
+        store.load(tmp_store)
+        lines = tmp_store.read_text().splitlines(keepends=True)
+        tmp_store.write_text("".join(lines[:2]))
+        assert [r.clip_id for r in store.load(tmp_store)] == ["c0", "c1"]
+
+    def test_failed_index_write_is_logged(self, tmp_store, caplog,
+                                          monkeypatch):
+        _fill(tmp_store)
+
+        def refuse(src, dst):
+            raise OSError("read-only directory")
+
+        monkeypatch.setattr(store.os, "replace", refuse)
+        with caplog.at_level("WARNING"):
+            got = store.load(tmp_store)
+        assert got == _reference_load(tmp_store)
+        assert any("cannot write store index" in r.message
+                   and "read-only directory" in r.message
+                   for r in caplog.records)
+        assert [p.name for p in tmp_store.parent.iterdir()] == [tmp_store.name]
+
+    def test_load_never_writes_the_store(self, tmp_store):
+        _fill(tmp_store)
+        with open(tmp_store, "a") as f:
+            f.write('{"clip": "cut')
+        before = tmp_store.read_bytes()
+        mtime = tmp_store.stat().st_mtime_ns
+        for _ in range(3):
+            store.load(tmp_store)
+            store.index_path(tmp_store).write_bytes(b"junk")
+            store.load(tmp_store)
+        assert tmp_store.read_bytes() == before
+        assert tmp_store.stat().st_mtime_ns == mtime
+
+    @pytest.mark.parametrize("tail", [
+        '{"clip": "cut', '{"clip": "cut"}\n',
+        _record(clip_id="whole").to_line()], ids=["cut", "bad", "unterminated"])
+    def test_skipped_or_unterminated_last_line_is_not_indexed(self, tmp_store,
+                                                             tail):
+        _fill(tmp_store)
+        with open(tmp_store, "a") as f:
+            f.write(tail)
+        assert store.load(tmp_store) == _reference_load(tmp_store)
+        store.append(tmp_store, _record(clip_id="later"))
+        assert (_outcome(store.load, tmp_store)
+                == _outcome(_reference_load, tmp_store))
+        store.append(tmp_store, _record(clip_id="later still"))
+        with pytest.raises(StoreLoadError, match="malformed line 4"):
+            store.load(tmp_store)
+
+    @pytest.mark.parametrize("layout", [
+        "crlf", "lone-cr", "mixed-cr", "padded",
+        "two-objects-and-split-record", "two-numbers-and-split-record",
+        "blank-line", "array-line"])
+    def test_odd_layouts_match_reference(self, tmp_store, layout):
+        lines = [_record(clip_id=f"c{i}").to_line() for i in range(4)]
+        if layout == "crlf":
+            text = "\r\n".join(lines) + "\r\n"
+        elif layout == "lone-cr":
+            text = "\r".join(lines) + "\r"
+        elif layout == "mixed-cr":
+            text = f"{lines[0]}\n{lines[1]}\r{lines[2]}"
+        elif layout == "padded":
+            text = "".join(f" {line}\t\n" for line in lines)
+        elif layout == "two-objects-and-split-record":
+            # one line with two records, one record split at a comma: joined
+            # with commas these still make one object per line
+            head, rest = lines[3].split(", ", 1)
+            text = "\n".join([lines[0], f"{lines[1]}, {lines[2]}", head, rest,
+                              lines[0]]) + "\n"
+        elif layout == "two-numbers-and-split-record":
+            head, rest = lines[3].split(", ", 1)
+            text = "\n".join([head, rest, "7, 8", lines[0]]) + "\n"
+        elif layout == "blank-line":
+            text = "\n".join(lines[:2] + [""] + lines[2:]) + "\n"
+        else:
+            text = "\n".join(lines[:2] + ["[1, 2]"] + lines[2:]) + "\n"
+        tmp_store.write_bytes(text.encode())
+        want = _outcome(_reference_load, tmp_store)
+        assert _outcome(store.load, tmp_store) == want
+        assert _outcome(store.load, tmp_store) == want
+        for clip in ("later", "later still"):
+            with open(tmp_store, "a", newline="") as f:
+                f.write(_record(clip_id=clip).to_line() + "\n")
+            assert _outcome(store.load, tmp_store) == _outcome(_reference_load,
+                                                               tmp_store)
