@@ -11,17 +11,26 @@ The interpolant is computed here in numpy: Fritsch-Butland interior
 slopes (weighted harmonic mean of the neighbouring secants) and Moler's
 one-sided endpoint rule, the scheme of MATLAB's pchip and scipy's
 PchipInterpolator, with closed-form Hermite segment integrals summed
-once per interpolant. Each curve builds its interpolants lazily, once,
-and keeps them, so grids and reports that reuse a curve in many pairs
-pay for its interpolant a single time.
+once per interpolant. One construction, ``_pchip_tables``, builds the
+slopes, coefficients and running integrals of a stack of curves at
+once, row by row with the same arithmetic; a single interpolant is a
+stack of one. A curve builds its own interpolants lazily, once, so
+pairs that reuse a curve pay for it a single time.
 
 Two dataset reductions are provided: the conventional one (BD-Rate per
 clip, then arithmetic mean) and the aggregate-curve one (harmonic-mean
 rate and quality per ladder rung on each side, then a single BD-Rate).
+The conventional one is batched: ``curves_from_records`` returns a
+``ClipCurves`` mapping that stacks all of a configuration's clip curves
+(``CurveStack``) in one numpy pass per knot count, and
+``classic_bd_rate`` integrates every shared clip of a pair at once on
+the two stacks. Its per-clip values, their mean in clip-id order and
+the reported interval are bit-identical to a ``bd_rate`` per clip.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -38,6 +47,8 @@ from .errors import (
     OverlapError,
 )
 from .store import MetricRecord
+
+log = logging.getLogger(__name__)
 
 METRIC_VMAF = "vmaf"
 METRIC_PSNR_Y = "psnr_y"
@@ -132,30 +143,62 @@ def clean_curve(
     )
 
 
-def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """Moler's one-sided three-point end slope, kept shape-preserving."""
+def _end_slopes(h0: np.ndarray, h1: np.ndarray, m0: np.ndarray,
+                m1: np.ndarray) -> np.ndarray:
+    """Moler's one-sided three-point end slopes, kept shape-preserving."""
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    sign = np.sign(m0)
+    clamp = (sign != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != sign, 0.0, np.where(clamp, 3.0 * m0, d))
+
+
+_ENDS = np.array([0, -1])  # a row's first and last segment
+_NEXT = np.array([1, -2])  # the segment next to each of them
 
 
 def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Knot slopes from segment widths ``h`` and secant slopes ``m``."""
-    if len(m) == 1:
-        return np.array([m[0], m[0]])
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    """Knot slopes of each row from its segment widths ``h`` and secant
+    slopes ``m`` (rows x segments)."""
+    if m.shape[1] == 1:
+        return np.concatenate([m, m], axis=1)
+    w1 = 2.0 * h[:, 1:] + h[:, :-1]
+    w2 = h[:, 1:] + 2.0 * h[:, :-1]
+    sign = np.sign(m)
+    # zero where the neighbouring secants differ in sign or one is zero
+    same = sign[:, 1:] * sign[:, :-1] > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    d = np.empty(len(m) + 1)
-    d[1:-1] = np.where(flat, 0.0, inner)
-    d[0] = _end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        inner = 1.0 / ((w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2))
+    d = np.empty((m.shape[0], m.shape[1] + 1))
+    d[:, 1:-1] = np.where(same, inner, 0.0)
+    d[:, _ENDS] = _end_slopes(h[:, _ENDS], h[:, _NEXT], m[:, _ENDS],
+                              m[:, _NEXT])
     return d
+
+
+def _segment_integrals(c0, c1, c2, c3, s):
+    """Integral of the cubic c0 s^3 + c1 s^2 + c2 s + c3 from 0 to s."""
+    s2 = s * s
+    s3 = s2 * s
+    return c3 * s + c2 * s2 * 0.5 + c1 * s3 * (1.0 / 3.0) + c0 * (s3 * s) * 0.25
+
+
+def _pchip_tables(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCHIPs through the rows of ``x`` and ``y`` (rows x knots).
+
+    Returns the power-basis coefficients of every segment, highest power
+    first (4 x rows x segments), and the integral from each row's first
+    knot to each of its knots (rows x knots). Every element sees the same
+    arithmetic as a row built alone, so stacking changes no bit.
+    """
+    h = np.diff(x, axis=1)
+    m = np.diff(y, axis=1) / h
+    d = _pchip_slopes(h, m)
+    t = (d[:, :-1] + d[:, 1:] - 2.0 * m) / h
+    c = np.stack([t / h, (m - d[:, :-1]) / h - t, d[:, :-1], y[:, :-1]])
+    parts = np.empty(x.shape)
+    parts[:, 0] = 0.0
+    parts[:, 1:] = _segment_integrals(*c, h)
+    return c, np.cumsum(parts, axis=1)
 
 
 class MonotoneInterpolant:
@@ -179,20 +222,13 @@ class MonotoneInterpolant:
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        h = np.diff(self.x)
-        m = np.diff(self.y) / h
-        d = _pchip_slopes(h, m)
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
-        # Power-basis coefficients per segment, highest power first.
-        self._c = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], self.y[:-1]])
+        c, cum = _pchip_tables(self.x[None, :], self.y[None, :])
+        self._c = c[:, 0, :]
         self.lo = float(self.x[0])
         self.hi = float(self.x[-1])
         self._knots = self.x.tolist()
         self._segments = self._c.T.tolist()
-        cum = [0.0]
-        for i, width in enumerate(h.tolist()):
-            cum.append(cum[-1] + self._segment_integral(i, width))
-        self._cum = cum
+        self._cum = cum[0].tolist()
 
     def __call__(self, at) -> np.ndarray:
         at = np.asarray(at, dtype=float)
@@ -204,17 +240,12 @@ class MonotoneInterpolant:
         value = c3 + c2 * s + c1 * z + c0 * (z * s)
         return np.where((at >= self.lo) & (at <= self.hi), value, np.nan)
 
-    def _segment_integral(self, i: int, s: float) -> float:
-        """Integral of segment ``i`` from its left knot to x_i + s."""
-        c0, c1, c2, c3 = self._segments[i]
-        s2 = s * s
-        s3 = s2 * s
-        return c3 * s + c2 * s2 * 0.5 + c1 * s3 * (1.0 / 3.0) + c0 * (s3 * s) * 0.25
-
     def _primitive(self, v: float) -> float:
         """Integral from lo to v, for lo <= v <= hi."""
         i = min(bisect_right(self._knots, v), len(self._knots) - 1) - 1
-        return self._cum[i] + self._segment_integral(i, v - self._knots[i])
+        c0, c1, c2, c3 = self._segments[i]
+        return self._cum[i] + _segment_integrals(c0, c1, c2, c3,
+                                                 v - self._knots[i])
 
     def integrate(self, a: float, b: float) -> float:
         """Closed-form integral over [a, b] (negative when b < a)."""
@@ -365,12 +396,89 @@ def smart_bd_rate(
     )
 
 
+class CurveStack:
+    """The quality -> log10(rate) PCHIPs of many curves as padded arrays.
+
+    Row r = ``rows[clip_id]`` holds that clip's curve: its ``n[r]`` knots in
+    ``x[r]`` (padded with +inf, so counting the knots <= v finds v's
+    segment), its segment coefficients in ``c[:, r]`` (highest power
+    first) and the integrals up to its knots in ``cum[r]``. The curves
+    are built in one numpy pass per knot count, with the arithmetic of
+    ``MonotoneInterpolant``, so every value equals the per-curve one.
+    """
+
+    def __init__(self, curves: Mapping[str, RDCurve]):
+        ids = list(curves)
+        self.rows = {cid: r for r, cid in enumerate(ids)}
+        self.kinds = np.array([curves[cid].metric_kind for cid in ids],
+                              dtype=object)
+        self.n = np.array([len(curves[cid].points) for cid in ids],
+                          dtype=np.intp)
+        width = int(self.n.max()) if len(ids) else 2
+        self.x = np.full((len(ids), width), np.inf)
+        self.cum = np.zeros((len(ids), width))
+        self.c = np.zeros((4, len(ids), width - 1))
+        for knots in np.unique(self.n).tolist():
+            rows = np.flatnonzero(self.n == knots)
+            points = [curves[ids[r]].points for r in rows.tolist()]
+            x = np.array([[p.quality for p in pts] for pts in points],
+                         dtype=float)
+            y = np.log10(np.array([[p.rate for p in pts] for pts in points],
+                                  dtype=float))
+            c, cum = _pchip_tables(x, y)
+            self.x[rows, :knots] = x
+            self.cum[rows, :knots] = cum
+            self.c[:, rows, :knots - 1] = c
+        self.lo = self.x[:, 0]
+        self.hi = self.x[np.arange(len(ids)), self.n - 1]
+
+    def integrals(self, rows: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+        """Integral over [lo[k], hi[k]] of row ``rows[k]``, for bounds
+        inside that row's knot span."""
+        rows = np.concatenate([rows, rows])
+        v = np.concatenate([lo, hi])
+        x = self.x[rows]
+        i = np.minimum(np.count_nonzero(x <= v[:, None], axis=1),
+                       self.n[rows] - 1) - 1
+        s = v - x[np.arange(len(v)), i]
+        p = self.cum[rows, i] + _segment_integrals(*self.c[:, rows, i], s)
+        return p[len(lo):] - p[:len(lo)]
+
+
+class ClipCurves(Mapping[str, RDCurve]):
+    """Read-only clip id -> curve mapping that stacks its curves'
+    interpolants (``CurveStack``) once, on first use."""
+
+    def __init__(self, curves: Mapping[str, RDCurve]):
+        self._curves = dict(curves)
+
+    def __getitem__(self, clip_id: str) -> RDCurve:
+        return self._curves[clip_id]
+
+    def __iter__(self):
+        return iter(self._curves)
+
+    def __len__(self) -> int:
+        return len(self._curves)
+
+    def __repr__(self) -> str:
+        return f"ClipCurves({self._curves!r})"
+
+    @cached_property
+    def stack(self) -> CurveStack:
+        return CurveStack(self._curves)
+
+
 def curves_from_records(
     records: Sequence[MetricRecord],
     metric_kind: str = METRIC_VMAF,
-) -> dict[str, RDCurve]:
-    """Per-clip cleaned curves of (measured rate, quality). Clips whose
-    points collapse below two survivors are omitted."""
+) -> ClipCurves:
+    """Per-clip cleaned curves of (measured rate, quality), by clip id.
+
+    Clips whose points collapse below two survivors are left out, each
+    logged at INFO with its configuration and the reason.
+    """
     by_clip: dict[str, list[MetricRecord]] = {}
     for rec in records:
         by_clip.setdefault(rec.clip_id, []).append(rec)
@@ -379,9 +487,11 @@ def curves_from_records(
         pts = [(r.measured_kbps, _metric_value(r, metric_kind)) for r in recs]
         try:
             curves[clip_id] = clean_curve(pts, id=clip_id, metric_kind=metric_kind)
-        except CurveError:
-            continue
-    return curves
+        except CurveError as exc:
+            rec = recs[0]
+            log.info("dropping clip %s of %s:%s:%dp: %s", clip_id, rec.family,
+                     rec.preset, rec.passes, exc)
+    return ClipCurves(curves)
 
 
 def classic_bd_rate(
@@ -390,41 +500,52 @@ def classic_bd_rate(
 ) -> BDResult:
     """Arithmetic mean of per-clip BD-Rates over the shared clip set.
 
-    Clips missing on either side, or failing with a degenerate overlap,
-    are excluded and counted in the method note rather than silently
+    Clips missing on either side, or with a degenerate overlap, are
+    excluded and counted in the method note rather than silently
     treated as zero. The result's ``overlap`` is the union of the
     included clips' overlaps, not a quality interval every clip shares.
+
+    Every shared clip is integrated at once on the two sides' stacked
+    interpolants; each per-clip value, the mean over clips in clip-id
+    order and the union equal those of a ``bd_rate`` per clip.
     """
-    shared = sorted(set(anchor_curves) & set(test_curves))
-    missing = len(set(anchor_curves) ^ set(test_curves))
-    values = []
-    errors = 0
-    lo = math.inf
-    hi = -math.inf
-    anchor_pts = test_pts = 0
-    for clip_id in shared:
-        try:
-            result = bd_rate(anchor_curves[clip_id], test_curves[clip_id])
-        except (OverlapError, CurveError):
-            errors += 1
-            continue
-        values.append(result.value)
-        lo = min(lo, result.overlap[0])
-        hi = max(hi, result.overlap[1])
-        anchor_pts += result.anchor_points_used
-        test_pts += result.test_points_used
-    if not values:
+    a = _stack(anchor_curves)
+    t = _stack(test_curves)
+    shared = sorted(a.rows.keys() & t.rows.keys())
+    missing = len(a.rows.keys() ^ t.rows.keys())
+    a_rows = np.array([a.rows[c] for c in shared], dtype=np.intp)
+    t_rows = np.array([t.rows[c] for c in shared], dtype=np.intp)
+    mixed = np.flatnonzero(a.kinds[a_rows] != t.kinds[t_rows])
+    if len(mixed):
+        clip_id = shared[mixed[0]]
+        _check_pair(anchor_curves[clip_id], test_curves[clip_id])
+    lo = np.maximum(a.lo[a_rows], t.lo[t_rows])
+    hi = np.minimum(a.hi[a_rows], t.hi[t_rows])
+    ok = lo < hi
+    errors = len(shared) - int(np.count_nonzero(ok))
+    if errors == len(shared):
         raise AggregationError(
             f"no clip produced a valid BD-Rate ({errors} overlap failures, "
             f"{missing} unmatched clips)"
         )
+    if errors:
+        a_rows, t_rows, lo, hi = a_rows[ok], t_rows[ok], lo[ok], hi[ok]
+    delta = (t.integrals(t_rows, lo, hi) - a.integrals(a_rows, lo, hi)) / (hi - lo)
+    values = [(10.0 ** d - 1.0) * 100.0 for d in delta.tolist()]
     note = (f"classic mean over {len(values)} clips; "
             f"excluded: {errors} overlap/curve errors, {missing} unmatched")
     return BDResult(
-        value=float(np.mean(values)), kind="rate", overlap=(lo, hi),
-        anchor_points_used=anchor_pts, test_points_used=test_pts,
+        value=float(np.mean(values)), kind="rate",
+        overlap=(min(lo.tolist()), max(hi.tolist())),
+        anchor_points_used=int(a.n[a_rows].sum()),
+        test_points_used=int(t.n[t_rows].sum()),
         method_note=note, overlap_label="quality span of the included clips",
     )
+
+
+def _stack(curves: Mapping[str, RDCurve]) -> CurveStack:
+    return (curves if isinstance(curves, ClipCurves)
+            else ClipCurves(curves)).stack
 
 
 def curve_csv_rows(curve: RDCurve) -> list[str]:

@@ -130,12 +130,26 @@ class MetricRecord:
 def _fields(row: dict) -> tuple:
     """A parsed line's MetricRecord field values, in field order.
 
-    The key is the first five values and ``created_at`` the last.
+    The key is the first five values and ``created_at`` the last. Keys
+    and timestamps are hashed, compared and sorted across lines, so a
+    ``clip``, ``family`` or ``ts`` that is not a string, or a
+    ``tbr_kbps`` that is not a number, makes the line malformed.
     """
-    return (row["clip"], row["family"], str(row["preset"]), int(row["passes"]),
-            row["tbr_kbps"], row["kbps"], row.get("vmaf"), row.get("psnr_y"),
-            row.get("enc_s"), row.get("bytes"), row.get("tool", ""),
-            row.get("ts", ""))
+    fields = (row["clip"], row["family"], str(row["preset"]),
+              int(row["passes"]), row["tbr_kbps"], row["kbps"],
+              row.get("vmaf"), row.get("psnr_y"), row.get("enc_s"),
+              row.get("bytes"), row.get("tool", ""), row.get("ts", ""))
+    for name, k, types, what in _TYPED:
+        if type(fields[k]) not in types:
+            raise TypeError(f"{name} must be {what}, "
+                            f"got {json.dumps(fields[k])}")
+    return fields
+
+
+# Wire name, field position, accepted types and their description.
+_TYPED = (("clip", 0, (str,), "a string"), ("family", 1, (str,), "a string"),
+          ("tbr_kbps", 4, (int, float), "a number"),
+          ("ts", 11, (str,), "a string"))
 
 
 # load returns records sorted by MetricRecord.key(), then created_at.

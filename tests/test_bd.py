@@ -1,8 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_records
@@ -458,6 +459,135 @@ class TestSmartAndClassic:
                 bd.curves_from_records(self._dataset(low)),
                 bd.curves_from_records(self._dataset(high, preset="fast")))
 
+    def test_dropped_clips_are_logged(self, caplog):
+        records = (_records("good", {500: (500.0, 40.0), 1000: (1000.0, 60.0)})
+                   + _records("thin", {500: (500.0, 40.0)})
+                   + _records("dominated", {500: (500.0, 40.0),
+                                            1000: (1000.0, 30.0)}))
+        with caplog.at_level(logging.INFO, logger="rdgauge.bd"):
+            curves = bd.curves_from_records(records)
+        assert list(curves) == ["good"]
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, "dropping clip dominated of x264:medium:1p: curve "
+             "'dominated': only 1 point(s) survive cleaning; need at least 2"),
+            (logging.INFO, "dropping clip thin of x264:medium:1p: curve "
+             "'thin': only 1 point(s) survive cleaning; need at least 2"),
+        ]
+
+
+def _reference_classic(anchor_curves, test_curves):
+    """The per-clip ``bd_rate`` loop that the batched classic_bd_rate
+    replaced, kept as its reference."""
+    shared = sorted(set(anchor_curves) & set(test_curves))
+    missing = len(set(anchor_curves) ^ set(test_curves))
+    values = []
+    errors = 0
+    lo = math.inf
+    hi = -math.inf
+    anchor_pts = test_pts = 0
+    for clip_id in shared:
+        try:
+            result = bd.bd_rate(anchor_curves[clip_id], test_curves[clip_id])
+        except (OverlapError, CurveError):
+            errors += 1
+            continue
+        values.append(result.value)
+        lo = min(lo, result.overlap[0])
+        hi = max(hi, result.overlap[1])
+        anchor_pts += result.anchor_points_used
+        test_pts += result.test_points_used
+    if not values:
+        raise AggregationError(
+            f"no clip produced a valid BD-Rate ({errors} overlap failures, "
+            f"{missing} unmatched clips)"
+        )
+    note = (f"classic mean over {len(values)} clips; "
+            f"excluded: {errors} overlap/curve errors, {missing} unmatched")
+    return bd.BDResult(
+        value=float(np.mean(values)), kind="rate", overlap=(lo, hi),
+        anchor_points_used=anchor_pts, test_points_used=test_pts,
+        method_note=note, overlap_label="quality span of the included clips",
+    )
+
+
+@st.composite
+def _curve_set(draw):
+    """Clip id -> RDCurve of 2, 3 or 12 knots. Qualities are integers
+    plus one of three offsets, so overlaps often touch or miss; rates,
+    ints or floats, may fall as well as rise, so end slopes flip sign
+    and get clamped."""
+    clips = draw(st.lists(st.sampled_from([f"c{i}" for i in range(8)]),
+                          unique=True, max_size=6))
+    curves = {}
+    for clip in clips:
+        n = draw(st.sampled_from([2, 3, 12]))
+        qualities = sorted(draw(st.lists(st.integers(0, 60), min_size=n,
+                                         max_size=n, unique=True)))
+        offset = draw(st.sampled_from([0, 0.125, 0.5]))
+        rates = draw(st.lists(st.one_of(st.integers(50, 20000),
+                                        st.floats(50.0, 20000.0)),
+                              min_size=n, max_size=n))
+        if draw(st.booleans()):
+            rates.sort()
+        curves[clip] = bd.RDCurve(id=clip, metric_kind="vmaf", points=tuple(
+            bd.RDPoint(rate=r, quality=q + offset)
+            for r, q in zip(rates, qualities)))
+    return curves
+
+
+def _classic_outcome(fn, anchor, test):
+    try:
+        return fn(anchor, test)
+    except AnalysisError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(anchor=_curve_set(), test=_curve_set(),
+       other_kind=st.sampled_from([None, "c0", "c3"]))
+def test_batched_classic_equals_per_clip_loop(anchor, test, other_kind):
+    if other_kind in test:  # a metric-kind mismatch, if the clip is shared
+        test[other_kind] = bd.RDCurve(id=other_kind, metric_kind="psnr_y",
+                                      points=test[other_kind].points)
+    want = _classic_outcome(_reference_classic, anchor, test)
+    for a, t in ((anchor, test), (bd.ClipCurves(anchor), bd.ClipCurves(test))):
+        got = _classic_outcome(bd.classic_bd_rate, a, t)
+        assert got == want
+        if isinstance(want, bd.BDResult):
+            assert got.value == want.value
+            assert got.overlap == want.overlap
+            assert (got.anchor_points_used, got.test_points_used) == (
+                want.anchor_points_used, want.test_points_used)
+
+
+def test_classic_mixes_knot_counts_and_clamped_ends():
+    # 2, 3 and 12 knots in one config. c1's first end estimate opposes
+    # its secant and becomes 0; c2's secants change sign at the start,
+    # so its first end slope is clamped to three secants; c3 shares no
+    # quality with the test side.
+    c2_log_rates = [3.0, 3.05, 2.55] + [2.55 + 0.1 * k for k in range(1, 10)]
+    anchor = {
+        "c0": bd.clean_curve([(1000, 30), (4000, 50)], id="c0"),
+        "c1": bd.RDCurve("c1", "vmaf", tuple(
+            bd.RDPoint(r, q) for r, q in ((1e3, 20.0), (1e4, 30.0),
+                                          (1e8, 40.0)))),
+        "c2": bd.RDCurve("c2", "vmaf", tuple(
+            bd.RDPoint(10.0 ** y, 10.0 + 5.0 * k)
+            for k, y in enumerate(c2_log_rates))),
+        "c3": bd.clean_curve([(100, 1), (200, 5)], id="c3"),
+    }
+    test = {clip: bd.clean_curve([(400, 15), (1200, 35), (2400, 50),
+                                  (7200, 65)], id=clip)
+            for clip in ("c0", "c1", "c2", "c3")}
+    got = bd.classic_bd_rate(anchor, test)
+    assert got == _reference_classic(anchor, test)
+    assert got.method_note == ("classic mean over 3 clips; excluded: "
+                               "1 overlap/curve errors, 0 unmatched")
+    assert got.anchor_points_used == 2 + 3 + 12
+    assert bd.interpolate(anchor["c1"])._segments[0][2] == 0.0
+    f = bd.interpolate(anchor["c2"])
+    assert f._segments[0][2] == 3.0 * ((f.y[1] - f.y[0]) / (f.x[1] - f.x[0]))
+
 
 def test_csv_helpers():
     curve = _curve(FOUR_POINT, "cfg")
@@ -470,7 +600,7 @@ def test_csv_helpers():
 
 
 class TestGridBuildsOnce:
-    """Each curve's interpolant, and each config's aggregate, once per grid."""
+    """Each config's curve stack, and each config's aggregate, once per grid."""
 
     LADDER = (500, 1000, 2000, 4000, 8000)
     CONFIGS = [("x264", "medium", 1), ("x264", "slow", 1),
@@ -485,18 +615,22 @@ class TestGridBuildsOnce:
                                     rate_factor=1.0 - 0.1 * k)
         return records
 
-    def test_one_interpolant_per_curve_in_classic_grid(self, monkeypatch):
+    def test_one_stack_per_config_in_classic_grid(self, monkeypatch):
+        stacked = []
         built = []
-        original = bd.interpolate
+        original = bd.CurveStack
 
-        def counting(curve):
-            built.append(curve)
-            return original(curve)
+        def counting(curves):
+            stacked.append(curves)
+            return original(curves)
 
-        monkeypatch.setattr(bd, "interpolate", counting)
+        monkeypatch.setattr(bd, "CurveStack", counting)
+        monkeypatch.setattr(bd, "interpolate", built.append)
         grid = scenario.bd_grid(self.CONFIGS, self._records(), self.LADDER)
-        assert len(built) == len(self.CONFIGS) * self.N_CLIPS
-        assert len({id(c) for c in built}) == len(built)
+        assert len(stacked) == len(self.CONFIGS)
+        assert len({id(c) for c in stacked}) == len(stacked)
+        assert all(len(curves) == self.N_CLIPS for curves in stacked)
+        assert built == []  # no per-curve interpolant
         assert all(cell is not None for row in grid.cells for cell in row)
 
     def test_one_aggregate_per_config_in_smart_grid(self, monkeypatch):

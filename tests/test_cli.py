@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import make_records
 from rdgauge import store, y4m
 from rdgauge.cli import main
@@ -208,6 +209,36 @@ class TestAnalytics:
     def test_missing_store_is_data_error(self, capsys):
         rc = main(["bdrate", "--anchor", "a:b:1", "--test", "c:d:1"])
         assert rc == 2
+
+    @staticmethod
+    def _three_line_store(path, **middle):
+        """Two good lines around one that repeats the first line's key,
+        with ``middle``'s fields replaced."""
+        first = {"clip": "a", "family": "x264", "preset": "medium",
+                 "passes": 1, "tbr_kbps": 500.0, "kbps": 500.0, "vmaf": 30.0,
+                 "ts": "2026-01-01T00:00:00"}
+        lines = [first, {**first, "vmaf": 31.0, **middle},
+                 {**first, "tbr_kbps": 1000.0, "kbps": 1000.0, "vmaf": 40.0}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in lines))
+
+    @pytest.mark.parametrize("ts", [None, 5, 1.5])
+    def test_duplicate_key_with_non_string_ts_is_data_error(self, tmp_path,
+                                                             capsys, ts):
+        store_path = tmp_path / "s.jsonl"
+        self._three_line_store(store_path, ts=ts)
+        rc = main(["curves", "--store", str(store_path),
+                   "--config", "x264:medium:1", "--per-clip"])
+        assert rc == 2
+        assert "malformed line 2: ts must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["clip", "family", "tbr_kbps"])
+    def test_list_key_field_is_data_error(self, tmp_path, capsys, field):
+        store_path = tmp_path / "s.jsonl"
+        self._three_line_store(store_path, **{field: ["a"]})
+        rc = main(["curves", "--store", str(store_path),
+                   "--config", "x264:medium:1", "--per-clip"])
+        assert rc == 2
+        assert f"malformed line 2: {field} must be" in capsys.readouterr().err
 
     def test_overlap_failure_is_data_error(self, tmp_path):
         store_path = tmp_path / "s.jsonl"
