@@ -15,11 +15,17 @@ elsewhere. TE values depend on this choice.
 
 Each frame's luma plane is padded once in the dtype it was read in; the
 block energies, the flat-block test and the absolute difference all
-read that one padded plane.
+read that one padded plane. The mean absolute difference is taken in
+place, as max(a, b) minus min(a, b) in the sample dtype with no
+full-plane subtraction temporary, and summed as exact integer row sums
+in uint32, or in uint64 where the dtype's maximum times the width does
+not fit uint32.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,13 +58,22 @@ def _frame_energy(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _change_energy(
     cur: tuple[np.ndarray, np.ndarray], prev: tuple[np.ndarray, np.ndarray]
 ) -> float:
-    """TE, before bit-depth scaling, of two ``_frame_energy`` results."""
+    """TE, before bit-depth scaling, of two ``_frame_energy`` results.
+
+    The planes hold integer samples.
+    """
     (plane, grid), (prev_plane, prev_grid) = cur, prev
     texture = np.abs(grid - prev_grid).mean()
-    # max - min is |a - b| without unsigned wrap-around; the integer sum
-    # is exact, so this equals the float64 mean bit for bit.
-    diff = np.maximum(plane, prev_plane) - np.minimum(plane, prev_plane)
-    mad = float(diff.sum()) / diff.size
+    # max - min is |a - b| without unsigned wrap-around. A row sum
+    # cannot exceed the dtype's maximum times the width, so the row sums
+    # and their total are exact and this equals the float64 mean bit
+    # for bit.
+    diff = np.maximum(plane, prev_plane)
+    diff -= np.minimum(plane, prev_plane)
+    row_max = int(np.iinfo(diff.dtype).max) * diff.shape[1]
+    acc = np.uint32 if row_max <= np.iinfo(np.uint32).max else np.uint64
+    total = int(diff.sum(axis=1, dtype=acc).sum(dtype=np.uint64))
+    mad = float(total) / diff.size
     return float(texture + mad)
 
 
@@ -165,8 +180,20 @@ def analyze_clip(
 
 
 def scatter_csv_rows(records: Iterable[ComplexityRecord]) -> list[str]:
-    """CSV rows (clip_id, clip_se, clip_te) for SE/TE scatter plots."""
-    rows = ["clip_id,clip_se,clip_te"]
-    for rec in records:
-        rows.append(f"{rec.clip_id},{rec.clip_se:.9g},{rec.clip_te:.9g}")
+    """CSV rows (clip_id, clip_se, clip_te) for SE/TE scatter plots.
+
+    Rows carry no line terminator. A clip id holding a comma, a quote or
+    a line break is quoted (the csv module's minimal quoting).
+    """
+    fields = [("clip_id", "clip_se", "clip_te")]
+    fields += [(rec.clip_id, f"{rec.clip_se:.9g}", f"{rec.clip_te:.9g}")
+               for rec in records]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = []
+    for row in fields:
+        writer.writerow(row)
+        rows.append(buf.getvalue()[:-1])
+        buf.seek(0)
+        buf.truncate()
     return rows

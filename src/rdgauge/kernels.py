@@ -4,6 +4,11 @@ The hot loop of complexity analysis is a 32x32 orthonormal DCT over
 every luma block of a frame (a 4K frame has 8100 blocks).
 ``block_energies`` computes the per-block AC magnitude sums in numpy as
 a separable transform: two plain 2-D GEMMs per strip of block rows.
+A flat (constant) block must read exactly zero, but the transform leaves
+round-off in its AC terms, so flat blocks are found by comparing
+samples. That exact comparison runs only on the few candidate blocks
+whose computed energy is small enough for them to be flat, not on every
+sample of the frame.
 ``python3 perfbench/run.py --workload complexity --trace 1`` times it.
 """
 
@@ -15,6 +20,11 @@ BLOCK = 32
 # Block rows per strip: two float64 buffers of 32 * STRIP_ROWS * width
 # each (2 MB at 1080p) stay cache-sized while the GEMMs stay large.
 STRIP_ROWS = 4
+# A block is a flat candidate unless its computed AC sum exceeds
+# FLAT_SLACK + FLAT_SLACK_REL * (its sum of all |coefficients|); see
+# block_energies for why no flat block can exceed it.
+FLAT_SLACK = 0.5
+FLAT_SLACK_REL = 1e-9
 
 
 def dct_matrix(n: int) -> np.ndarray:
@@ -39,6 +49,23 @@ def block_energies(plane: np.ndarray) -> np.ndarray:
     multiples of BLOCK. Returns a (rows, cols) float64 grid of raw
     (unnormalised) energies. Constant blocks are exactly zero (no
     round-off residue from the transform).
+
+    Only candidate blocks get the exact flat test (every sample equal to
+    the block's first one): those whose energy is not above
+    ``FLAT_SLACK + FLAT_SLACK_REL * total``, where ``total`` is the
+    block's sum of |coefficients|, |DC| included, so NaN energies are
+    candidates too. No flat block can lie above the bound. A constant
+    block of value v has |DC| = 32 |v| and AC terms that are round-off
+    alone: two 32-term sums over the orthonormal basis leave at most
+    2048 * 2**-53 * |v| in each, so the 1023 of them sum to under
+    2.4e-10 |v|, over 100 times below 1e-9 * 32 |v| (measured: about
+    2e-14 |DC|, e.g. 66.5 at v = 1e14). FLAT_SLACK absorbs the absolute
+    error of subnormal samples. A block whose total overflows gets an
+    inf bound, and a constant inf or NaN block a NaN energy, so both are
+    candidates. For samples up to 65535, |DC| adds under 0.003 to the
+    bound, while a non-constant block of integer samples has an AC sum
+    of at least its L2 norm, sqrt(1 - 1/1024) > 0.99: there the
+    candidates are exactly the flat blocks.
 
     The plane is taken STRIP_ROWS block rows at a time. Each strip is
     cast to float64 as a (BLOCK, rows * width) matrix whose row index is
@@ -67,8 +94,12 @@ def block_energies(plane: np.ndarray) -> np.ndarray:
         total = (coeffs @ _ONES).reshape(BLOCK, rows * nbx).sum(axis=0)
         dc = coeffs.reshape(BLOCK, rows * nbx, BLOCK)[0, :, 0]
         energy = (total - dc).reshape(rows, nbx)
-        blocks = strip.reshape(rows, BLOCK, nbx, BLOCK)
-        energy[(blocks == blocks[:, :1, :, :1]).all(axis=(1, 3))] = 0.0
+        # ~(energy > bound) keeps NaN energies as candidates
+        bound = total.reshape(rows, nbx) * FLAT_SLACK_REL + FLAT_SLACK
+        by, bx = np.nonzero(~(energy > bound))
+        blocks = strip.reshape(rows, BLOCK, nbx, BLOCK)[by, :, bx, :]
+        flat = (blocks == blocks[:, :1, :1]).all(axis=(1, 2))
+        energy[by[flat], bx[flat]] = 0.0
         out[r0:r0 + rows] = energy
     return out
 

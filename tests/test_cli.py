@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -270,6 +271,29 @@ class TestComplexityCommand:
         assert row["clip"] == "tiny"
         assert row["frames"] == 3
         assert csv_path.read_text().startswith("clip_id,clip_se,clip_te")
+
+    def test_scatter_csv_quotes_clip_ids(self, tmp_path, capsys):
+        header = y4m.make_header(32, 32)
+        clips_dir = tmp_path / "clips"
+        clips_dir.mkdir()
+        for name in ("a,b", 'q"t', "plain"):
+            with open(clips_dir / f"{name}.y4m", "wb") as f:
+                y4m.write_clip(header, y4m.synthetic_clip(header, 2), f)
+        rows = tmp_path / "cx.jsonl"
+        csv_path = tmp_path / "scatter.csv"
+        rc = main(["complexity", "--clips-dir", str(clips_dir),
+                   "--out", str(rows), "--scatter-csv", str(csv_path)])
+        assert rc == 0
+        written = [json.loads(line) for line in rows.read_text().splitlines()]
+        with open(csv_path, newline="", encoding="utf-8") as f:
+            read_back = list(csv.reader(f))
+        assert read_back == [["clip_id", "clip_se", "clip_te"]] + [
+            [r["clip"], f"{r['clip_se']:.9g}", f"{r['clip_te']:.9g}"]
+            for r in written]
+        assert [r[0] for r in read_back[1:]] == ["a,b", "plain", 'q"t']
+        text = csv_path.read_text(encoding="utf-8")
+        assert text.splitlines()[2].startswith("plain,")
+        assert '"q""t",' in text
 
     def test_bad_clip_keeps_finished_clips(self, tmp_path, capsys):
         header = y4m.make_header(32, 32)

@@ -132,6 +132,21 @@ class TestTemporalEnergy:
             y4m.Y4MReader(_clip_stream([fa, fb], y4m.make_header(32, 40))), "pad")
         assert rec.frame_te[0] == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("dtype, shape", [
+        (np.uint8, (64, 96)), (np.uint16, (64, 96)),
+        (np.uint16, (2, 70_000))],  # a uint32 row sum would overflow
+        ids=["u8", "u16", "u16-wide"])
+    def test_mad_is_exact_at_the_sample_maximum(self, dtype, shape):
+        top = np.iinfo(dtype).max
+        rng = np.random.default_rng(19)
+        a = np.full(shape, top, dtype)
+        b = np.zeros(shape, dtype)
+        c = rng.integers(0, top + 1, shape).astype(dtype)
+        grid = np.zeros((1, 1))
+        for x, y in ((a, b), (b, a), (a, c), (c, b), (a, a)):
+            want = float(np.abs(x.astype(np.int64) - y).sum()) / x.size
+            assert complexity._change_energy((x, grid), (y, grid)) == want
+
     def test_dimension_mismatch(self):
         a = _frame_from_luma(np.zeros((32, 32)))
         b = _frame_from_luma(np.zeros((64, 64)))

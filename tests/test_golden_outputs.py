@@ -9,6 +9,13 @@ configuration and of 3 and 6 in another, clips that overlap only some
 other configurations, and one configuration pair that shares no quality
 interval on any clip (an N/A grid cell).
 
+The complexity digests pin ``rdgauge complexity --out`` and
+``--scatter-csv`` on four small clips that reach every branch of the
+block-energy kernel and the TE difference: an 8-bit moving clip, a
+letterboxed clip with one near-flat block (one sample off by 1), a
+10-bit clip at the maximum sample value, and a clip whose size is not a
+multiple of 32, so padding runs.
+
 When an output changes on purpose, print the new digests with
 ``python tests/test_golden_outputs.py`` and explain the change in the
 commit that updates them.
@@ -20,8 +27,9 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
 from conftest import make_records
-from rdgauge import bd, scenario, store
+from rdgauge import bd, scenario, store, y4m
 from rdgauge.cli import main
 from rdgauge.errors import AnalysisError
 
@@ -72,6 +80,13 @@ DIGESTS = {
         "730ee6e0b2b8d834ccfecce1d2bd3d14f5ad3f8d55bfcd3e83d045c3dc2afec8",
     "report/report.txt":
         "49713360acf1161ce667a9e86b7db31bb01d27119b3f9ec5060b0389a16c4cf1",
+}
+
+COMPLEXITY_DIGESTS = {
+    "complexity.jsonl":
+        "5b2394af26b5900601e8366b2e1bf6b1b69b2de3c3a3077542de3418f66d3424",
+    "scatter.csv":
+        "3f0ac2872177585c8b797c6b65b2ecb8974b130a42ed01c6f6f88d5a1809225f",
 }
 
 
@@ -178,6 +193,56 @@ def _exact_values(records) -> bytes:
     return "\n".join(lines).encode()
 
 
+def _golden_clips():
+    """(name, header, luma planes) of the complexity clips."""
+    rng = np.random.default_rng(29)
+    clips = []
+    base = rng.integers(0, 256, (64, 96))
+    clips.append(("a_moving8", y4m.make_header(96, 64), [
+        np.roll(base, (t, 2 * t), axis=(0, 1)) for t in range(4)]))
+    base = rng.integers(0, 256, (128, 96))
+    frames = []
+    for t in range(3):
+        luma = np.roll(base, 3 * t, axis=1)
+        luma[:32] = 16
+        luma[96:] = 16
+        luma[127, 63] = 17  # near-flat block: one sample off by 1
+        frames.append(luma)
+    clips.append(("b_letterbox8", y4m.make_header(96, 128), frames))
+    top = 1023
+    base = rng.integers(top - 3, top + 1, (64, 64))
+    frames = []
+    for t in range(3):
+        luma = base.copy()
+        luma[:32, :32] = top
+        luma[32:, 32:] = top if t % 2 else 0  # MAD at full swing
+        luma[t, 40] = top - 1
+        frames.append(luma)
+    clips.append(("c_max10", y4m.make_header(64, 64, bit_depth=10), frames))
+    base = rng.integers(0, 256, (46, 70))
+    clips.append(("d_odd8", y4m.make_header(70, 46), [
+        np.roll(base, t, axis=0) for t in range(3)]))
+    return clips
+
+
+def _complexity_outputs(work: Path) -> dict:
+    """sha256 of ``rdgauge complexity``'s files, by COMPLEXITY_DIGESTS names."""
+    clips_dir = work / "clips"
+    clips_dir.mkdir()
+    for name, header, lumas in _golden_clips():
+        zeros = np.zeros((header.chroma_height, header.chroma_width),
+                         header.dtype)
+        frames = [y4m.Frame(y=luma.astype(header.dtype), u=zeros, v=zeros,
+                            bit_depth=header.bit_depth) for luma in lumas]
+        with open(clips_dir / f"{name}.y4m", "wb") as f:
+            y4m.write_clip(header, frames, f)
+    out, scatter = work / "complexity.jsonl", work / "scatter.csv"
+    assert main(["complexity", "--clips-dir", str(clips_dir), "--out",
+                 str(out), "--scatter-csv", str(scatter)]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out, scatter)}
+
+
 def test_output_bytes_are_pinned(tmp_path, capsys):
     got = _outputs(tmp_path)
     capsys.readouterr()
@@ -185,9 +250,23 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
     assert {k: v for k, v in got.items() if DIGESTS[k] != v} == {}
 
 
+def test_complexity_bytes_are_pinned(tmp_path, capsys):
+    got = _complexity_outputs(tmp_path)
+    capsys.readouterr()
+    assert got == COMPLEXITY_DIGESTS
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in _outputs(Path(tmp)).items():
-            print(f"    {name!r}: {digest!r},", file=sys.stderr)
+        work = Path(tmp)
+        (work / "analysis").mkdir()
+        (work / "complexity").mkdir()
+        for title, outputs in (
+                ("DIGESTS", _outputs(work / "analysis")),
+                ("COMPLEXITY_DIGESTS", _complexity_outputs(work / "complexity"))):
+            print(f"{title} = {{", file=sys.stderr)
+            for name, digest in outputs.items():
+                print(f"    {name!r}: {digest!r},", file=sys.stderr)
+            print("}", file=sys.stderr)
