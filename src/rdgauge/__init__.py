@@ -22,6 +22,7 @@ from .bd import (
 from .complexity import (
     ComplexityRecord,
     analyze_clip,
+    analyze_clips,
     block_texture_energy,
     frame_spatial_energy,
     temporal_energy,
@@ -56,8 +57,8 @@ __all__ = [
     "BDResult", "RDCurve", "RDPoint", "aggregate_points", "bd_quality",
     "bd_rate", "classic_bd_rate", "clean_curve", "harmonic_mean",
     "interpolate", "smart_bd_rate",
-    "ComplexityRecord", "analyze_clip", "block_texture_energy",
-    "frame_spatial_energy", "temporal_energy",
+    "ComplexityRecord", "analyze_clip", "analyze_clips",
+    "block_texture_energy", "frame_spatial_energy", "temporal_energy",
     "DEFAULT_LADDER", "EncodeJob", "EncoderSpec", "build_command",
     "build_commands", "plan_matrix", "plan_toolsweep",
     "JobOutcome", "execute", "measure_quality", "parse_vmaf_log", "run_plan",

@@ -152,13 +152,11 @@ def _cmd_vmaf(args) -> int:
 def _cmd_complexity(args) -> int:
     records = []
     failed = 0
-    for clip in _clip_list(args):
-        try:
-            rec = cx_mod.analyze_clip(clip)
-        except (RdgaugeError, OSError) as exc:
-            # one bad clip must not discard the clips already analysed
+    for clip, rec in cx_mod.analyze_clips(_clip_list(args)):
+        if not isinstance(rec, cx_mod.ComplexityRecord):
+            # one bad clip must not discard the other clips
             failed += 1
-            print(f"{Path(clip).stem}: error: {exc}", file=sys.stderr)
+            print(f"{Path(clip).stem}: error: {rec}", file=sys.stderr)
             continue
         records.append(rec)
         print(f"{rec.clip_id}: SE={rec.clip_se:.4f} TE={rec.clip_te:.4f} "

@@ -20,6 +20,13 @@ place, as max(a, b) minus min(a, b) in the sample dtype with no
 full-plane subtraction temporary, and summed as exact integer row sums
 in uint32, or in uint64 where the dtype's maximum times the width does
 not fit uint32.
+
+``analyze_clips`` analyses several clips on a thread pool of one worker
+per clip, up to the CPUs the process may run on. The clips are
+independent, numpy releases the interpreter lock in its array work, and
+the kernel's BLAS calls are small enough to run on the calling thread
+(see ``kernels.CHUNK``), so the workers run in parallel. Each clip's
+result is the same as from ``analyze_clip`` alone.
 """
 
 from __future__ import annotations
@@ -27,14 +34,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from . import kernels
-from .errors import Y4MValidationError
+from .cpus import available_cpus
+from .errors import RdgaugeError, Y4MValidationError
 from .y4m import Frame, Y4MReader
 
 BLOCK = kernels.BLOCK
@@ -148,7 +158,8 @@ def analyze_clip(
     """Stream a clip and produce its complexity record.
 
     Reuses the previous frame's block-energy grid so each frame is
-    transformed once.
+    transformed once. A frame's payload is released before the next one
+    is read, so a clip holds one payload at a time, not two.
     """
     if isinstance(source, Y4MReader):
         reader = source
@@ -163,8 +174,9 @@ def analyze_clip(
         frame_se: list[float] = []
         frame_te: list[float] = []
         prev = None
-        for frame in reader.frames():
+        while (frame := reader.read_frame()) is not None:
             cur = _frame_energy(frame.y)
+            del frame  # free the payload before the next read
             frame_se.append(float(cur[1].mean()) / scale)
             if prev is not None:
                 frame_te.append(_change_energy(cur, prev) / scale)
@@ -177,6 +189,49 @@ def analyze_clip(
     return ComplexityRecord(
         clip_id=cid, frame_se=tuple(frame_se), frame_te=tuple(frame_te)
     )
+
+
+ClipResult = Union[ComplexityRecord, RdgaugeError, OSError]
+
+
+def analyze_clips(
+    paths: Iterable[Union[str, Path]],
+) -> Iterator[tuple[Union[str, Path], ClipResult]]:
+    """``(path, record or error)`` for each path, in input order.
+
+    The clips run through ``analyze_clip`` on a thread pool of
+    ``min(len(paths), available_cpus())`` workers. A clip that fails
+    with an RdgaugeError or OSError yields that error instead of a
+    record, and the other clips go on. Any other exception in a clip
+    cancels the clips not yet started and is raised here in that clip's
+    turn, after the results before it. An exception in the caller
+    (Ctrl-C included), or closing the generator early, also cancels the
+    clips not yet started and waits for the ones running.
+    """
+    paths = list(paths)
+    workers = max(1, min(len(paths), available_cpus()))
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="rdgauge-complexity")
+    # held while submitting, so a failing clip cancels every later one
+    submitting = threading.Lock()
+
+    def analyze(path):
+        try:
+            return analyze_clip(path)
+        except (RdgaugeError, OSError) as exc:
+            return exc
+        except BaseException:
+            # this worker takes no further clip once the rest is cancelled
+            with submitting:
+                pool.shutdown(wait=False, cancel_futures=True)
+            raise
+
+    try:
+        with submitting:
+            futures = [pool.submit(analyze, path) for path in paths]
+        for path, future in zip(paths, futures):
+            yield path, future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def scatter_csv_rows(records: Iterable[ComplexityRecord]) -> list[str]:

@@ -3,7 +3,9 @@
 The hot loop of complexity analysis is a 32x32 orthonormal DCT over
 every luma block of a frame (a 4K frame has 8100 blocks).
 ``block_energies`` computes the per-block AC magnitude sums in numpy as
-a separable transform: two plain 2-D GEMMs per strip of block rows.
+a separable transform: two matrix products per strip of block rows,
+each issued as batched ``np.matmul`` calls of GEMMs of at most CHUNK
+columns or rows.
 A flat (constant) block must read exactly zero, but the transform leaves
 round-off in its AC terms, so flat blocks are found by comparing
 samples. That exact comparison runs only on the few candidate blocks
@@ -18,8 +20,14 @@ import numpy as np
 
 BLOCK = 32
 # Block rows per strip: two float64 buffers of 32 * STRIP_ROWS * width
-# each (2 MB at 1080p) stay cache-sized while the GEMMs stay large.
+# each (2 MB at 1080p) stay cache-sized.
 STRIP_ROWS = 4
+# Columns or rows per GEMM. OpenBLAS runs a GEMM with m*n*k at most
+# SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65,536 * 4 = 262,144
+# on the calling thread, and 32 * 256 * 32 is exactly that, so clips
+# analysed on several threads run their transforms in parallel instead
+# of queueing on BLAS's shared thread server.
+CHUNK = 256
 # A block is a flat candidate unless its computed AC sum exceeds
 # FLAT_SLACK + FLAT_SLACK_REL * (its sum of all |coefficients|); see
 # block_energies for why no flat block can exceed it.
@@ -40,6 +48,11 @@ def dct_matrix(n: int) -> np.ndarray:
 _DCT = dct_matrix(BLOCK)
 _DCT_T = np.ascontiguousarray(_DCT.T)
 _ONES = np.ones(BLOCK)
+
+
+def _column_chunks(m: np.ndarray) -> np.ndarray:
+    """A (BLOCK, k * CHUNK) view as a stack of k (BLOCK, CHUNK) views."""
+    return m.reshape(BLOCK, -1, CHUNK).transpose(1, 0, 2)
 
 
 def block_energies(plane: np.ndarray) -> np.ndarray:
@@ -71,7 +84,11 @@ def block_energies(plane: np.ndarray) -> np.ndarray:
     cast to float64 as a (BLOCK, rows * width) matrix whose row index is
     the pixel row inside a block, so ``D @ x`` transforms every block
     column at once and ``y.reshape(-1, BLOCK) @ D.T`` then transforms
-    every block row: two plain GEMMs and no copy between them.
+    every block row, with no copy between them. Each product runs as
+    GEMMs of at most 32x256x32 (CHUNK columns of ``x``, then CHUNK rows
+    of ``y``), small enough that BLAS runs them on the calling thread.
+    Every coefficient is still one 32-term dot product in the same
+    order, so the output is bit-identical to one GEMM per product.
     """
     height, width = plane.shape
     nby, nbx = height // BLOCK, width // BLOCK
@@ -85,11 +102,22 @@ def block_energies(plane: np.ndarray) -> np.ndarray:
         n = BLOCK * rows * width
         x = x_buf[:n].reshape(BLOCK, rows, width)
         np.copyto(x, strip.reshape(rows, BLOCK, width).transpose(1, 0, 2))
-        y = y_buf[:n].reshape(BLOCK, rows * width)
-        np.matmul(_DCT, x.reshape(BLOCK, rows * width), out=y)
-        # coeffs[(k, block row, block col), l] is coefficient (k, l)
-        coeffs = x_buf[:n].reshape(-1, BLOCK)
-        np.matmul(y.reshape(-1, BLOCK), _DCT_T, out=coeffs)
+        cols = rows * width
+        xm, y = x.reshape(BLOCK, cols), y_buf[:n].reshape(BLOCK, cols)
+        full = cols - cols % CHUNK
+        if full:  # all full (BLOCK, CHUNK) column chunks in one call
+            np.matmul(_DCT, _column_chunks(xm[:, :full]),
+                      out=_column_chunks(y[:, :full]))
+        if full < cols:
+            np.matmul(_DCT, xm[:, full:], out=y[:, full:])
+        # coeffs[(k, block row, block col), l] is coefficient (k, l);
+        # y and coeffs as (cols, BLOCK) matrices split at the same row
+        yr, coeffs = y.reshape(-1, BLOCK), x_buf[:n].reshape(-1, BLOCK)
+        if full:  # all full (CHUNK, BLOCK) row chunks in one call
+            np.matmul(yr[:full].reshape(-1, CHUNK, BLOCK), _DCT_T,
+                      out=coeffs[:full].reshape(-1, CHUNK, BLOCK))
+        if full < cols:
+            np.matmul(yr[full:], _DCT_T, out=coeffs[full:])
         np.abs(coeffs, out=coeffs)
         total = (coeffs @ _ONES).reshape(BLOCK, rows * nbx).sum(axis=0)
         dc = coeffs.reshape(BLOCK, rows * nbx, BLOCK)[0, :, 0]

@@ -35,6 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import store as store_mod
 from . import y4m
+from .cpus import available_cpus
 from .encoders import EncodeJob, build_commands, get_spec, job_paths
 from .errors import (MetricError, MetricParseError, MissingBinaryError,
                      RdgaugeError)
@@ -252,12 +253,13 @@ def run_plan(
 
     Timing-strict mode serialises everything so wall-clock comparisons
     stay meaningful; otherwise jobs are independent and run on a worker
-    pool. Each distinct clip is probed once, up front, and its duration
-    and frame count or failure reason is shared by all of its jobs.
+    pool, by default of one worker per CPU the process may run on. Each
+    distinct clip is probed once, up front, and its duration and frame
+    count or failure reason is shared by all of its jobs.
     """
     if timing_strict:
         workers = 1
-    workers = workers or os.cpu_count() or 1
+    workers = workers or available_cpus()
     store_path = execute_kwargs.get("store_path")
     if store_path and "known_keys" not in execute_kwargs:
         execute_kwargs["known_keys"] = {

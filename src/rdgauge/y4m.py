@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
@@ -235,13 +236,36 @@ def parse_header(stream: BinaryIO) -> VideoHeader:
     )
 
 
+def _bytes_left(stream: BinaryIO) -> Optional[int]:
+    """Bytes after the current position of a regular file, else None."""
+    try:
+        st = os.fstat(stream.fileno())
+    except (AttributeError, OSError, ValueError):
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_size - stream.tell()
+
+
 def read_frame(stream: BinaryIO, header: VideoHeader) -> Optional[Frame]:
-    """Read one frame at the current position; None at clean EOF."""
+    """Read one frame at the current position; None at clean EOF.
+
+    On a regular file a payload longer than the bytes left is an
+    IncompleteFrameError before anything is read, so a forged frame size
+    fails its clip instead of allocating the claimed size.
+    """
     line = _read_line(stream, "frame marker")
     if line is None:
         return None
     _check_marker(line)
 
+    left = _bytes_left(stream)
+    if left is not None and left < header.frame_payload_bytes:
+        # a forged frame size must not allocate its claimed payload
+        raise IncompleteFrameError(
+            f"frame payload truncated: {left} of "
+            f"{header.frame_payload_bytes} bytes"
+        )
     payload = stream.read(header.frame_payload_bytes)
     if len(payload) != header.frame_payload_bytes:
         raise IncompleteFrameError(

@@ -4,10 +4,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from conftest import make_records
+from rdgauge import complexity as cx_mod
 from rdgauge import store, y4m
 from rdgauge.cli import main
 
@@ -317,6 +319,82 @@ class TestComplexityCommand:
             f"{r['clip']},{r['clip_se']:.9g},{r['clip_te']:.9g}" for r in written]
         err = capsys.readouterr().err
         assert re.search(r"^b_cut: error: .*truncated", err, re.M)
+
+    def test_forged_frame_size_fails_only_its_clip(self, tmp_path, capsys):
+        clips_dir = tmp_path / "clips"
+        clips_dir.mkdir()
+        header = y4m.make_header(32, 32)
+        with open(clips_dir / "ok.y4m", "wb") as f:
+            y4m.write_clip(header, y4m.synthetic_clip(header, 2), f)
+        forged = b"YUV4MPEG2 W2000000 H2000000 F30:1 Ip A1:1 C420jpeg\nFRAME\n"
+        (clips_dir / "forged.y4m").write_bytes(forged + bytes(160 - len(forged)))
+        rows = tmp_path / "cx.jsonl"
+        rc = main(["complexity", "--clips-dir", str(clips_dir),
+                   "--out", str(rows)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert re.search(r"^ok: SE=.* frames=2$", out, re.M)
+        assert err == ("forged: error: frame payload truncated: "
+                       "103 of 6000000000000 bytes\n")
+        assert [json.loads(line)["clip"]
+                for line in rows.read_text().splitlines()] == ["ok"]
+
+    def _run_with_cpus(self, monkeypatch, capsys, clips_dir, work, cpus):
+        monkeypatch.setattr(cx_mod, "available_cpus", lambda: cpus)
+        work.mkdir()
+        rows, scatter = work / "cx.jsonl", work / "scatter.csv"
+        rc = main(["complexity", "--clips-dir", str(clips_dir), "--out",
+                   str(rows), "--scatter-csv", str(scatter)])
+        out, err = capsys.readouterr()
+        return rc, out, err, rows.read_bytes(), scatter.read_bytes()
+
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch,
+                                                 capsys):
+        clips_dir = tmp_path / "clips"
+        clips_dir.mkdir()
+        for n, size in enumerate([(64, 32), (32, 32), (96, 64), (64, 64),
+                                  (32, 64)]):
+            header = y4m.make_header(*size)
+            path = clips_dir / f"c{n}.y4m"
+            with open(path, "wb") as f:
+                y4m.write_clip(header, y4m.synthetic_clip(header, 3, seed=n), f)
+        bad = clips_dir / "c2.y4m"
+        bad.write_bytes(bad.read_bytes()[:-50])  # the middle clip is cut
+        one = self._run_with_cpus(monkeypatch, capsys, clips_dir,
+                                  tmp_path / "one", 1)
+        three = self._run_with_cpus(monkeypatch, capsys, clips_dir,
+                                    tmp_path / "three", 3)
+        assert one == three
+        rc, out, err, rows, _ = one
+        assert rc == 2
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "c0", "c1", "c3", "c4"]
+        assert re.fullmatch(r"c2: error: frame payload truncated: .*\n", err)
+        assert len(rows.splitlines()) == 4
+
+    def test_unexpected_error_cancels_clips_not_started(self, tmp_path,
+                                                        monkeypatch, capsys):
+        names = [f"c{n}" for n in range(1, 7)]
+        started = []
+
+        def analyze(path):
+            name = Path(path).stem
+            started.append(name)
+            if name == "c1":
+                time.sleep(0.5)  # still running when c2 fails
+            if name == "c2":
+                raise RuntimeError("boom")
+            return cx_mod.ComplexityRecord(name, (1.0,), ())
+
+        monkeypatch.setattr(cx_mod, "available_cpus", lambda: 2)
+        monkeypatch.setattr(cx_mod, "analyze_clip", analyze)
+        rows = tmp_path / "cx.jsonl"
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["complexity", "--clips", ",".join(names), "--out",
+                  str(rows)])
+        assert sorted(started) == ["c1", "c2"]
+        assert capsys.readouterr().out.startswith("c1: SE=1.0000")
+        assert not rows.exists()
 
 
 class TestReportCommand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdgauge import complexity, kernels, y4m
-from rdgauge.errors import Y4MValidationError
+from rdgauge.errors import IncompleteFrameError, Y4MValidationError
 
 DCT = kernels.dct_matrix(32)
 
@@ -221,3 +221,48 @@ class TestAnalyzeClip:
         rows = complexity.scatter_csv_rows([rec])
         assert rows[0] == "clip_id,clip_se,clip_te"
         assert rows[1].startswith("c1,2,0.5")
+
+
+class TestAnalyzeClips:
+    def _pool_sizes(self, monkeypatch, cpus):
+        sizes = []
+
+        class Recording(complexity.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kw)
+
+        monkeypatch.setattr(complexity, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(complexity, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, clips, workers", [
+        (3, 2, 2), (3, 5, 3), (1, 4, 1), (4, 0, 1)])
+    def test_one_worker_per_clip_up_to_the_cpus(self, tmp_path, monkeypatch,
+                                                cpus, clips, workers):
+        sizes = self._pool_sizes(monkeypatch, cpus)
+        header = y4m.make_header(32, 32)
+        paths = []
+        for n in range(clips):
+            paths.append(tmp_path / f"c{n}.y4m")
+            with open(paths[-1], "wb") as f:
+                y4m.write_clip(header, y4m.synthetic_clip(header, 2, seed=n), f)
+        got = list(complexity.analyze_clips(paths))
+        assert sizes == [workers]
+        assert got == [(path, complexity.analyze_clip(path)) for path in paths]
+
+    def test_failed_clips_yield_their_errors_in_order(self, tmp_path,
+                                                      monkeypatch):
+        self._pool_sizes(monkeypatch, 2)
+        header = y4m.make_header(32, 32)
+        good = tmp_path / "good.y4m"
+        with open(good, "wb") as f:
+            y4m.write_clip(header, y4m.synthetic_clip(header, 2), f)
+        cut = tmp_path / "cut.y4m"
+        cut.write_bytes(good.read_bytes()[:-10])
+        missing = tmp_path / "missing.y4m"
+        got = list(complexity.analyze_clips([missing, good, cut, good]))
+        assert [path for path, _ in got] == [missing, good, cut, good]
+        assert isinstance(got[0][1], FileNotFoundError)
+        assert isinstance(got[2][1], IncompleteFrameError)
+        assert got[1][1] == got[3][1] == complexity.analyze_clip(good)

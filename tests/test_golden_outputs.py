@@ -14,7 +14,8 @@ The complexity digests pin ``rdgauge complexity --out`` and
 block-energy kernel and the TE difference: an 8-bit moving clip, a
 letterboxed clip with one near-flat block (one sample off by 1), a
 10-bit clip at the maximum sample value, and a clip whose size is not a
-multiple of 32, so padding runs.
+multiple of 32, so padding runs. They are pinned once with one worker
+and once with four, so the clip pool is checked on any host.
 
 When an output changes on purpose, print the new digests with
 ``python tests/test_golden_outputs.py`` and explain the change in the
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 from conftest import make_records
-from rdgauge import bd, scenario, store, y4m
+from rdgauge import bd, complexity, scenario, store, y4m
 from rdgauge.cli import main
 from rdgauge.errors import AnalysisError
 
@@ -250,10 +251,21 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
     assert {k: v for k, v in got.items() if DIGESTS[k] != v} == {}
 
 
-def test_complexity_bytes_are_pinned(tmp_path, capsys):
-    got = _complexity_outputs(tmp_path)
+def _pinned_with_cpus(work, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(complexity, "available_cpus", lambda: cpus)
+    got = _complexity_outputs(work)
     capsys.readouterr()
     assert got == COMPLEXITY_DIGESTS
+
+
+def test_complexity_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    _pinned_with_cpus(tmp_path, capsys, monkeypatch, 1)
+
+
+def test_complexity_bytes_are_pinned_on_four_workers(tmp_path, capsys,
+                                                      monkeypatch):
+    # four workers on any host, a one-CPU one included
+    _pinned_with_cpus(tmp_path, capsys, monkeypatch, 4)
 
 
 if __name__ == "__main__":

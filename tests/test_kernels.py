@@ -57,8 +57,9 @@ def test_numpy_kernel_matches_scipy_dct(dtype, top, shape):
 def _reference_block_energies(plane):
     """``block_energies`` with the flat test run on every block.
 
-    The same strips and GEMMs as the kernel, then an exact comparison of
-    every sample with its block's first one.
+    The same strips as the kernel, but each of the two products in one
+    GEMM over the whole strip, then an exact comparison of every sample
+    with its block's first one.
     """
     height, width = plane.shape
     nby, nbx = height // 32, width // 32
@@ -152,3 +153,18 @@ def test_candidate_flat_test_matches_full_test(dtype, nbx, seed, data):
         st.sampled_from((None,) + _PLANTS[dtype]),
         min_size=1, max_size=nbx * (kernels.STRIP_ROWS + 2)))
     _assert_matches_full_test(_planted_plane(dtype, kinds, nbx, seed))
+
+
+# Widths whose strips leave a partial last CHUNK (96: 384 columns in a
+# 4-row strip, 96 in a 1-row strip; 1952: 7808 columns), leave none
+# (3840, a multiple of CHUNK) or hold only a partial chunk (32).
+@pytest.mark.parametrize("width", [32, 96, 1952, 3840])
+@pytest.mark.parametrize("block_rows", [1, kernels.STRIP_ROWS + 1],
+                         ids=["one-block-row", "strip-plus-one-row"])
+@pytest.mark.parametrize("dtype", sorted(_PLANTS))
+def test_chunked_gemms_equal_one_gemm_per_product(dtype, width, block_rows):
+    nbx = width // 32
+    # every planted kind, then a random block, repeated over the plane
+    cycle = [k for kind in _PLANTS[dtype] for k in (kind, None)]
+    kinds = [cycle[n % len(cycle)] for n in range(nbx * block_rows)]
+    _assert_matches_full_test(_planted_plane(dtype, kinds, nbx, seed=width))

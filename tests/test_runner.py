@@ -271,6 +271,25 @@ class TestRunPlan:
         outcomes = runner.run_plan(jobs, **kw)
         assert [o.status for o in outcomes] == ["skipped", "skipped", "ok"]
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_default_workers_follow_available_cpus(self, fake_bin, small_clip,
+                                                   tmp_path, monkeypatch,
+                                                   cpus):
+        pools = []
+
+        class Recording(runner.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(runner, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", Recording)
+        jobs = [_job(small_clip, target_kbps=tbr) for tbr in (100, 200)]
+        outcomes = runner.run_plan(jobs, work_dir=tmp_path / "w",
+                                   bin_dir=fake_bin)
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert pools == ([] if cpus == 1 else [cpus])
+
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_each_clip_probed_once_per_plan(self, fake_bin, tmp_path,
                                             monkeypatch, workers):

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -256,3 +257,28 @@ def test_reader_streams_sequentially(tmp_path):
     with y4m.Y4MReader(path) as reader:
         got = list(reader.frames())
     assert len(got) == 3
+
+
+FORGED = b"YUV4MPEG2 W2000000 H2000000 F30:1 Ip A1:1 C420jpeg\nFRAME\n"
+
+
+def test_forged_frame_size_fails_before_reading(tmp_path):
+    # a 6 TB payload claimed by a 160-byte file
+    path = tmp_path / "forged.y4m"
+    path.write_bytes(FORGED + bytes(160 - len(FORGED)))
+    with pytest.raises(IncompleteFrameError,
+                       match=r"truncated: 103 of 6000000000000 bytes"):
+        y4m.read_clip(path)
+
+
+def test_pipe_streams_are_read_without_a_size_check():
+    header = y4m.make_header(4, 4)
+    frames = _random_frames(header, 2, np.random.default_rng(6))
+    data = io.BytesIO()
+    y4m.write_clip(header, frames, data)
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, data.getvalue())  # far below a pipe's capacity
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as stream:  # st_size is 0 on Linux
+        _, got = y4m.read_clip(stream)
+    assert [f.y.tolist() for f in got] == [f.y.tolist() for f in frames]
