@@ -113,22 +113,10 @@ def _cmd_plan(args) -> int:
 def _cmd_encode(args) -> int:
     jobs = _build_plan(args)
     store_path = _require_store(args)
-    tools = [encoders.get_spec(job.family).binary for job in jobs]
-    if args.with_vmaf:
-        tools.append("ffmpeg")
-    for tool in dict.fromkeys(tools):  # fail before the first job starts
-        runner.resolve_binary(tool, args.binary_dir)
-    measure = None
-    if args.with_vmaf:
-        def measure(outcome):
-            return runner.measure_quality(
-                outcome.job.input_path, outcome.output_path,
-                bin_dir=args.binary_dir,
-                expected_frames=outcome.source_frames)
     outcomes = runner.run_plan(
         jobs, workers=args.jobs, timing_strict=args.timing_strict,
         work_dir=args.work_dir, bin_dir=args.binary_dir,
-        store_path=store_path, force=args.force, measure=measure)
+        store_path=store_path, force=args.force, with_vmaf=args.with_vmaf)
     counts = {"ok": 0, "failed": 0, "skipped": 0}
     for outcome in outcomes:
         counts[outcome.status] += 1

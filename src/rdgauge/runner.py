@@ -3,10 +3,11 @@
 Runs encoder processes with per-pass monotonic wall-clock timing,
 persists outcomes through the results store, and invokes the external
 VMAF tool over finished encodes. Completed (clip, family, preset,
-passes, tbr) keys are skipped unless forced. A plan probes each
-distinct clip's duration once, before any job runs; a clip that cannot
-be probed or has no frames, an encode that leaves no output, and a
-quality measurement that fails, fail only their own jobs.
+passes, tbr) keys are skipped unless forced. A plan resolves every
+tool it needs and probes each distinct clip's duration once, before any
+job runs; a clip that cannot be probed or has no frames, an encode that
+leaves no output, and a quality measurement that fails, fail only their
+own jobs.
 
 Rate accounting: ``measured_kbps`` counts every byte of the output file
 over the clip's duration, container overhead included (for IVF, the
@@ -30,8 +31,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import store as store_mod
 from . import y4m
@@ -69,7 +71,6 @@ class JobOutcome:
     output_path: str = ""
     stderr_tail: str = ""
     reason: str = ""  # why a failed job failed
-    source_frames: int = 0  # frames in the input clip, from its probe
 
     @property
     def total_seconds(self) -> float:
@@ -130,20 +131,20 @@ def execute(
     bin_dir: Optional[Union[str, Path]] = None,
     store_path: Optional[Union[str, Path]] = None,
     force: bool = False,
-    measure: Optional[Callable[["JobOutcome"], tuple[float, float]]] = None,
+    with_vmaf: bool = False,
     known_keys: Optional[set] = None,
     durations: Optional[dict[str, tuple[float, int, str]]] = None,
 ) -> JobOutcome:
     """Run all passes of a job in order and persist the outcome.
 
-    ``measure`` may map a finished outcome to (vmaf, psnr_y); when the
-    store path is set, a finished encode is appended as a MetricRecord.
-    If ``measure`` raises MetricError, the record keeps vmaf and psnr_y
-    None and the outcome fails with the reason.
-    ``known_keys`` lets a scheduler preload the store's completed keys
-    instead of re-reading the file per job, and ``durations`` maps each
-    input path to its ``probe_duration`` result instead of probing the
-    clip per job.
+    When the store path is set, a finished encode is appended as a
+    MetricRecord; with ``with_vmaf`` its quality is first measured by
+    ``measure_quality`` against the clip's probed frame count. If that
+    raises MetricError, the record keeps vmaf and psnr_y None and the
+    outcome fails with the reason. ``run_plan`` passes ``known_keys``,
+    the store's completed keys, and ``durations``, each input path's
+    ``probe_duration`` result; a standalone call reads the store and
+    probes the clip itself.
     """
     work_dir = Path(work_dir or os.environ.get(ENV_WORK_DIR, "."))
     work_dir.mkdir(parents=True, exist_ok=True)
@@ -216,14 +217,16 @@ def execute(
     outcome = JobOutcome(
         job=job, status="ok", wall_seconds=tuple(walls),
         output_bytes=output_bytes, measured_kbps=measured_kbps,
-        output_path=output_path, source_frames=frames,
+        output_path=output_path,
     )
 
     if store_path:
         vmaf = psnr = None
-        if measure is not None:
+        if with_vmaf:
             try:
-                vmaf, psnr = measure(outcome)
+                vmaf, psnr = measure_quality(
+                    job.input_path, output_path, bin_dir=bin_dir,
+                    expected_frames=frames)
             except MetricError as exc:
                 # keep the encode; its quality can be measured again later
                 outcome.status = "failed"
@@ -247,32 +250,41 @@ def run_plan(
     *,
     workers: Optional[int] = None,
     timing_strict: bool = False,
-    **execute_kwargs,
+    work_dir: Optional[Union[str, Path]] = None,
+    bin_dir: Optional[Union[str, Path]] = None,
+    store_path: Optional[Union[str, Path]] = None,
+    force: bool = False,
+    with_vmaf: bool = False,
 ) -> list[JobOutcome]:
     """Execute a plan with bounded parallelism.
 
-    Timing-strict mode serialises everything so wall-clock comparisons
-    stay meaningful; otherwise jobs are independent and run on a worker
-    pool, by default of one worker per CPU the process may run on. Each
-    distinct clip is probed once, up front, and its duration and frame
-    count or failure reason is shared by all of its jobs.
+    Before the first job, every tool the plan needs (each job's encoder,
+    plus ffmpeg with ``with_vmaf``) is resolved, so a missing one raises
+    MissingBinaryError with nothing run; then the store is read once for
+    its completed keys and each distinct clip is probed once. Timing-strict
+    mode serialises everything so wall-clock comparisons stay meaningful;
+    otherwise jobs run on a worker pool, by default of one worker per CPU
+    the process may run on.
     """
+    tools = [get_spec(job.family).binary for job in jobs]
+    if with_vmaf:
+        tools.append("ffmpeg")
+    for tool in dict.fromkeys(tools):
+        resolve_binary(tool, bin_dir)
     if timing_strict:
         workers = 1
     workers = workers or available_cpus()
-    store_path = execute_kwargs.get("store_path")
-    if store_path and "known_keys" not in execute_kwargs:
-        execute_kwargs["known_keys"] = {
-            rec.key() for rec in store_mod.load(store_path)}
-    if "durations" not in execute_kwargs:
-        execute_kwargs["durations"] = {
-            path: probe_duration(path)
-            for path in dict.fromkeys(job.input_path for job in jobs)}
+    known_keys = ({rec.key() for rec in store_mod.load(store_path)}
+                  if store_path else None)
+    durations = {path: probe_duration(path)
+                 for path in dict.fromkeys(job.input_path for job in jobs)}
+    run = partial(execute, work_dir=work_dir, bin_dir=bin_dir,
+                  store_path=store_path, force=force, with_vmaf=with_vmaf,
+                  known_keys=known_keys, durations=durations)
     if workers == 1:
-        return [execute(job, **execute_kwargs) for job in jobs]
+        return [run(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(execute, job, **execute_kwargs) for job in jobs]
-        return [f.result() for f in futures]
+        return list(pool.map(run, jobs))
 
 
 def parse_vmaf_log(text: str) -> tuple[float, float, int]:

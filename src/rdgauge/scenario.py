@@ -89,12 +89,6 @@ class ConfigSummary:
     def coverage_fraction(self) -> float:
         return self.n_above / self.n_records if self.n_records else 0.0
 
-    @property
-    def checkpoint_fraction(self) -> float:
-        if not self.n_checkpoint_records:
-            return 0.0
-        return self.n_checkpoint_above / self.n_checkpoint_records
-
 
 def group_by_config(records: Iterable[MetricRecord]
                     ) -> dict[Config, list[MetricRecord]]:

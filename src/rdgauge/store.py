@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import StoreImportError, StoreLoadError, StoreValidationError
 
@@ -167,11 +167,8 @@ def append(path: Union[str, Path], record: MetricRecord) -> None:
         f.flush()
 
 
-def load(
-    path: Union[str, Path],
-    where: Optional[Callable[[MetricRecord], bool]] = None,
-) -> list[MetricRecord]:
-    """Deduped (keep-latest), filtered records in deterministic order.
+def load(path: Union[str, Path]) -> list[MetricRecord]:
+    """Deduped (keep-latest) records, sorted by key then ``created_at``.
 
     A malformed trailing line is assumed to be a crashed write and is
     skipped with a warning; a malformed line anywhere else is an error.
@@ -186,10 +183,7 @@ def load(
     if size < len(data):
         state = _load_tail(path, data, size, lines, state)
     rows, _, order = state
-    out = [MetricRecord(*rows[j]) for j in order]
-    if where is not None:
-        out = [rec for rec in out if where(rec)]
-    return out
+    return [MetricRecord(*rows[j]) for j in order]
 
 
 def _load_tail(path: Path, data: bytes, start: int, first: int,

@@ -41,6 +41,7 @@ CHROMA_BIT_DEPTH = {
 }
 
 _MAX_LINE = 4096
+_PIPE_CHUNK = 16 << 20  # largest single read from a stream of unknown size
 
 
 @dataclass(frozen=True)
@@ -250,28 +251,36 @@ def _bytes_left(stream: BinaryIO) -> Optional[int]:
 def read_frame(stream: BinaryIO, header: VideoHeader) -> Optional[Frame]:
     """Read one frame at the current position; None at clean EOF.
 
-    On a regular file a payload longer than the bytes left is an
-    IncompleteFrameError before anything is read, so a forged frame size
-    fails its clip instead of allocating the claimed size.
+    A forged frame size fails its clip instead of allocating the claimed
+    size: on a regular file a payload longer than the bytes left is an
+    IncompleteFrameError before anything is read, and any other stream
+    is read at most 16 MiB at a time, stopping at the first short read.
     """
     line = _read_line(stream, "frame marker")
     if line is None:
         return None
     _check_marker(line)
 
+    size = header.frame_payload_bytes
     left = _bytes_left(stream)
-    if left is not None and left < header.frame_payload_bytes:
+    if left is None:  # a pipe: allocate what arrives, not what is claimed
+        chunks, got = [], 0
+        while got < size:
+            want = min(size - got, _PIPE_CHUNK)
+            chunks.append(stream.read(want))
+            got += len(chunks[-1])
+            if len(chunks[-1]) < want:
+                break
+        payload = b"".join(chunks)
+    elif left < size:
         # a forged frame size must not allocate its claimed payload
         raise IncompleteFrameError(
-            f"frame payload truncated: {left} of "
-            f"{header.frame_payload_bytes} bytes"
-        )
-    payload = stream.read(header.frame_payload_bytes)
-    if len(payload) != header.frame_payload_bytes:
+            f"frame payload truncated: {left} of {size} bytes")
+    else:
+        payload = stream.read(size)
+    if len(payload) != size:
         raise IncompleteFrameError(
-            f"frame payload truncated: {len(payload)} of "
-            f"{header.frame_payload_bytes} bytes"
-        )
+            f"frame payload truncated: {len(payload)} of {size} bytes")
 
     samples = np.frombuffer(payload, dtype=header.dtype)
     ny = header.width * header.height

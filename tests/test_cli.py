@@ -339,6 +339,20 @@ class TestComplexityCommand:
         assert [json.loads(line)["clip"]
                 for line in rows.read_text().splitlines()] == ["ok"]
 
+    def test_forged_frame_size_on_stdin_exits_2(self, tmp_path):
+        forged = b"YUV4MPEG2 W2000000 H2000000 F30:1 Ip A1:1 C420jpeg\nFRAME\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdgauge.cli", "complexity", "--clips",
+             "/dev/stdin"], input=forged + bytes(160 - len(forged)),
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            "stdin: error: frame payload truncated: 103 of 6000000000000 "
+            "bytes\n")
+
     def _run_with_cpus(self, monkeypatch, capsys, clips_dir, work, cpus):
         monkeypatch.setattr(cx_mod, "available_cpus", lambda: cpus)
         work.mkdir()

@@ -317,6 +317,21 @@ class TestRunPlan:
         assert probes == {str(clip): 1 for clip in clips}
         assert {o.measured_kbps for o in outcomes} == {80.0}  # 10000 B in 1 s
 
+    def test_missing_metric_tool_fails_before_the_first_job(
+            self, fake_bin, small_clip, tmp_path, monkeypatch):
+        (fake_bin / "ffmpeg").unlink()
+        monkeypatch.setenv("PATH", str(tmp_path / "nowhere"))
+        monkeypatch.delenv("RDGAUGE_BIN_DIR", raising=False)
+        jobs = [_job(small_clip, family="svt-av1", preset="10",
+                     target_kbps=tbr) for tbr in (100, 200, 300)]
+        store_path = tmp_path / "s.jsonl"
+        with pytest.raises(MissingBinaryError, match="'ffmpeg'"):
+            runner.run_plan(jobs, workers=1, work_dir=tmp_path / "w",
+                            bin_dir=fake_bin, store_path=store_path,
+                            with_vmaf=True)
+        assert not (fake_bin / "calls.log").exists()
+        assert not store_path.exists()
+
     def test_missing_output_fails_only_its_job(self, fake_bin, small_clip,
                                                tmp_path):
         # SvtAv1EncApp exits 0 without writing; ffmpeg jobs still succeed.

@@ -62,13 +62,6 @@ class TestLoad:
         back = store.load(tmp_store)[0]
         assert back == rec
 
-    def test_filter_predicate(self, tmp_store):
-        for clip in ("a", "b", "c"):
-            store.append(tmp_store, _record(clip_id=clip))
-        got = store.load(tmp_store, where=lambda r: r.clip_id in ("a", "c"))
-        assert [r.clip_id for r in got] == ["a", "c"]
-        assert store.load(tmp_store, where=lambda r: False) == []
-
     def test_full_matrix_slice_is_744_rows(self, tmp_store):
         clips = [f"shot{i:03d}" for i in range(62)]
         ladder = [500, 1000, 2000, 3000, 4000, 6000, 8000, 10000, 12000,
@@ -80,8 +73,8 @@ class TestLoad:
                         store.append(tmp_store, _record(
                             clip_id=clip, family="svt-av1", preset=preset,
                             passes=passes, target_kbps=float(tbr)))
-        got = store.load(tmp_store, where=lambda r: (
-            r.family == "svt-av1" and r.passes == 1 and r.preset == "2"))
+        got = [r for r in store.load(tmp_store) if (
+            r.family == "svt-av1" and r.passes == 1 and r.preset == "2")]
         assert len(got) == 744
 
     def test_partial_trailing_line_ignored(self, tmp_store, caplog):

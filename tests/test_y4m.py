@@ -282,3 +282,37 @@ def test_pipe_streams_are_read_without_a_size_check():
     with os.fdopen(read_fd, "rb") as stream:  # st_size is 0 on Linux
         _, got = y4m.read_clip(stream)
     assert [f.y.tolist() for f in got] == [f.y.tolist() for f in frames]
+
+
+def test_forged_frame_size_on_a_pipe_fails_without_allocating_it():
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, FORGED + bytes(160 - len(FORGED)))
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as stream:
+        with pytest.raises(IncompleteFrameError,
+                           match=r"truncated: 103 of 6000000000000 bytes"):
+            y4m.read_clip(stream)
+
+
+@pytest.mark.parametrize("chunk", [5, 24])
+def test_pipe_payload_read_in_chunks(monkeypatch, chunk):
+    # a 4x4 frame's payload is 24 bytes: chunks of 5 split it unevenly,
+    # chunks of 24 end exactly at its end
+    monkeypatch.setattr(y4m, "_PIPE_CHUNK", chunk)
+    header = y4m.make_header(4, 4)
+    frames = _random_frames(header, 2, np.random.default_rng(7))
+    data = io.BytesIO()
+    y4m.write_clip(header, frames, data)
+    for cut, error in ((0, None), (7, "truncated: 17 of 24 bytes")):
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, data.getvalue()[:len(data.getvalue()) - cut])
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as stream:
+            reader = y4m.Y4MReader(stream)
+            assert reader.read_frame().y.tolist() == frames[0].y.tolist()
+            if error:
+                with pytest.raises(IncompleteFrameError, match=error):
+                    reader.read_frame()
+            else:
+                assert reader.read_frame().v.tolist() == frames[1].v.tolist()
+                assert reader.read_frame() is None
