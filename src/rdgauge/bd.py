@@ -26,10 +26,18 @@ The conventional one is batched: ``curves_from_records`` returns a
 ``classic_bd_rate`` integrates every shared clip of a pair at once on
 the two stacks. Its per-clip values, their mean in clip-id order and
 the reported interval are bit-identical to a ``bd_rate`` per clip.
+
+Both reductions read a ``RecordTable``'s columns. ``curves_from_records``
+cleans every clip of a configuration at once (``_clean``) and builds an
+``RDCurve`` per clip only when one is read; ``aggregate_curve`` sums
+each rung's reciprocals with ``np.bincount``, left to right in record
+order, so its means equal a Python loop's to the bit.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 import math
 from bisect import bisect_right
@@ -47,6 +55,7 @@ from .errors import (
     OverlapError,
 )
 from .store import MetricRecord
+from .table import RecordTable
 
 log = logging.getLogger(__name__)
 
@@ -113,34 +122,82 @@ def clean_curve(
     quality at no more rate; among equal qualities the lowest rate
     survives. The survivors are strictly increasing in both axes.
     """
-    pts = []
-    for p in points:
-        if isinstance(p, RDPoint):
-            rate, quality = p.rate, p.quality
-        else:
-            rate, quality = float(p[0]), float(p[1])
-        if not (rate > 0):
-            raise CurveError(f"rates must be positive, got {rate}")
-        if not math.isfinite(quality):
-            raise CurveError(f"quality must be finite, got {quality}")
-        pts.append((rate, quality))
-    # By rate, best quality first among equal rates: a point survives
-    # when its quality beats every point of no greater rate.
-    survivors = []
-    best = -math.inf
-    for rate, quality in sorted(set(pts), key=lambda p: (p[0], -p[1])):
-        if quality > best:
-            survivors.append((rate, quality))
-            best = quality
-    if len(survivors) < 2:
-        raise CurveError(
-            f"curve {id!r}: only {len(survivors)} point(s) survive cleaning; "
-            "need at least 2"
-        )
-    return RDCurve(
-        id=id, metric_kind=metric_kind,
-        points=tuple(RDPoint(rate=r, quality=q) for r, q in survivors),
-    )
+    pts = [(p.rate, p.quality) if isinstance(p, RDPoint)
+           else (float(p[0]), float(p[1])) for p in points]
+    rate = np.array([r for r, _ in pts], dtype=float)
+    quality = np.array([q for _, q in pts], dtype=float)
+    bad, n, rates, qualities = _clean(np.zeros(len(pts), dtype=np.intp),
+                                      1, rate, quality)
+    if bad[0] >= 0:
+        raise CurveError(_bad_point(*pts[bad[0]]))
+    if n[0] < 2:
+        raise CurveError(_too_few(id, n[0]))
+    return _curve(id, metric_kind, rates[0, :n[0]], qualities[0, :n[0]])
+
+
+def _clean(group: np.ndarray, groups: int, rate: np.ndarray,
+           quality: np.ndarray) -> tuple:
+    """``clean_curve``'s rule for many curves at once.
+
+    ``group[k]`` numbers the curve of point k, from 0 to ``groups`` - 1;
+    each curve's points keep their input order. Returns, per curve, the
+    index of its first point with a rate not above 0 or a quality that
+    is not finite (-1 when none), its survivor count, and its survivors
+    in rows of two arrays (curves x most survivors), by increasing rate,
+    the qualities padded with +inf.
+
+    The points are sorted by (curve, rate, -quality), stably, and padded
+    to rows with -inf; a point survives when its quality is above the
+    running maximum of the points before it in its row. An exact
+    duplicate, and a point with the quality of a lower rate, never is,
+    so the first of equal points in input order is the one kept.
+    """
+    order = np.lexsort((-quality, rate, group))
+    g = group[order]
+    count = np.bincount(group, minlength=groups)
+    col = np.arange(len(order)) - (np.cumsum(count) - count)[g]
+    shape = (groups, int(count.max()) if len(order) else 0)
+    q = np.full(shape, -np.inf)
+    r = np.ones(shape)
+    q[g, col] = quality[order]
+    r[g, col] = rate[order]
+    before = np.full(shape, -np.inf)
+    before[:, 1:] = np.maximum.accumulate(q, axis=1)[:, :-1]
+    keep = q > before
+    n = np.count_nonzero(keep, axis=1)
+
+    bad = np.full(groups, -1, dtype=np.intp)
+    invalid = np.flatnonzero(~(rate > 0) | ~np.isfinite(quality))
+    where, first = np.unique(group[invalid], return_index=True)
+    bad[where] = invalid[first]
+
+    out = (groups, int(n.max()) if groups else 0)
+    rates = np.ones(out)
+    qualities = np.full(out, np.inf)
+    at = np.cumsum(keep, axis=1)[keep] - 1
+    rows = np.nonzero(keep)[0]
+    rates[rows, at] = r[keep]
+    qualities[rows, at] = q[keep]
+    return bad, n, rates, qualities
+
+
+def _bad_point(rate: float, quality: float) -> str:
+    """The message of the point that makes ``clean_curve`` reject a curve."""
+    if not (rate > 0):
+        return f"rates must be positive, got {rate}"
+    return f"quality must be finite, got {quality}"
+
+
+def _too_few(id: str, n) -> str:
+    return (f"curve {id!r}: only {int(n)} point(s) survive cleaning; "
+            "need at least 2")
+
+
+def _curve(id: str, metric_kind: str, rates: np.ndarray,
+           qualities: np.ndarray) -> RDCurve:
+    return RDCurve(id=id, metric_kind=metric_kind, points=tuple(
+        RDPoint(rate=r, quality=q)
+        for r, q in zip(rates.tolist(), qualities.tolist())))
 
 
 def _end_slopes(h0: np.ndarray, h1: np.ndarray, m0: np.ndarray,
@@ -324,13 +381,84 @@ def harmonic_mean(values: Iterable[float]) -> float:
     return len(vals) / sum(1.0 / v for v in vals)
 
 
-def _metric_value(record: MetricRecord, metric_kind: str) -> float:
-    value = record.vmaf if metric_kind == METRIC_VMAF else record.psnr_y
-    if value is None:
-        raise AggregationError(
-            f"record {record.key()} has no {metric_kind} measurement"
-        )
-    return value
+def _metric_column(table: RecordTable,
+                   metric_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The quality column of ``metric_kind`` and its null mask."""
+    name = "vmaf" if metric_kind == METRIC_VMAF else "psnr_y"
+    return table.columns[name], table.nulls[name]
+
+
+def _missing(table: RecordTable, row: int, metric_kind: str) -> AggregationError:
+    return AggregationError(
+        f"record {table[row].key()} has no {metric_kind} measurement")
+
+
+def _aggregate(table: RecordTable, rows: np.ndarray, group: np.ndarray,
+               groups: int, metric_kind: str, method: str) -> tuple:
+    """``aggregate_points`` for groups of a table's rows at once.
+
+    ``group[k]`` numbers the group of row ``rows[k]``, from 0 to
+    ``groups`` - 1. Returns each group's rate and quality and the error
+    it raises instead, or None, found in ``aggregate_points``' order:
+    mixed keys, a missing measurement, the method, then non-positive
+    rates and qualities. Each sum runs left to right over the group's
+    rows (``np.bincount``), as ``harmonic_mean``'s does.
+    """
+    cols = table.columns
+    rate = cols["kbps"][rows]
+    quality, null = (c[rows] for c in _metric_column(table, metric_kind))
+    count = np.bincount(group, minlength=groups)
+    lead = np.zeros(groups, dtype=np.intp)
+    present, first = np.unique(group, return_index=True)
+    lead[present] = first
+    ref = lead[group]
+    same = cols["tbr_kbps"][rows] == cols["tbr_kbps"][rows[ref]]
+    for name in ("family", "preset", "passes"):
+        same &= cols[name][rows] == cols[name][rows[ref]]
+    mixed = np.bincount(group[~same & (ref != np.arange(len(rows)))],
+                        minlength=groups)
+    missing = np.bincount(group[null], minlength=groups)
+    if method == "harmonic":
+        with np.errstate(all="ignore"):  # a group with an error is unused
+            rates = count / np.bincount(group, 1.0 / rate, minlength=groups)
+            qualities = count / np.bincount(group, 1.0 / quality,
+                                            minlength=groups)
+        low_rate = np.bincount(group[rate <= 0], minlength=groups)
+        low_quality = np.bincount(group[(quality <= 0) & ~null],
+                                  minlength=groups)
+    else:
+        rates = np.full(groups, np.nan)
+        qualities = np.full(groups, np.nan)
+        low_rate = low_quality = np.zeros(groups, dtype=np.intp)
+        if method == "arithmetic":
+            for g in present.tolist():
+                members = group == g
+                rates[g] = np.mean(rate[members])
+                qualities[g] = np.mean(quality[members])
+
+    errors: list = [None] * groups
+    flagged = mixed + missing + low_rate + low_quality
+    if method not in ("harmonic", "arithmetic"):
+        flagged = count
+    for g in np.flatnonzero(flagged).tolist():
+        members = rows[group == g]
+        if mixed[g]:
+            keys = {(r.family, r.preset, r.passes, r.target_kbps)
+                    for r in table.take(members)}
+            errors[g] = AggregationError(
+                f"mixed configuration keys in aggregate: {sorted(keys)}")
+        elif missing[g]:
+            errors[g] = _missing(table, members[null[group == g]][0],
+                                 metric_kind)
+        elif method not in ("harmonic", "arithmetic"):
+            errors[g] = AggregationError(
+                f"unknown aggregation method {method!r}")
+        else:
+            values = rate[group == g] if low_rate[g] else quality[group == g]
+            errors[g] = DomainError(
+                f"harmonic mean needs positive values, got "
+                f"{min(values.tolist())}")
+    return rates.tolist(), qualities.tolist(), errors
 
 
 def aggregate_points(
@@ -343,18 +471,16 @@ def aggregate_points(
     Harmonic means by default; ``method="arithmetic"`` implements the
     additive bits/distortion variant for comparison.
     """
-    if not records:
+    table = RecordTable.of(records)
+    if not len(table):
         raise AggregationError("no records to aggregate")
-    keys = {(r.family, r.preset, r.passes, r.target_kbps) for r in records}
-    if len(keys) != 1:
-        raise AggregationError(f"mixed configuration keys in aggregate: {sorted(keys)}")
-    rates = [r.measured_kbps for r in records]
-    quals = [_metric_value(r, metric_kind) for r in records]
-    if method == "harmonic":
-        return RDPoint(rate=harmonic_mean(rates), quality=harmonic_mean(quals))
-    if method == "arithmetic":
-        return RDPoint(rate=float(np.mean(rates)), quality=float(np.mean(quals)))
-    raise AggregationError(f"unknown aggregation method {method!r}")
+    rows = np.arange(len(table))
+    rates, qualities, errors = _aggregate(
+        table, rows, np.zeros(len(rows), dtype=np.intp), 1, metric_kind,
+        method)
+    if errors[0] is not None:
+        raise errors[0]
+    return RDPoint(rate=rates[0], quality=qualities[0])
 
 
 def aggregate_curve(
@@ -365,11 +491,20 @@ def aggregate_curve(
     id: str = "",
 ) -> RDCurve:
     """One aggregate point per ladder rung with data, then a cleaned curve."""
+    table = RecordTable.of(records)
+    rungs, at = np.unique(np.array(ladder, dtype=float), return_inverse=True)
+    target = table.columns["tbr_kbps"]
+    rows = np.flatnonzero(np.isin(target, rungs))
+    group = np.searchsorted(rungs, target[rows])
+    rates, qualities, errors = _aggregate(
+        table, rows, group, len(rungs), metric_kind, method)
+    count = np.bincount(group, minlength=len(rungs))
     points = []
-    for tbr in ladder:
-        rung = [r for r in records if r.target_kbps == tbr]
-        if rung:
-            points.append(aggregate_points(rung, metric_kind, method))
+    for g in at.tolist():
+        if count[g]:
+            if errors[g] is not None:
+                raise errors[g]
+            points.append((rates[g], qualities[g]))
     if len(points) < 2:
         raise CurveError(
             f"aggregate curve {id!r} spans {len(points)} ladder rung(s); need 2"
@@ -407,30 +542,23 @@ class CurveStack:
     ``MonotoneInterpolant``, so every value equals the per-curve one.
     """
 
-    def __init__(self, curves: Mapping[str, RDCurve]):
-        ids = list(curves)
-        self.rows = {cid: r for r, cid in enumerate(ids)}
-        self.kinds = np.array([curves[cid].metric_kind for cid in ids],
-                              dtype=object)
-        self.n = np.array([len(curves[cid].points) for cid in ids],
-                          dtype=np.intp)
-        width = int(self.n.max()) if len(ids) else 2
-        self.x = np.full((len(ids), width), np.inf)
-        self.cum = np.zeros((len(ids), width))
-        self.c = np.zeros((4, len(ids), width - 1))
+    def __init__(self, curves: ClipCurves):
+        self.rows = curves.rows
+        self.kinds = curves.kinds
+        self.n = curves.n
+        width = int(self.n.max()) if len(self.n) else 2
+        self.x = np.full((len(self.n), width), np.inf)
+        self.cum = np.zeros((len(self.n), width))
+        self.c = np.zeros((4, len(self.n), width - 1))
         for knots in np.unique(self.n).tolist():
             rows = np.flatnonzero(self.n == knots)
-            points = [curves[ids[r]].points for r in rows.tolist()]
-            x = np.array([[p.quality for p in pts] for pts in points],
-                         dtype=float)
-            y = np.log10(np.array([[p.rate for p in pts] for pts in points],
-                                  dtype=float))
-            c, cum = _pchip_tables(x, y)
+            x = curves.qualities[rows, :knots]
+            c, cum = _pchip_tables(x, np.log10(curves.rates[rows, :knots]))
             self.x[rows, :knots] = x
             self.cum[rows, :knots] = cum
             self.c[:, rows, :knots - 1] = c
         self.lo = self.x[:, 0]
-        self.hi = self.x[np.arange(len(ids)), self.n - 1]
+        self.hi = self.x[np.arange(len(self.n)), self.n - 1]
 
     def integrals(self, rows: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray) -> np.ndarray:
@@ -447,27 +575,69 @@ class CurveStack:
 
 
 class ClipCurves(Mapping[str, RDCurve]):
-    """Read-only clip id -> curve mapping that stacks its curves'
-    interpolants (``CurveStack``) once, on first use."""
+    """Read-only clip id -> curve mapping over the points of its curves
+    as arrays.
+
+    Row r = ``rows[clip_id]`` holds that clip's ``n[r]`` points in
+    ``rates[r]`` and ``qualities[r]``, by increasing rate (padded), and
+    its metric kind in ``kinds[r]``. An ``RDCurve`` is built when it is
+    first read, and the stacked interpolants (``CurveStack``) once, on
+    first use.
+    """
 
     def __init__(self, curves: Mapping[str, RDCurve]):
+        ids = list(curves)
+        points = [curves[cid].points for cid in ids]
+        n = np.array([len(pts) for pts in points], dtype=np.intp)
+        rates = np.ones((len(ids), int(n.max()) if len(ids) else 0))
+        qualities = np.full(rates.shape, np.inf)
+        for r, pts in enumerate(points):
+            rates[r, :len(pts)] = [p.rate for p in pts]
+            qualities[r, :len(pts)] = [p.quality for p in pts]
+        kinds = np.array([curves[cid].metric_kind for cid in ids],
+                         dtype=object)
+        self._set(ids, kinds, n, rates, qualities)
         self._curves = dict(curves)
 
+    @classmethod
+    def _of_arrays(cls, ids: list, kinds: np.ndarray, n: np.ndarray,
+                   rates: np.ndarray, qualities: np.ndarray) -> ClipCurves:
+        self = cls.__new__(cls)
+        self._set(ids, kinds, n, rates, qualities)
+        self._curves = {}
+        return self
+
+    def _set(self, ids, kinds, n, rates, qualities) -> None:
+        self.rows = {cid: r for r, cid in enumerate(ids)}
+        self.kinds = kinds
+        self.n = n
+        self.rates = rates
+        self.qualities = qualities
+
     def __getitem__(self, clip_id: str) -> RDCurve:
-        return self._curves[clip_id]
+        curve = self._curves.get(clip_id)
+        if curve is None:
+            r = self.rows[clip_id]
+            curve = self._curves[clip_id] = _curve(
+                clip_id, self.kinds[r], self.rates[r, :self.n[r]],
+                self.qualities[r, :self.n[r]])
+        return curve
 
     def __iter__(self):
-        return iter(self._curves)
+        return iter(self.rows)
 
     def __len__(self) -> int:
-        return len(self._curves)
+        return len(self.rows)
+
+    def __contains__(self, clip_id) -> bool:
+        return clip_id in self.rows
 
     def __repr__(self) -> str:
-        return f"ClipCurves({self._curves!r})"
+        return f"ClipCurves({dict(self)!r})"
 
     @cached_property
     def stack(self) -> CurveStack:
-        return CurveStack(self._curves)
+        return CurveStack(self)
 
 
 def curves_from_records(
@@ -477,21 +647,39 @@ def curves_from_records(
     """Per-clip cleaned curves of (measured rate, quality), by clip id.
 
     Clips whose points collapse below two survivors are left out, each
-    logged at INFO with its configuration and the reason.
+    logged at INFO with its configuration and the reason. Every clip is
+    cleaned at once (``_clean``); clips are taken in id order, so a clip
+    missing a measurement raises after the drops of the clips before it.
     """
-    by_clip: dict[str, list[MetricRecord]] = {}
-    for rec in records:
-        by_clip.setdefault(rec.clip_id, []).append(rec)
-    curves = {}
-    for clip_id, recs in sorted(by_clip.items()):
-        pts = [(r.measured_kbps, _metric_value(r, metric_kind)) for r in recs]
-        try:
-            curves[clip_id] = clean_curve(pts, id=clip_id, metric_kind=metric_kind)
-        except CurveError as exc:
-            rec = recs[0]
-            log.info("dropping clip %s of %s:%s:%dp: %s", clip_id, rec.family,
-                     rec.preset, rec.passes, exc)
-    return ClipCurves(curves)
+    table = RecordTable.of(records)
+    codes, names = table.columns["clip"], table.tables["clip"]
+    by_id = sorted(np.unique(codes).tolist(), key=names.__getitem__)
+    ids = [names[c] for c in by_id]
+    rank = np.zeros(len(names), dtype=np.intp)
+    rank[by_id] = np.arange(len(by_id))
+    clip = rank[codes]  # each row's clip, numbered in id order
+    rate = table.columns["kbps"]
+    quality, null = _metric_column(table, metric_kind)
+    bad, n, rates, qualities = _clean(clip, len(ids), rate, quality)
+
+    stop = int(clip[null].min()) if null.any() else len(ids)
+    dropped = np.flatnonzero((bad >= 0) | (n < 2))
+    if len(dropped):
+        _, lead = np.unique(clip, return_index=True)
+        for c in dropped[dropped < stop].tolist():
+            reason = (_bad_point(rate[bad[c]].item(), quality[bad[c]].item())
+                      if bad[c] >= 0 else _too_few(ids[c], n[c]))
+            rec = table[lead[c]]
+            log.info("dropping clip %s of %s:%s:%dp: %s", ids[c], rec.family,
+                     rec.preset, rec.passes, reason)
+    if stop < len(ids):
+        raise _missing(table, np.flatnonzero(null & (clip == stop))[0],
+                       metric_kind)
+    kept = np.flatnonzero((bad < 0) & (n >= 2))
+    return ClipCurves._of_arrays(
+        [ids[c] for c in kept.tolist()],
+        np.full(len(kept), metric_kind, dtype=object), n[kept],
+        rates[kept], qualities[kept])
 
 
 def classic_bd_rate(
@@ -549,10 +737,22 @@ def _stack(curves: Mapping[str, RDCurve]) -> CurveStack:
 
 
 def curve_csv_rows(curve: RDCurve) -> list[str]:
-    """CSV export rows (id, q, rate_kbps)."""
-    rows = ["id,q,rate_kbps"]
-    for p in curve.points:
-        rows.append(f"{curve.id},{p.quality:.9g},{p.rate:.9g}")
+    """CSV export rows (id, q, rate_kbps).
+
+    Rows carry no line terminator. An id holding a comma, a quote or a
+    line break is quoted (the csv module's minimal quoting).
+    """
+    fields = [("id", "q", "rate_kbps")]
+    fields += [(curve.id, f"{p.quality:.9g}", f"{p.rate:.9g}")
+               for p in curve.points]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = []
+    for row in fields:
+        writer.writerow(row)
+        rows.append(buf.getvalue()[:-1])
+        buf.seek(0)
+        buf.truncate()
     return rows
 
 

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 from . import bd as bd_mod
 from . import complexity as cx_mod
 from . import encoders, report, runner, scenario, store
-from .errors import MissingBinaryError, PlanError, RdgaugeError
+from .errors import (MissingBinaryError, PlanError, RdgaugeError,
+                     StoreImportError)
 
 ENV_STORE = "RDGAUGE_STORE"
 
@@ -164,6 +165,9 @@ def _cmd_import(args) -> int:
     store_path = _require_store(args)
     with open(args.csv, newline="", encoding="utf-8") as f:
         reader = csv_lib.DictReader(f)
+        for name in ("label", "kbps", "vmaf", "psnr_y"):
+            if reader.fieldnames is not None and name not in reader.fieldnames:
+                raise StoreImportError(f"{args.csv}: no {name!r} column")
         rows = [(row["label"], row["kbps"], row["vmaf"], row["psnr_y"],
                  row.get("enc_s") or None) for row in reader]
     count = store.import_table(

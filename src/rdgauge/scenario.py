@@ -21,9 +21,12 @@ import io
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from . import bd as bd_mod
-from .errors import AnalysisError
+from .errors import AnalysisError, RdgaugeError
 from .store import MetricRecord
+from .table import RecordTable
 
 OBJECTIVE_MAX_COVERAGE = "max_coverage"
 OBJECTIVE_BUDGETED = "max_coverage_within_budget"
@@ -31,7 +34,7 @@ OBJECTIVE_FASTEST_WITHIN_SLACK = "fastest_within_coverage_slack"
 
 Config = tuple[str, str, int]  # (family, preset, passes)
 # Records as a flat sequence, or already split by ``group_by_config``.
-Records = Union[Sequence[MetricRecord], Mapping[Config, list[MetricRecord]]]
+Records = Union[Sequence[MetricRecord], "ConfigGroups"]
 
 
 @dataclass(frozen=True)
@@ -90,39 +93,97 @@ class ConfigSummary:
         return self.n_above / self.n_records if self.n_records else 0.0
 
 
-def group_by_config(records: Iterable[MetricRecord]
-                    ) -> dict[Config, list[MetricRecord]]:
-    """Records split by (family, preset, passes), each list in input order."""
-    groups: dict[Config, list[MetricRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.family, rec.preset, rec.passes), []).append(rec)
-    return groups
+class ConfigGroups(Mapping[Config, RecordTable]):
+    """A record table's rows split by (family, preset, passes).
+
+    ``group[k]`` numbers the config of row k of ``table``, and
+    ``configs`` lists the configs in order of first appearance. Each
+    config's rows are a table in input order, taken on first use.
+    """
+
+    def __init__(self, table: RecordTable):
+        cols, tables = table.columns, table.tables
+        code = ((cols["family"].astype(np.int64) * len(tables["preset"])
+                 + cols["preset"]) * len(tables["passes"]) + cols["passes"])
+        _, first, inverse = np.unique(code, return_index=True,
+                                      return_inverse=True)
+        by_first = np.argsort(first)
+        number = np.empty(len(first), dtype=np.intp)
+        number[by_first] = np.arange(len(first))
+        self.table = table
+        self.group = number[inverse]
+        self.configs = [
+            (tables["family"][cols["family"][k]],
+             tables["preset"][cols["preset"][k]],
+             tables["passes"][cols["passes"][k]])
+            for k in first[by_first].tolist()]
+        self._number = {cfg: g for g, cfg in enumerate(self.configs)}
+        self._tables: dict[Config, RecordTable] = {}
+
+    def __getitem__(self, config: Config) -> RecordTable:
+        view = self._tables.get(config)
+        if view is None:
+            g = self._number[config]
+            view = self._tables[config] = self.table.take(
+                np.flatnonzero(self.group == g))
+        return view
+
+    def __iter__(self):
+        return iter(self.configs)
+
+    def __len__(self) -> int:
+        return len(self.configs)
+
+    def __contains__(self, config) -> bool:
+        return config in self._number
 
 
-def _grouped(records: Records) -> Mapping[Config, list[MetricRecord]]:
-    return records if isinstance(records, Mapping) else group_by_config(records)
+def group_by_config(records: Iterable[MetricRecord]) -> ConfigGroups:
+    """Records split by (family, preset, passes), each group in input order."""
+    return ConfigGroups(RecordTable.of(records))
+
+
+def _grouped(records: Records) -> ConfigGroups:
+    return (records if isinstance(records, ConfigGroups)
+            else group_by_config(records))
 
 
 def summarize(records: Records, spec: ScenarioSpec) -> list[ConfigSummary]:
-    """Per-config gate counts over deduped records, order-independent."""
+    """Per-config gate counts over deduped records, order-independent.
+
+    Every gate is counted on the table's columns for all configs at
+    once; each config's hours are summed left to right over its rows.
+    """
+    groups = _grouped(records)
+    cols, nulls = groups.table.columns, groups.table.nulls
+    group, n = groups.group, len(groups)
+
+    def count(mask):
+        return np.bincount(group[mask], minlength=n).tolist()
+
+    above = ~nulls["vmaf"] & (cols["vmaf"] > spec.vmaf_threshold)
+    ckpt = cols["tbr_kbps"] == spec.checkpoint_kbps
+    timed = ~nulls["enc_s"]
+    n_records = count(slice(None))
+    n_above = count(above)
+    n_ckpt = count(ckpt)
+    n_ckpt_above = count(ckpt & above)
+    with np.errstate(over="ignore"):  # inf, as a Python float gives
+        overshoot = count(cols["kbps"]
+                          > (1.0 + spec.overshoot_threshold) * cols["tbr_kbps"])
+    n_timed = count(timed)
+    seconds = np.bincount(group[timed], cols["enc_s"][timed],
+                          minlength=n).tolist()
     out = []
-    for (family, preset, passes), recs in sorted(_grouped(records).items()):
-        above = sum(1 for r in recs
-                    if r.vmaf is not None and r.vmaf > spec.vmaf_threshold)
-        ckpt = [r for r in recs if r.target_kbps == spec.checkpoint_kbps]
-        ckpt_above = sum(1 for r in ckpt
-                         if r.vmaf is not None and r.vmaf > spec.vmaf_threshold)
-        overshoot = sum(
-            1 for r in recs
-            if r.measured_kbps > (1.0 + spec.overshoot_threshold) * r.target_kbps
-        )
-        timed = [r.encode_seconds for r in recs if r.encode_seconds is not None]
-        hours = sum(timed) / 3600.0 if timed else None
+    for g in sorted(range(n), key=groups.configs.__getitem__):
+        family, preset, passes = groups.configs[g]
         out.append(ConfigSummary(
             family=family, preset=preset, passes=passes,
-            n_records=len(recs), n_above=above,
-            n_checkpoint_records=len(ckpt), n_checkpoint_above=ckpt_above,
-            overshoot_count=overshoot, total_hours=hours,
+            n_records=n_records[g], n_above=n_above[g],
+            n_checkpoint_records=n_ckpt[g],
+            n_checkpoint_above=n_ckpt_above[g],
+            overshoot_count=overshoot[g],
+            total_hours=seconds[g] / 3600.0 if n_timed[g] else None,
         ))
     return out
 
@@ -256,10 +317,14 @@ class ComparisonGrid:
         return rows
 
 
-def records_for_config(records: Sequence[MetricRecord], family: str,
-                       preset: str, passes: int) -> list[MetricRecord]:
-    return [r for r in records
-            if (r.family, r.preset, r.passes) == (family, preset, passes)]
+def records_for_config(records: Records, family: str, preset: str,
+                       passes: int) -> RecordTable:
+    """The records of one config, in input order."""
+    groups = _grouped(records)
+    config = (family, preset, passes)
+    if config in groups:
+        return groups[config]
+    return groups.table.take(np.zeros(0, dtype=np.intp))
 
 
 def bd_grid(
@@ -347,17 +412,32 @@ def summaries_to_csv(summaries: Iterable[ConfigSummary]) -> str:
 
 
 def summaries_from_csv(text: str) -> list[ConfigSummary]:
-    """Parse externally produced summary rows (e.g. published tables)."""
+    """Parse externally produced summary rows (e.g. published tables).
+
+    A missing column or a value that does not parse is an RdgaugeError
+    naming the CSV line and the column.
+    """
     reader = csv.DictReader(io.StringIO(text))
+
+    def value(row: dict, name: str, parse=str, what="", optional=False):
+        raw = row.get(name)
+        if raw is None and not optional:
+            raise RdgaugeError(
+                f"summary line {reader.line_num}: no {name!r} column")
+        if optional and raw in ("", None):
+            return None
+        try:
+            return parse(raw)
+        except ValueError:
+            raise RdgaugeError(f"summary line {reader.line_num}: {name} must "
+                               f"be {what}, got {raw!r}") from None
+
     out = []
     for row in reader:
-        hours = row.get("total_hours", "")
-        out.append(ConfigSummary(
-            family=row["family"], preset=row["preset"], passes=int(row["passes"]),
-            n_records=int(row["n_records"]), n_above=int(row["n_above"]),
-            n_checkpoint_records=int(row["n_checkpoint_records"]),
-            n_checkpoint_above=int(row["n_checkpoint_above"]),
-            overshoot_count=int(row["overshoot_count"]),
-            total_hours=None if hours in ("", None) else float(hours),
-        ))
+        fields = {name: value(row, name) for name in ("family", "preset")}
+        for name in SUMMARY_CSV_FIELDS[2:-1]:
+            fields[name] = value(row, name, int, "an integer")
+        fields["total_hours"] = value(row, "total_hours", float, "a number",
+                                      optional=True)
+        out.append(ConfigSummary(**fields))
     return out

@@ -5,20 +5,23 @@ diffs are readable, and a crash mid-write costs at most the trailing
 line. Duplicate keys are resolved at load time, keeping the newest
 record (re-runs supersede).
 
+``load`` returns the deduped records as columns, a
+``rdgauge.table.RecordTable`` (imported, with numpy, on first load).
+
 ``load`` keeps an index next to the store, ``<store>.idx``, so that a
 repeat load parses only the lines appended since. The index holds the
-keep-latest state of the store's first n bytes, with n, their line
-count and a blake2b digest of them. It is a cache and is never trusted
-over the JSONL: when the store was rewritten, truncated or replaced, or
-the index is missing, corrupt or from another index format or marshal
-version, ``load`` parses the whole store and returns the same records
-it would without an index. Deleting the index is always safe. It covers
-only complete, well-formed, newline-terminated lines, so a crashed
-append is parsed again on every load until it is completed or fails as
-a malformed line. ``load`` writes the index to a temporary file in the
-same directory and renames it over the old one, so no reader sees half
-of it; a failed write is logged and changes no result. ``load`` never
-writes the JSONL. The index is read with :mod:`marshal`, whose format is
+keep-latest state of the store's first n bytes as the table's columns,
+in load order, with n, their line count and a blake2b digest of them.
+It is a cache and is never trusted over the JSONL: when the store was
+rewritten, truncated or replaced, or the index is missing, corrupt or
+from another index format or marshal version, ``load`` parses the
+whole store and returns the same records it would without an index.
+Deleting the index is always safe. It covers only complete,
+well-formed, newline-terminated lines, so a crashed append is parsed
+again on every load until it is completed or fails as a malformed line.
+``load`` writes the index to a temporary file in the same directory and
+renames it over the old one, so no reader sees half of it; a failed
+write is logged and changes no result. ``load`` never writes the JSONL. The index is read with :mod:`marshal`, whose format is
 not safe against maliciously built data; its own digest guards against
 accidents, not against someone who can write beside the store.
 """
@@ -38,9 +41,12 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import StoreImportError, StoreLoadError, StoreValidationError
+
+if TYPE_CHECKING:
+    from .table import RecordTable
 
 log = logging.getLogger(__name__)
 
@@ -51,11 +57,12 @@ FIELDS = ("clip", "family", "preset", "passes", "tbr_kbps", "kbps", "vmaf",
 
 _INDEX_HEADER = struct.Struct("<4sHH")  # magic, index format, marshal version
 _INDEX_MAGIC = b"RDGI"
-_INDEX_FORMAT = 1
+_INDEX_FORMAT = 2
 _DIGEST_SIZE = 32
 
 # Errors that make a line malformed rather than the store unreadable.
-_LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError)
+_LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                OverflowError)
 # Two objects side by side on one line. Joined with ",\n", such a line can
 # pair up with a record split over two lines and still parse to one
 # object per line, so the store is then parsed line by line instead.
@@ -130,26 +137,35 @@ class MetricRecord:
 def _fields(row: dict) -> tuple:
     """A parsed line's MetricRecord field values, in field order.
 
-    The key is the first five values and ``created_at`` the last. Keys
-    and timestamps are hashed, compared and sorted across lines, so a
-    ``clip``, ``family`` or ``ts`` that is not a string, or a
-    ``tbr_kbps`` that is not a number, makes the line malformed.
+    The key is the first five values and ``created_at`` the last. Every
+    field becomes a typed column, so a value of the wrong type (see
+    ``_TYPED``) makes the line malformed.
     """
     fields = (row["clip"], row["family"], str(row["preset"]),
               int(row["passes"]), row["tbr_kbps"], row["kbps"],
               row.get("vmaf"), row.get("psnr_y"), row.get("enc_s"),
               row.get("bytes"), row.get("tool", ""), row.get("ts", ""))
     for name, k, types, what in _TYPED:
-        if type(fields[k]) not in types:
-            raise TypeError(f"{name} must be {what}, "
-                            f"got {json.dumps(fields[k])}")
+        value = fields[k]
+        if type(value) not in types:
+            raise TypeError(f"{name} must be {what}, got {json.dumps(value)}")
+        if type(value) is int and not -_INT_LIMIT <= value < _INT_LIMIT:
+            raise ValueError(f"{name} out of range, got {value}")
     return fields
 
 
 # Wire name, field position, accepted types and their description.
+_NUMBER = (int, float)
+_NULL = (type(None),)
 _TYPED = (("clip", 0, (str,), "a string"), ("family", 1, (str,), "a string"),
-          ("tbr_kbps", 4, (int, float), "a number"),
-          ("ts", 11, (str,), "a string"))
+          ("tbr_kbps", 4, _NUMBER, "a number"),
+          ("kbps", 5, _NUMBER, "a number"),
+          ("vmaf", 6, _NUMBER + _NULL, "a number or null"),
+          ("psnr_y", 7, _NUMBER + _NULL, "a number or null"),
+          ("enc_s", 8, _NUMBER + _NULL, "a number or null"),
+          ("bytes", 9, (int,) + _NULL, "an integer or null"),
+          ("tool", 10, (str,), "a string"), ("ts", 11, (str,), "a string"))
+_INT_LIMIT = 2 ** 63  # a JSON integer must fit an int64 column
 
 
 # load returns records sorted by MetricRecord.key(), then created_at.
@@ -167,7 +183,7 @@ def append(path: Union[str, Path], record: MetricRecord) -> None:
         f.flush()
 
 
-def load(path: Union[str, Path]) -> list[MetricRecord]:
+def load(path: Union[str, Path]) -> RecordTable:
     """Deduped (keep-latest) records, sorted by key then ``created_at``.
 
     A malformed trailing line is assumed to be a crashed write and is
@@ -177,19 +193,18 @@ def load(path: Union[str, Path]) -> list[MetricRecord]:
     """
     path = Path(path)
     if not path.exists():
-        return []
+        return _state({})
     data = path.read_bytes()
-    size, lines, state = _read_index(path, data)
+    size, lines, table = _read_index(path, data)
     if size < len(data):
-        state = _load_tail(path, data, size, lines, state)
-    rows, _, order = state
-    return [MetricRecord(*rows[j]) for j in order]
+        table = _load_tail(path, data, size, lines, table)
+    return table
 
 
 def _load_tail(path: Path, data: bytes, start: int, first: int,
-               state: tuple) -> tuple:
+               table: "RecordTable") -> "RecordTable":
     """Fold the lines from byte ``start``, the first of them line
-    ``first``, into the keep-latest ``state`` of the lines before, and
+    ``first``, into the keep-latest ``table`` of the lines before, and
     index the complete, well-formed lines.
 
     One ``json.loads`` parses all newline-terminated lines at once. A line
@@ -208,7 +223,9 @@ def _load_tail(path: Path, data: bytes, start: int, first: int,
         lines.pop()
     parsed = _parse_joined(lines[:complete])
 
-    latest = {row[:5]: (row[11], i, row) for row, i in zip(*state[:2])}
+    # Every line here follows every line of the table, so a tie on
+    # created_at goes to the line here whatever the table row's line.
+    latest = {row[:5]: (row[11], -1, row) for row in table.rows()}
     covered = latest
     indexed = complete
     for k, line in enumerate(lines):
@@ -232,20 +249,20 @@ def _load_tail(path: Path, data: bytes, start: int, first: int,
     end = data.rfind(b"\n") + 1
     if indexed < complete:  # the last complete line was skipped
         end = data.rfind(b"\n", start, end - 1) + 1 or start
-    state = _state(latest)
+    table = _state(latest)
     if end > start and not lone_cr:
         _write_index(path, memoryview(data)[:end], first + indexed,
-                     state if covered is latest else _state(covered))
-    return state
+                     table if covered is latest else _state(covered))
+    return table
 
 
-def _state(latest: dict) -> tuple[list, list, list]:
-    """The rows and line indices of a keep-latest map, in its order, and
-    the permutation that sorts the rows as ``load`` returns them."""
-    rows = [row for _, _, row in latest.values()]
-    keys = list(map(_ROW_ORDER, rows))
-    order = sorted(range(len(rows)), key=keys.__getitem__)
-    return rows, [i for _, i, _ in latest.values()], order
+def _state(latest: dict) -> "RecordTable":
+    """The table of a keep-latest map's rows, sorted as ``load`` returns
+    them."""
+    from .table import from_rows
+
+    return from_rows(sorted((row for _, _, row in latest.values()),
+                            key=_ROW_ORDER))
 
 
 def _parse_joined(lines: list[str]) -> list:
@@ -279,10 +296,10 @@ def _digest(data) -> bytes:
     return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
 
 
-def _read_index(path: Path, data: bytes) -> tuple[int, int, tuple]:
-    """(covered bytes, covered lines, state) from a valid index of
-    ``data``, else zeros and an empty state (see ``_state``)."""
-    nothing = (0, 0, ([], [], []))
+def _read_index(path: Path, data: bytes) -> tuple[int, int, "RecordTable"]:
+    """(covered bytes, covered lines, table) from a valid index of
+    ``data``, else zeros and an empty table."""
+    nothing = (0, 0, _state({}))
     idx = index_path(path)
     try:
         blob = idx.read_bytes()
@@ -305,19 +322,23 @@ def _read_index(path: Path, data: bytes) -> tuple[int, int, tuple]:
     if blob[head:head + _DIGEST_SIZE] != _digest(body):
         log.warning("ignoring store index %s: digest mismatch", idx)
         return nothing
-    size, digest, lines, state = marshal.loads(body)
+    size, digest, lines, packed = marshal.loads(body)
     if size > len(data) or _digest(memoryview(data)[:size]) != digest:
         log.info("%s changed within its first %d bytes; parsing it in full",
                  path, size)
         return nothing
-    return size, lines, state
+    from .table import from_buffers
+
+    return size, lines, from_buffers(packed)
 
 
-def _write_index(path: Path, covered, lines: int, state: tuple) -> None:
-    """Atomically replace the index with the state of the covered lines."""
-    # Marshal format 2 writes no back-references: the rows share few
-    # objects, and dumps takes half the time of the default format.
-    body = marshal.dumps((len(covered), _digest(covered), lines, state), 2)
+def _write_index(path: Path, covered, lines: int,
+                 table: "RecordTable") -> None:
+    """Atomically replace the index with the table of the covered lines."""
+    # Marshal format 2 writes no back-references, which the column bytes
+    # and value lists do not need.
+    body = marshal.dumps((len(covered), _digest(covered), lines,
+                          table.buffers()), 2)
     blob = (_INDEX_HEADER.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version)
             + _digest(body) + body)
     idx = index_path(path)

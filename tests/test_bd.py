@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -662,3 +663,281 @@ class TestGridBuildsOnce:
                 else:
                     want = bd.smart_bd_rate(slices[i], slices[j], self.LADDER)
                     assert grid.cells[i][j] == want.value
+
+
+# ------------------------------------------------- columnar references
+#
+# The per-record code that the column path replaced, kept as the
+# reference it must equal: the same survivors to the bit, the same
+# exception type and message, the same drop log lines. Sums are spelled
+# as explicit left-to-right loops.
+
+def _reference_clean(points, id="", metric_kind=bd.METRIC_VMAF):
+    pts = []
+    for p in points:
+        if isinstance(p, bd.RDPoint):
+            rate, quality = p.rate, p.quality
+        else:
+            rate, quality = float(p[0]), float(p[1])
+        if not (rate > 0):
+            raise CurveError(f"rates must be positive, got {rate}")
+        if not math.isfinite(quality):
+            raise CurveError(f"quality must be finite, got {quality}")
+        pts.append((rate, quality))
+    survivors = []
+    best = -math.inf
+    for rate, quality in sorted(set(pts), key=lambda p: (p[0], -p[1])):
+        if quality > best:
+            survivors.append((rate, quality))
+            best = quality
+    if len(survivors) < 2:
+        raise CurveError(
+            f"curve {id!r}: only {len(survivors)} point(s) survive cleaning; "
+            "need at least 2")
+    return bd.RDCurve(id=id, metric_kind=metric_kind, points=tuple(
+        bd.RDPoint(rate=r, quality=q) for r, q in survivors))
+
+
+def _reference_metric_value(record, metric_kind):
+    value = record.vmaf if metric_kind == bd.METRIC_VMAF else record.psnr_y
+    if value is None:
+        raise AggregationError(
+            f"record {record.key()} has no {metric_kind} measurement")
+    return value
+
+
+def _reference_curves_from_records(records, metric_kind=bd.METRIC_VMAF):
+    log = logging.getLogger("rdgauge.bd")
+    by_clip = {}
+    for rec in records:
+        by_clip.setdefault(rec.clip_id, []).append(rec)
+    curves = {}
+    for clip_id, recs in sorted(by_clip.items()):
+        pts = [(r.measured_kbps, _reference_metric_value(r, metric_kind))
+               for r in recs]
+        try:
+            curves[clip_id] = _reference_clean(pts, id=clip_id,
+                                               metric_kind=metric_kind)
+        except CurveError as exc:
+            rec = recs[0]
+            log.info("dropping clip %s of %s:%s:%dp: %s", clip_id, rec.family,
+                     rec.preset, rec.passes, exc)
+    return curves
+
+
+def _reference_harmonic_mean(values):
+    vals = list(values)
+    if not vals:
+        raise DomainError("harmonic mean of an empty set")
+    if any(v <= 0 for v in vals):
+        raise DomainError(f"harmonic mean needs positive values, got {min(vals)}")
+    total = 0.0
+    for v in vals:
+        total += 1.0 / v
+    # Every value +inf: the per-record code divided by zero here (a
+    # ZeroDivisionError traceback); the column code gives +inf.
+    return len(vals) / total if total else math.inf
+
+
+def _reference_aggregate_points(records, metric_kind=bd.METRIC_VMAF,
+                                method="harmonic"):
+    if not records:
+        raise AggregationError("no records to aggregate")
+    keys = {(r.family, r.preset, r.passes, r.target_kbps) for r in records}
+    if len(keys) != 1:
+        raise AggregationError(
+            f"mixed configuration keys in aggregate: {sorted(keys)}")
+    rates = [r.measured_kbps for r in records]
+    quals = [_reference_metric_value(r, metric_kind) for r in records]
+    if method == "harmonic":
+        return bd.RDPoint(rate=_reference_harmonic_mean(rates),
+                          quality=_reference_harmonic_mean(quals))
+    if method == "arithmetic":
+        return bd.RDPoint(rate=float(np.mean(rates)),
+                          quality=float(np.mean(quals)))
+    raise AggregationError(f"unknown aggregation method {method!r}")
+
+
+def _reference_aggregate_curve(records, ladder, metric_kind=bd.METRIC_VMAF,
+                               method="harmonic", id=""):
+    points = []
+    for tbr in ladder:
+        rung = [r for r in records if r.target_kbps == tbr]
+        if rung:
+            points.append(_reference_aggregate_points(rung, metric_kind,
+                                                      method))
+    if len(points) < 2:
+        raise CurveError(
+            f"aggregate curve {id!r} spans {len(points)} ladder rung(s); need 2")
+    return _reference_clean(points, id=id, metric_kind=metric_kind)
+
+
+def _bits(value):
+    """A curve, point or dict of curves with every float as its bits
+    (so -0.0 and 0.0 differ), or an exception as (type, message)."""
+    if isinstance(value, Exception):
+        return type(value), str(value)
+    if isinstance(value, bd.RDPoint):
+        return float(value.rate).hex(), float(value.quality).hex()
+    if isinstance(value, bd.RDCurve):
+        return value.id, value.metric_kind, [_bits(p) for p in value.points]
+    return {k: _bits(v) for k, v in value.items()}
+
+
+def _outcome_of(fn, *args, **kwargs):
+    try:
+        return _bits(fn(*args, **kwargs))
+    except (AnalysisError, CurveError) as exc:
+        return _bits(exc)
+
+
+# Values that meet every branch of the cleaning rule: ties, exact
+# duplicates, signed zeros, non-positive rates and non-finite qualities.
+_RATES = st.sampled_from([-1.0, -0.0, 0.0, 100.0, 100.0, 250.5, 400.0,
+                          1000.0, math.inf, math.nan])
+_QUALITIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 20.0, 30.0, 30.0, 30.5, 45.0, 50.0,
+                     math.nan, math.inf, -math.inf, -5.0]),
+    st.floats(-10.0, 100.0))
+_LADDER_RUNGS = (500.0, 1000.0, 2000.0, 4000.0)
+
+
+@st.composite
+def _record_lists(draw):
+    """Records of up to two configs, four clips and five rungs (one of
+    them outside the ladder), with random rates and qualities: mostly
+    valid, with planted ties, duplicates, signed zeros, non-positive
+    rates, NaN/inf qualities, null metrics and single-point clips."""
+    n = draw(st.integers(0, 24))
+    records = []
+    for _ in range(n):
+        valid = draw(st.floats(0, 1)) < 0.9
+        rate = (draw(st.floats(50.0, 5000.0)) if valid and draw(st.booleans())
+                else draw(_RATES))
+        quality = (draw(st.floats(1.0, 99.0)) if valid and draw(st.booleans())
+                   else draw(_QUALITIES))
+        null = draw(st.floats(0, 1)) < 0.04
+        preset = draw(st.sampled_from(["medium", "medium", "medium", "slow"]))
+        records.append(MetricRecord(
+            clip_id=draw(st.sampled_from(["a", "b", "c", "a,b"])),
+            family="x264", preset=preset, passes=1,
+            target_kbps=draw(st.sampled_from(_LADDER_RUNGS + (3000.0,))),
+            measured_kbps=rate, vmaf=None if null else quality,
+            psnr_y=draw(st.one_of(st.none(), st.floats(20.0, 60.0)))))
+    if records and draw(st.booleans()):  # an exact duplicate
+        records.append(dataclasses.replace(records[draw(
+            st.integers(0, len(records) - 1))]))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_RATES, _QUALITIES), max_size=10))
+def test_array_cleaner_equals_scalar_rule(points):
+    assert (_outcome_of(bd.clean_curve, points, id="c")
+            == _outcome_of(_reference_clean, points, id="c"))
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.levelno, record.getMessage()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_record_lists(),
+       metric=st.sampled_from([bd.METRIC_VMAF, bd.METRIC_PSNR_Y]))
+def test_columnar_curves_equal_per_record_loop(records, metric):
+    handler = _Collect()
+    log = logging.getLogger("rdgauge.bd")
+    log.addHandler(handler)
+    old_level = log.level
+    log.setLevel(logging.INFO)
+    try:
+        want = _outcome_of(_reference_curves_from_records, records, metric)
+        want_log, handler.messages = handler.messages, []
+        got = _outcome_of(bd.curves_from_records, records, metric)
+        got_log = handler.messages
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(old_level)
+    assert got == want
+    assert got_log == want_log
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_record_lists(),
+       ladder=st.lists(st.sampled_from(_LADDER_RUNGS + (8000.0,)),
+                       max_size=6),
+       metric=st.sampled_from([bd.METRIC_VMAF, bd.METRIC_PSNR_Y]),
+       method=st.sampled_from(["harmonic", "harmonic", "arithmetic",
+                               "median"]))
+def test_columnar_aggregate_equals_per_record_loop(records, ladder, metric,
+                                                   method):
+    got = _outcome_of(bd.aggregate_curve, records, ladder, metric, method,
+                      id="cfg")
+    want = _outcome_of(_reference_aggregate_curve, records, ladder, metric,
+                       method, id="cfg")
+    assert got == want
+    rung = [r for r in records if r.target_kbps == 1000.0]
+    assert (_outcome_of(bd.aggregate_points, rung, metric, method)
+            == _outcome_of(_reference_aggregate_points, rung, metric, method))
+    assert (_outcome_of(bd.aggregate_points, records, metric, method)
+            == _outcome_of(_reference_aggregate_points, records, metric,
+                           method))
+
+
+def test_per_clip_curves_are_built_when_read(monkeypatch):
+    records = make_records(["c0", "c1"], "x264", "medium", 1,
+                           (500, 1000, 2000))
+    built = []
+    original = bd._curve
+
+    def counting(*args):
+        built.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(bd, "_curve", counting)
+    curves = bd.curves_from_records(records)
+    assert list(curves) == ["c0", "c1"] and built == []
+    curves.stack
+    assert built == []
+    assert curves["c1"] is curves["c1"]
+    assert built == ["c1"]
+    assert curves["c1"] == _reference_curves_from_records(records)["c1"]
+
+
+def test_curves_and_aggregates_take_tables_and_lists_alike():
+    from rdgauge.table import RecordTable
+
+    records = make_records(["c0", "c1", "c2"], "x264", "medium", 1,
+                           (500, 1000, 2000, 4000), rate_jitter=0.05, seed=3)
+    table = RecordTable.from_records(records)
+    assert dict(bd.curves_from_records(table)) == dict(
+        bd.curves_from_records(records))
+    assert (bd.aggregate_curve(table, (500, 1000, 2000))
+            == bd.aggregate_curve(records, (500, 1000, 2000)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(1.0, 1e5), st.floats(0.5, 100.0)),
+                       min_size=1, max_size=40))
+def test_rung_means_sum_left_to_right(points):
+    # numpy's pairwise sum differs from a left-to-right one from eight
+    # terms on, so long rungs tell the two apart
+    records = [MetricRecord(f"c{i}", "x264", "m", 1, 4000.0, r, vmaf=q)
+               for i, (r, q) in enumerate(points)]
+    assert (_bits(bd.aggregate_points(records))
+            == _bits(_reference_aggregate_points(records)))
+
+
+def test_rung_of_forty_clips_sums_left_to_right():
+    rng = np.random.default_rng(0)
+    rates = np.round(rng.uniform(500.0, 20000.0, 40), 3).tolist()
+    records = [MetricRecord(f"c{i}", "x264", "m", 1, 4000.0, r, vmaf=50.0)
+               for i, r in enumerate(rates)]
+    assert 40 / np.sum([1.0 / r for r in rates]) != _reference_harmonic_mean(
+        rates)  # the data tells a pairwise sum apart
+    assert bd.aggregate_points(records).rate == _reference_harmonic_mean(rates)

@@ -100,6 +100,50 @@ class TestImportAndScenario:
         assert rc == 0
         assert "scenario S1:" in capsys.readouterr().out
 
+    def test_import_names_a_missing_column(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("label,kbps,vmaf\ncfg,1000,90\n")
+        rc = main(["import", "--csv", str(table), "--store",
+                   str(tmp_path / "s.jsonl"), "--family", "x264",
+                   "--preset", "medium", "--passes", "1", "--tbr", "4000"])
+        assert rc == 2
+        assert "no 'psnr_y' column" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t.replace("n_above,", ""),
+         "summary line 2: no 'n_above' column"),
+        (lambda t: t.replace("x264,veryslow,2,", "x264,veryslow,one,"),
+         "summary line 3: passes must be an integer, got 'one'")])
+    def test_bad_summary_is_data_error(self, tmp_path, capsys, edit, message):
+        summaries = tmp_path / "s.csv"
+        summaries.write_text(edit((DATA / "summary_s1.csv").read_text()))
+        rc = main(["scenario", "--id", "S1", "--from-summaries",
+                   str(summaries)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["scenario", "--id", "S1"],
+        ["curves", "--config", "x264:medium:1", "--per-clip"],
+        ["curves", "--config", "x264:medium:1"]])
+    @pytest.mark.parametrize("field,value", [("kbps", None), ("vmaf", "91.5")])
+    def test_wrong_typed_measurement_is_data_error(self, tmp_path, capsys,
+                                                   command, field, value):
+        store_path = tmp_path / "s.jsonl"
+        _fill_store(store_path)
+        lines = store_path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row[field] = value
+        lines[1] = json.dumps(row) + "\n"
+        store_path.write_text("".join(lines))
+        rc = main([*command, "--store", str(store_path)])
+        assert rc == 2
+        assert (f"malformed line 2: {field} must be"
+                in capsys.readouterr().err)
+
 
 class TestAnalytics:
     def test_bdrate_between_configs(self, tmp_path, capsys):
@@ -255,6 +299,23 @@ class TestAnalytics:
                    "--anchor", "x264:medium:1", "--test", "x264:fast:1",
                    "--ladder", "500,1000"])
         assert rc == 2
+
+    def test_per_clip_ids_are_quoted(self, tmp_path, capsys):
+        store_path = tmp_path / "s.jsonl"
+        for clip in ("a,b", 'say "hi"', "plain"):
+            for rec in make_records([clip], "x264", "medium", 1,
+                                    (500, 1000, 2000)):
+                store.append(store_path, rec)
+        rc = main(["curves", "--store", str(store_path),
+                   "--config", "x264:medium:1", "--per-clip"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["id", "q", "rate_kbps"]
+        assert {len(row) for row in rows} == {3}
+        assert [row[0] for row in rows[1:]] == (
+            ["a,b"] * 3 + ["plain"] * 3 + ['say "hi"'] * 3)
+        assert '\nplain,' in out and '\n"a,b",' in out
 
 
 class TestComplexityCommand:

@@ -1,7 +1,10 @@
 import itertools
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_records
 from rdgauge import scenario
@@ -14,6 +17,7 @@ from rdgauge.scenario import (
     summarize,
     time_grid,
 )
+from rdgauge.errors import RdgaugeError
 from rdgauge.store import MetricRecord
 
 DATA = Path(__file__).parent / "data"
@@ -264,3 +268,124 @@ class TestSummaryCsvRoundTrip:
         again = summaries_from_csv(text)
         assert again == summaries
         assert again[0].total_hours == 1172.78
+
+
+def _reference_summarize(records, spec):
+    """The per-record summarize that the column counts replaced, kept as
+    their reference; the hours are summed left to right."""
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.family, rec.preset, rec.passes), []).append(rec)
+    out = []
+    for (family, preset, passes), recs in sorted(groups.items()):
+        above = sum(1 for r in recs
+                    if r.vmaf is not None and r.vmaf > spec.vmaf_threshold)
+        ckpt = [r for r in recs if r.target_kbps == spec.checkpoint_kbps]
+        ckpt_above = sum(1 for r in ckpt
+                         if r.vmaf is not None and r.vmaf > spec.vmaf_threshold)
+        overshoot = sum(
+            1 for r in recs
+            if r.measured_kbps > (1.0 + spec.overshoot_threshold) * r.target_kbps
+        )
+        timed = [r.encode_seconds for r in recs if r.encode_seconds is not None]
+        hours = None
+        if timed:
+            total = 0.0
+            for seconds in timed:
+                total += seconds
+            hours = total / 3600.0
+        out.append(ConfigSummary(
+            family=family, preset=preset, passes=passes,
+            n_records=len(recs), n_above=above,
+            n_checkpoint_records=len(ckpt), n_checkpoint_above=ckpt_above,
+            overshoot_count=overshoot, total_hours=hours,
+        ))
+    return out
+
+
+_SUMMARY_RECORD = st.builds(
+    MetricRecord,
+    clip_id=st.sampled_from(["a", "b", "c"]),
+    family=st.sampled_from(["x264", "svt-av1"]),
+    preset=st.sampled_from(["medium", "6"]),
+    passes=st.sampled_from([1, 2]),
+    target_kbps=st.sampled_from([2000.0, 4000.0, 8000.0]),
+    measured_kbps=st.one_of(st.sampled_from([4600.0, 4600.000001, 9200.0]),
+                            st.floats(100.0, 20000.0)),
+    vmaf=st.one_of(st.none(), st.sampled_from([88.0, 88.5, math.nan]),
+                   st.floats(0.0, 100.0)),
+    encode_seconds=st.one_of(st.none(), st.floats(0.0, 1e6),
+                             st.sampled_from([0.1, 0.2, 0.3, 1e16, 1.0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(_SUMMARY_RECORD, max_size=30),
+       sid=st.sampled_from(["S1", "S3"]),
+       threshold=st.sampled_from([88.0, 50.0]))
+def test_column_summaries_equal_per_record_counts(records, sid, threshold):
+    spec = make_scenario(sid, vmaf_threshold=threshold)
+    want = repr(_reference_summarize(records, spec))  # repr: every bit
+    assert repr(summarize(records, spec)) == want
+    assert repr(summarize(scenario.group_by_config(records), spec)) == want
+
+
+def test_records_for_config_is_a_view_in_input_order():
+    records = [_rec(clip=c, preset=p) for c, p in
+               (("b", "medium"), ("a", "slow"), ("a", "medium"))]
+    got = scenario.records_for_config(records, "x264", "medium", 1)
+    assert list(got) == [records[0], records[2]]
+    assert list(scenario.records_for_config(records, "x264", "fast", 1)) == []
+    groups = scenario.group_by_config(records)
+    assert list(groups) == [("x264", "medium", 1), ("x264", "slow", 1)]
+    assert ("x264", "fast", 1) not in groups
+    assert groups.get(("x264", "fast", 1), []) == []
+
+
+class TestSummaryCsvErrors:
+    HEADER = ",".join(scenario.SUMMARY_CSV_FIELDS)
+    ROW = "x264,medium,1,744,527,62,43,8,51.18"
+
+    @pytest.mark.parametrize("column", ["family", "passes", "n_above"])
+    def test_missing_column_is_named(self, column):
+        fields = list(scenario.SUMMARY_CSV_FIELDS)
+        k = fields.index(column)
+        row = self.ROW.split(",")
+        del fields[k], row[k]
+        text = ",".join(fields) + "\n" + ",".join(row) + "\n"
+        with pytest.raises(RdgaugeError,
+                           match=f"summary line 2: no '{column}' column"):
+            summaries_from_csv(text)
+
+    @pytest.mark.parametrize("column,value,what", [
+        ("passes", "one", "an integer"), ("overshoot_count", "8.5",
+                                          "an integer"),
+        ("total_hours", "long", "a number")])
+    def test_bad_value_is_named(self, column, value, what):
+        row = self.ROW.split(",")
+        row[scenario.SUMMARY_CSV_FIELDS.index(column)] = value
+        text = "\n".join([self.HEADER, self.ROW, ",".join(row)]) + "\n"
+        with pytest.raises(RdgaugeError, match=(
+                f"summary line 3: {column} must be {what}, got '{value}'")):
+            summaries_from_csv(text)
+
+    def test_short_row_is_named(self):
+        text = self.HEADER + "\nx264,medium,1\n"
+        with pytest.raises(RdgaugeError,
+                           match="summary line 2: no 'n_records' column"):
+            summaries_from_csv(text)
+
+    def test_empty_hours_are_none(self):
+        text = self.HEADER + "\n" + self.ROW[:-len("51.18")] + "\n"
+        (summary,) = summaries_from_csv(text)
+        assert summary.total_hours is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seconds=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40))
+def test_hours_sum_left_to_right(seconds):
+    # numpy's pairwise sum differs from a left-to-right one from eight
+    # terms on, so one config with many records tells the two apart
+    records = [_rec(clip=f"c{i}", enc_s=s) for i, s in enumerate(seconds)]
+    spec = make_scenario("S1")
+    assert (repr(summarize(records, spec))
+            == repr(_reference_summarize(records, spec)))

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -232,8 +234,9 @@ def _plant(path):
     """Index the whole store as holding one record it does not hold."""
     data = path.read_bytes()
     fake = _record(clip_id="planted", created_at="t9")
+    row = dataclasses.astuple(fake)
     store._write_index(path, data, data.count(b"\n"),
-                       ([dataclasses.astuple(fake)], [0], [0]))
+                       store._state({row[:5]: (row[11], 0, row)}))
 
 
 def _patch_index(path, offset, new):
@@ -466,3 +469,140 @@ class TestIndex:
                 f.write(_record(clip_id=clip).to_line() + "\n")
             assert _outcome(store.load, tmp_store) == _outcome(_reference_load,
                                                                tmp_store)
+
+
+def _format_1_index(path):
+    """The index a format-1 loader wrote for ``path``: each surviving row
+    as a field tuple, its line index and the load-order permutation."""
+    import hashlib
+    import marshal
+
+    records = _reference_load(path)
+    data = path.read_bytes()
+
+    def digest(b):
+        return hashlib.blake2b(b, digest_size=32).digest()
+
+    rows = [dataclasses.astuple(r) for r in records]
+    body = marshal.dumps((len(data), digest(data), data.count(b"\n"),
+                          (rows, list(range(len(rows))),
+                           list(range(len(rows))))), 2)
+    store.index_path(path).write_bytes(
+        struct.pack("<4sHH", b"RDGI", 1, marshal.version) + digest(body)
+        + body)
+
+
+def test_format_1_index_falls_back_and_is_rewritten(tmp_store, caplog):
+    _fill(tmp_store, 4)
+    _format_1_index(tmp_store)
+    with caplog.at_level("WARNING"):
+        got = store.load(tmp_store)
+    assert got == _reference_load(tmp_store)
+    assert any("ignoring store index" in r.message and "format 1" in r.message
+               and "want 2" in r.message for r in caplog.records)
+    head = store.index_path(tmp_store).read_bytes()[:8]
+    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 2)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert store.load(tmp_store) == got
+    assert caplog.records == []
+
+
+_LINE = {"clip": "a", "family": "x264", "preset": "medium", "passes": 1,
+         "tbr_kbps": 500.0, "kbps": 510.0, "vmaf": 30.0, "psnr_y": 40.0,
+         "enc_s": 1.5, "bytes": 1000, "tool": "x264", "ts": "t0"}
+
+
+@pytest.mark.parametrize("field,value,what", [
+    ("kbps", None, "a number"), ("kbps", "510", "a number"),
+    ("kbps", True, "a number"), ("tbr_kbps", False, "a number"),
+    ("vmaf", "91.5", "a number or null"), ("psnr_y", True, "a number or null"),
+    ("enc_s", [1], "a number or null"), ("bytes", 1.5, "an integer or null"),
+    ("bytes", "1000", "an integer or null"), ("tool", 5, "a string"),
+    ("tool", None, "a string")])
+def test_wrong_typed_measurement_is_a_malformed_line(tmp_store, field, value,
+                                                     what):
+    lines = [_LINE, {**_LINE, "clip": "b", field: value}, {**_LINE, "clip": "c"}]
+    tmp_store.write_text("".join(json.dumps(row) + "\n" for row in lines))
+    with pytest.raises(StoreLoadError, match=(
+            f"malformed line 2: {field} must be {what}, got "
+            f"{re.escape(json.dumps(value))}$")):
+        store.load(tmp_store)
+
+
+@pytest.mark.parametrize("field", ["kbps", "bytes", "tbr_kbps"])
+def test_integer_beyond_int64_is_a_malformed_line(tmp_store, field):
+    lines = [_LINE, {**_LINE, "clip": "b", field: 2 ** 63}, _LINE]
+    tmp_store.write_text("".join(json.dumps(row) + "\n" for row in lines))
+    with pytest.raises(StoreLoadError,
+                       match=f"malformed line 2: {field} out of range"):
+        store.load(tmp_store)
+
+
+def test_infinite_passes_is_a_malformed_line(tmp_store):
+    lines = [_LINE, {**_LINE, "clip": "b", "passes": math.inf}, _LINE]
+    tmp_store.write_text("".join(json.dumps(row) + "\n" for row in lines))
+    with pytest.raises(StoreLoadError, match="malformed line 2: cannot "
+                       "convert float infinity to integer"):
+        store.load(tmp_store)
+
+
+def test_nulls_and_integers_are_measurements(tmp_store):
+    lines = [{**_LINE, "vmaf": None, "psnr_y": None, "enc_s": None,
+              "bytes": None},
+             {**_LINE, "clip": "b", "kbps": 510, "vmaf": 30, "bytes": 2 ** 62}]
+    tmp_store.write_text("".join(json.dumps(row) + "\n" for row in lines))
+    a, b = store.load(tmp_store)
+    assert (a.vmaf, a.psnr_y, a.encode_seconds, a.output_bytes) == (
+        None, None, None, None)
+    assert (b.measured_kbps, b.vmaf, b.output_bytes) == (510.0, 30.0, 2 ** 62)
+    assert type(b.measured_kbps) is float  # numbers read back as float64
+
+
+class TestRecordTable:
+    def _table(self, tmp_store):
+        for i, vmaf in enumerate((None, 81.5, -0.0)):
+            store.append(tmp_store, _record(
+                clip_id=f"c{i}", vmaf=vmaf, output_bytes=None if i else 7,
+                encode_seconds=None if i == 2 else 1.5))
+        return store.load(tmp_store), _reference_load(tmp_store)
+
+    def test_sequence_of_records(self, tmp_store):
+        table, want = self._table(tmp_store)
+        assert len(table) == 3 and table == want and want == table
+        assert [table[i] for i in range(3)] == want == list(table)
+        assert table[-1] == want[-1] and table[1:] == want[1:]
+        assert str(table[2].vmaf) == "-0.0"
+        with pytest.raises(IndexError):
+            table[3]
+        assert table != "records" and table != want[:2]
+        assert table == store.load(tmp_store)  # from the index
+
+    def test_columns_are_coded_and_read_only(self, tmp_store):
+        table, _ = self._table(tmp_store)
+        assert table.tables["clip"] == ["c0", "c1", "c2"]
+        assert table.columns["clip"].dtype.name == "int32"
+        assert table.nulls["vmaf"].tolist() == [True, False, False]
+        assert table.nulls["bytes"].tolist() == [False, True, True]
+        for column in (*table.columns.values(), *table.nulls.values()):
+            assert not column.flags.writeable
+
+    def test_from_records_and_take(self, tmp_store):
+        from rdgauge.table import RecordTable
+
+        table, want = self._table(tmp_store)
+        assert RecordTable.from_records(want) == want
+        assert RecordTable.of(table) is table
+        import numpy as np
+        assert table.take(np.array([2, 0])) == [want[2], want[0]]
+        assert store.load(tmp_store.with_name("missing.jsonl")) == []
+
+
+def test_tail_line_wins_a_tie_with_an_indexed_row(tmp_store):
+    # The index keeps no line numbers: a line after the indexed ones
+    # follows all of them, so it wins a created_at tie, as in a full parse.
+    store.append(tmp_store, _record(vmaf=1.0, created_at="t0"))
+    assert store.load(tmp_store)[0].vmaf == 1.0
+    store.append(tmp_store, _record(vmaf=2.0, created_at="t0"))
+    assert store.load(tmp_store)[0].vmaf == 2.0
+    assert store.load(tmp_store) == _full_parse(tmp_store)
