@@ -11,21 +11,24 @@ The interpolant is computed here in numpy: Fritsch-Butland interior
 slopes (weighted harmonic mean of the neighbouring secants) and Moler's
 one-sided endpoint rule, the scheme of MATLAB's pchip and scipy's
 PchipInterpolator, with closed-form Hermite segment integrals summed
-once per interpolant. One construction, ``_pchip_tables``, builds the
-slopes, coefficients and running integrals of a stack of curves at
-once, row by row with the same arithmetic; a single interpolant is a
-stack of one. A curve builds its own interpolants lazily, once, so
-pairs that reuse a curve pay for it a single time.
+once per curve. There is one interpolant type, ``CurveStack``: the
+slopes, coefficients and running integrals of many curves as padded
+arrays, built row by row with the same arithmetic, so a single curve
+is a stack of one and stacking changes no bit. A curve builds its own
+one-row stacks lazily, once, so pairs that reuse a curve pay for it a
+single time. One kernel, ``_bd``, takes paired rows of two stacks and
+returns their overlaps and mean log ratios; every BD value comes from
+it.
 
 Two dataset reductions are provided: the conventional one (BD-Rate per
 clip, then arithmetic mean) and the aggregate-curve one (harmonic-mean
 rate and quality per ladder rung on each side, then a single BD-Rate).
-The conventional one is batched: ``curves_from_records`` returns a
-``ClipCurves`` mapping that stacks all of a configuration's clip curves
-(``CurveStack``) in one numpy pass per knot count, and
-``classic_bd_rate`` integrates every shared clip of a pair at once on
-the two stacks. Its per-clip values, their mean in clip-id order and
-the reported interval are bit-identical to a ``bd_rate`` per clip.
+``curves_from_records`` returns a ``ClipCurves`` mapping that stacks
+all of a configuration's clip curves once, and ``classic_bd_rate``
+integrates every shared clip of a pair in one pass on the two stacks.
+``bd_rate_matrix`` stacks a grid's aggregate curves once and integrates
+every pair of them in one pass. Each value equals a ``bd_rate`` of its
+pair to the bit.
 
 Both reductions read a ``RecordTable``'s columns. ``curves_from_records``
 cleans every clip of a configuration at once (``_clean``) and builds an
@@ -39,11 +42,9 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -88,14 +89,14 @@ class RDCurve:
         return np.array([p.rate for p in self.points])
 
     @cached_property
-    def interpolant(self) -> MonotoneInterpolant:
+    def interpolant(self) -> CurveStack:
         """quality -> log10(rate), built on first use by ``interpolate``."""
         return interpolate(self)
 
     @cached_property
-    def rate_interpolant(self) -> MonotoneInterpolant:
+    def rate_interpolant(self) -> CurveStack:
         """log10(rate) -> quality, built on first use."""
-        return _rate_interpolant(self)
+        return _row(np.log10(self.rates), self.qualities)
 
 
 @dataclass(frozen=True)
@@ -258,79 +259,102 @@ def _pchip_tables(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return c, np.cumsum(parts, axis=1)
 
 
-class MonotoneInterpolant:
-    """PCHIP through (x, y) knots with closed-form integration.
+class CurveStack:
+    """PCHIPs through the knots of many curves, as padded arrays.
+
+    Row r holds a curve of ``n[r]`` knots: its increasing knots in
+    ``x[r]`` (padded with +inf, so counting the knots <= v finds v's
+    segment), its segment coefficients in ``c[:, r]`` (cubics in
+    s = x - x_i, highest power first) and the integrals from its first
+    knot to each knot in ``cum[r]``. ``y`` is read up to each row's knot
+    count. The rows are built in one numpy pass per knot count.
 
     Slopes are Fritsch-Butland at interior knots (the weighted harmonic
     mean of the two neighbouring secants, zero where they differ in
     sign) and Moler's one-sided three-point rule at the ends (zero when
     it disagrees in sign with the end secant, clamped to three times
-    that secant when the secants change sign). The interpolant passes
-    through every knot and never overshoots neighbouring knot values,
-    so a monotone knot sequence yields a monotone interpolant. Two
-    knots degenerate to the straight line.
-
-    Each segment is a cubic in s = x - x_i whose antiderivative is
-    closed form; the integrals up to every knot are summed once here,
-    so ``integrate(a, b)`` is two binary searches and two cubic
-    evaluations. Outside [lo, hi] values and integrals are NaN.
+    that secant when the secants change sign). Each curve passes
+    through its knots and never overshoots neighbouring knot values, so
+    a monotone knot sequence yields a monotone interpolant; two knots
+    give the straight line.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        c, cum = _pchip_tables(self.x[None, :], self.y[None, :])
-        self._c = c[:, 0, :]
-        self.lo = float(self.x[0])
-        self.hi = float(self.x[-1])
-        self._knots = self.x.tolist()
-        self._segments = self._c.T.tolist()
-        self._cum = cum[0].tolist()
+    def __init__(self, x: np.ndarray, y: np.ndarray, n: np.ndarray):
+        self.n = n
+        width = int(n.max()) if len(n) else 2
+        self.x = np.full((len(n), width), np.inf)
+        self.cum = np.zeros((len(n), width))
+        self.c = np.zeros((4, len(n), width - 1))
+        for knots in sorted(set(n.tolist())):
+            rows = np.flatnonzero(n == knots)
+            knots_x = x[rows, :knots]
+            c, cum = _pchip_tables(knots_x, y[rows, :knots])
+            self.x[rows, :knots] = knots_x
+            self.cum[rows, :knots] = cum
+            self.c[:, rows, :knots - 1] = c
+        self.lo = self.x[:, 0]
+        self.hi = self.x[np.arange(len(n)), n - 1]
 
-    def __call__(self, at) -> np.ndarray:
-        at = np.asarray(at, dtype=float)
-        i = np.clip(np.searchsorted(self.x, at, side="right") - 1,
-                    0, len(self.x) - 2)
-        c0, c1, c2, c3 = self._c[:, i]
-        s = at - self.x[i]
-        z = s * s
-        value = c3 + c2 * s + c1 * z + c0 * (z * s)
-        return np.where((at >= self.lo) & (at <= self.hi), value, np.nan)
-
-    def _primitive(self, v: float) -> float:
-        """Integral from lo to v, for lo <= v <= hi."""
-        i = min(bisect_right(self._knots, v), len(self._knots) - 1) - 1
-        c0, c1, c2, c3 = self._segments[i]
-        return self._cum[i] + _segment_integrals(c0, c1, c2, c3,
-                                                 v - self._knots[i])
-
-    def integrate(self, a: float, b: float) -> float:
-        """Closed-form integral over [a, b] (negative when b < a)."""
-        if not (self.lo <= a <= self.hi and self.lo <= b <= self.hi):
-            return math.nan
-        return self._primitive(b) - self._primitive(a)
+    def integrals(self, rows: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+        """Integral over [lo[k], hi[k]] of row ``rows[k]``, for bounds
+        inside that row's knot span."""
+        rows = np.concatenate([rows, rows])
+        v = np.concatenate([lo, hi])
+        x = self.x[rows]
+        i = np.minimum(np.count_nonzero(x <= v[:, None], axis=1),
+                       self.n[rows] - 1) - 1
+        s = v - x[np.arange(len(v)), i]
+        p = self.cum[rows, i] + _segment_integrals(*self.c[:, rows, i], s)
+        return p[len(lo):] - p[:len(lo)]
 
 
-def interpolate(curve: RDCurve) -> MonotoneInterpolant:
-    """quality -> log10(rate) interpolant of a cleaned curve."""
-    return MonotoneInterpolant(curve.qualities, np.log10(curve.rates))
+def _row(x: np.ndarray, y: np.ndarray) -> CurveStack:
+    """The one-row stack of the PCHIP through knots (x, y)."""
+    return CurveStack(x[None, :], y[None, :], np.array([len(x)]))
 
 
-def _rate_interpolant(curve: RDCurve) -> MonotoneInterpolant:
-    """log10(rate) -> quality interpolant (the dual axis order)."""
-    return MonotoneInterpolant(np.log10(curve.rates), curve.qualities)
+def interpolate(curve: RDCurve) -> CurveStack:
+    """quality -> log10(rate) interpolant of a cleaned curve (one row)."""
+    return _row(curve.qualities, np.log10(curve.rates))
 
 
-def _overlap(a: MonotoneInterpolant, b: MonotoneInterpolant,
-             what: str) -> tuple[float, float]:
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if not lo < hi:
+def _bd(a: CurveStack, a_rows: np.ndarray, t: CurveStack,
+        t_rows: np.ndarray) -> tuple:
+    """The BD kernel, for row ``a_rows[k]`` of ``a`` paired with row
+    ``t_rows[k]`` of ``t``.
+
+    Returns the mask ``ok`` of the pairs whose overlap [lo, hi] has
+    lo < hi and, for those pairs in order, their rows of ``a`` and of
+    ``t``, their lo and hi, and the mean of t - a over [lo, hi]: the
+    difference of the two integrals over the width.
+    """
+    a_lo, a_hi = a.lo[a_rows], a.hi[a_rows]
+    t_lo, t_hi = t.lo[t_rows], t.hi[t_rows]
+    # a tie keeps the anchor's bound, so of 0.0 and -0.0 its sign wins
+    lo = np.where(t_lo > a_lo, t_lo, a_lo)
+    hi = np.where(t_hi < a_hi, t_hi, a_hi)
+    ok = lo < hi
+    if np.count_nonzero(ok) < len(ok):
+        a_rows, t_rows, lo, hi = a_rows[ok], t_rows[ok], lo[ok], hi[ok]
+    delta = ((t.integrals(t_rows, lo, hi) - a.integrals(a_rows, lo, hi))
+             / (hi - lo))
+    return ok, a_rows, t_rows, lo, hi, delta
+
+
+_FIRST = np.zeros(1, dtype=np.intp)  # the row of a one-row stack
+
+
+def _one_pair(fa: CurveStack, ft: CurveStack,
+              what: str) -> tuple[float, float, float]:
+    """``_bd`` of two one-row stacks: lo, hi and the mean log ratio."""
+    ok, _, _, lo, hi, delta = _bd(fa, _FIRST, ft, _FIRST)
+    if not ok[0]:
         raise OverlapError(
             f"curves share no {what} interval "
-            f"([{a.lo:g}, {a.hi:g}] vs [{b.lo:g}, {b.hi:g}])"
+            f"([{fa.lo[0]:g}, {fa.hi[0]:g}] vs [{ft.lo[0]:g}, {ft.hi[0]:g}])"
         )
-    return lo, hi
+    return lo.item(), hi.item(), delta.item()
 
 
 def _check_pair(anchor: RDCurve, test: RDCurve) -> None:
@@ -340,16 +364,17 @@ def _check_pair(anchor: RDCurve, test: RDCurve) -> None:
         )
 
 
+def _percents(deltas: Iterable[float]) -> list[float]:
+    """Mean log10 rate ratios as percent rate changes."""
+    return [(10.0 ** d - 1.0) * 100.0 for d in deltas]
+
+
 def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
     """Average percent bitrate difference of test vs anchor at equal quality."""
     _check_pair(anchor, test)
-    fa = anchor.interpolant
-    ft = test.interpolant
-    lo, hi = _overlap(fa, ft, "quality")
-    delta = (ft.integrate(lo, hi) - fa.integrate(lo, hi)) / (hi - lo)
-    value = (10.0 ** delta - 1.0) * 100.0
+    lo, hi, delta = _one_pair(anchor.interpolant, test.interpolant, "quality")
     return BDResult(
-        value=value, kind="rate", overlap=(lo, hi),
+        value=_percents([delta])[0], kind="rate", overlap=(lo, hi),
         anchor_points_used=len(anchor.points),
         test_points_used=len(test.points),
         method_note=f"pchip log10-rate over {anchor.metric_kind}; exact integral",
@@ -359,26 +384,14 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
 def bd_quality(anchor: RDCurve, test: RDCurve) -> BDResult:
     """Average quality difference of test vs anchor at equal rate."""
     _check_pair(anchor, test)
-    fa = anchor.rate_interpolant
-    ft = test.rate_interpolant
-    lo, hi = _overlap(fa, ft, "log-rate")
-    value = (ft.integrate(lo, hi) - fa.integrate(lo, hi)) / (hi - lo)
+    lo, hi, value = _one_pair(anchor.rate_interpolant, test.rate_interpolant,
+                              "log-rate")
     return BDResult(
         value=value, kind="quality", overlap=(lo, hi),
         anchor_points_used=len(anchor.points),
         test_points_used=len(test.points),
         method_note=f"pchip {anchor.metric_kind} over log10-rate; exact integral",
     )
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """n / sum(1/v); defined only for non-empty positive inputs."""
-    vals = list(values)
-    if not vals:
-        raise DomainError("harmonic mean of an empty set")
-    if any(v <= 0 for v in vals):
-        raise DomainError(f"harmonic mean needs positive values, got {min(vals)}")
-    return len(vals) / sum(1.0 / v for v in vals)
 
 
 def _metric_column(table: RecordTable,
@@ -402,7 +415,7 @@ def _aggregate(table: RecordTable, rows: np.ndarray, group: np.ndarray,
     it raises instead, or None, found in ``aggregate_points``' order:
     mixed keys, a missing measurement, the method, then non-positive
     rates and qualities. Each sum runs left to right over the group's
-    rows (``np.bincount``), as ``harmonic_mean``'s does.
+    rows (``np.bincount``), as a Python loop's does.
     """
     cols = table.columns
     rate = cols["kbps"][rows]
@@ -523,55 +536,8 @@ def smart_bd_rate(
     anchor = aggregate_curve(anchor_records, ladder, metric_kind, method, id="anchor")
     test = aggregate_curve(test_records, ladder, metric_kind, method, id="test")
     result = bd_rate(anchor, test)
-    note = f"smart ({method} aggregation); " + result.method_note
-    return BDResult(
-        value=result.value, kind=result.kind, overlap=result.overlap,
-        anchor_points_used=result.anchor_points_used,
-        test_points_used=result.test_points_used, method_note=note,
-    )
-
-
-class CurveStack:
-    """The quality -> log10(rate) PCHIPs of many curves as padded arrays.
-
-    Row r = ``rows[clip_id]`` holds that clip's curve: its ``n[r]`` knots in
-    ``x[r]`` (padded with +inf, so counting the knots <= v finds v's
-    segment), its segment coefficients in ``c[:, r]`` (highest power
-    first) and the integrals up to its knots in ``cum[r]``. The curves
-    are built in one numpy pass per knot count, with the arithmetic of
-    ``MonotoneInterpolant``, so every value equals the per-curve one.
-    """
-
-    def __init__(self, curves: ClipCurves):
-        self.rows = curves.rows
-        self.kinds = curves.kinds
-        self.n = curves.n
-        width = int(self.n.max()) if len(self.n) else 2
-        self.x = np.full((len(self.n), width), np.inf)
-        self.cum = np.zeros((len(self.n), width))
-        self.c = np.zeros((4, len(self.n), width - 1))
-        for knots in np.unique(self.n).tolist():
-            rows = np.flatnonzero(self.n == knots)
-            x = curves.qualities[rows, :knots]
-            c, cum = _pchip_tables(x, np.log10(curves.rates[rows, :knots]))
-            self.x[rows, :knots] = x
-            self.cum[rows, :knots] = cum
-            self.c[:, rows, :knots - 1] = c
-        self.lo = self.x[:, 0]
-        self.hi = self.x[np.arange(len(self.n)), self.n - 1]
-
-    def integrals(self, rows: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> np.ndarray:
-        """Integral over [lo[k], hi[k]] of row ``rows[k]``, for bounds
-        inside that row's knot span."""
-        rows = np.concatenate([rows, rows])
-        v = np.concatenate([lo, hi])
-        x = self.x[rows]
-        i = np.minimum(np.count_nonzero(x <= v[:, None], axis=1),
-                       self.n[rows] - 1) - 1
-        s = v - x[np.arange(len(v)), i]
-        p = self.cum[rows, i] + _segment_integrals(*self.c[:, rows, i], s)
-        return p[len(lo):] - p[:len(lo)]
+    return replace(result, method_note=f"smart ({method} aggregation); "
+                   + result.method_note)
 
 
 class ClipCurves(Mapping[str, RDCurve]):
@@ -587,13 +553,7 @@ class ClipCurves(Mapping[str, RDCurve]):
 
     def __init__(self, curves: Mapping[str, RDCurve]):
         ids = list(curves)
-        points = [curves[cid].points for cid in ids]
-        n = np.array([len(pts) for pts in points], dtype=np.intp)
-        rates = np.ones((len(ids), int(n.max()) if len(ids) else 0))
-        qualities = np.full(rates.shape, np.inf)
-        for r, pts in enumerate(points):
-            rates[r, :len(pts)] = [p.rate for p in pts]
-            qualities[r, :len(pts)] = [p.quality for p in pts]
+        n, rates, qualities = _padded([curves[cid] for cid in ids])
         kinds = np.array([curves[cid].metric_kind for cid in ids],
                          dtype=object)
         self._set(ids, kinds, n, rates, qualities)
@@ -637,7 +597,19 @@ class ClipCurves(Mapping[str, RDCurve]):
 
     @cached_property
     def stack(self) -> CurveStack:
-        return CurveStack(self)
+        return CurveStack(self.qualities, np.log10(self.rates), self.n)
+
+
+def _padded(curves: Sequence[RDCurve]) -> tuple:
+    """The knot counts, rates and qualities of curves, a row each, the
+    rates padded with 1 and the qualities with +inf."""
+    n = np.array([len(c.points) for c in curves], dtype=np.intp)
+    rates = np.ones((len(curves), int(n.max()) if len(curves) else 0))
+    qualities = np.full(rates.shape, np.inf)
+    for r, curve in enumerate(curves):
+        rates[r, :n[r]] = [p.rate for p in curve.points]
+        qualities[r, :n[r]] = [p.quality for p in curve.points]
+    return n, rates, qualities
 
 
 def curves_from_records(
@@ -693,12 +665,12 @@ def classic_bd_rate(
     treated as zero. The result's ``overlap`` is the union of the
     included clips' overlaps, not a quality interval every clip shares.
 
-    Every shared clip is integrated at once on the two sides' stacked
-    interpolants; each per-clip value, the mean over clips in clip-id
-    order and the union equal those of a ``bd_rate`` per clip.
+    Every shared clip is integrated at once on the two sides' stacks;
+    each per-clip value, the mean over clips in clip-id order and the
+    union equal those of a ``bd_rate`` per clip.
     """
-    a = _stack(anchor_curves)
-    t = _stack(test_curves)
+    a = _clip_curves(anchor_curves)
+    t = _clip_curves(test_curves)
     shared = sorted(a.rows.keys() & t.rows.keys())
     missing = len(a.rows.keys() ^ t.rows.keys())
     a_rows = np.array([a.rows[c] for c in shared], dtype=np.intp)
@@ -707,19 +679,14 @@ def classic_bd_rate(
     if len(mixed):
         clip_id = shared[mixed[0]]
         _check_pair(anchor_curves[clip_id], test_curves[clip_id])
-    lo = np.maximum(a.lo[a_rows], t.lo[t_rows])
-    hi = np.minimum(a.hi[a_rows], t.hi[t_rows])
-    ok = lo < hi
-    errors = len(shared) - int(np.count_nonzero(ok))
+    _, a_rows, t_rows, lo, hi, delta = _bd(a.stack, a_rows, t.stack, t_rows)
+    errors = len(shared) - len(delta)
     if errors == len(shared):
         raise AggregationError(
             f"no clip produced a valid BD-Rate ({errors} overlap failures, "
             f"{missing} unmatched clips)"
         )
-    if errors:
-        a_rows, t_rows, lo, hi = a_rows[ok], t_rows[ok], lo[ok], hi[ok]
-    delta = (t.integrals(t_rows, lo, hi) - a.integrals(a_rows, lo, hi)) / (hi - lo)
-    values = [(10.0 ** d - 1.0) * 100.0 for d in delta.tolist()]
+    values = _percents(delta.tolist())
     note = (f"classic mean over {len(values)} clips; "
             f"excluded: {errors} overlap/curve errors, {missing} unmatched")
     return BDResult(
@@ -731,9 +698,33 @@ def classic_bd_rate(
     )
 
 
-def _stack(curves: Mapping[str, RDCurve]) -> CurveStack:
-    return (curves if isinstance(curves, ClipCurves)
-            else ClipCurves(curves)).stack
+def _clip_curves(curves: Mapping[str, RDCurve]) -> ClipCurves:
+    return curves if isinstance(curves, ClipCurves) else ClipCurves(curves)
+
+
+def bd_rate_matrix(
+    curves: Sequence[Optional[RDCurve]],
+) -> list[list[Optional[float]]]:
+    """``bd_rate(curves[i], curves[j]).value`` in cell (i, j), for a grid.
+
+    The diagonal is 0.0. A cell is None where either curve is None or
+    ``bd_rate`` would raise (different metric kinds, no shared quality
+    interval). The curves are stacked once and every other pair is
+    integrated in one pass; each value equals ``bd_rate``'s to the bit.
+    """
+    built = [k for k, c in enumerate(curves) if c is not None]
+    n, rates, qualities = _padded([curves[k] for k in built])
+    kinds = np.array([curves[k].metric_kind for k in built], dtype=object)
+    pairs = (kinds[:, None] == kinds[None, :]) & ~np.eye(len(built), dtype=bool)
+    i, j = np.nonzero(pairs)
+    stack = CurveStack(qualities, np.log10(rates), n)
+    _, i, j, _, _, delta = _bd(stack, i, stack, j)
+    cells: list[list[Optional[float]]] = [
+        [0.0 if r == c else None for c in range(len(curves))]
+        for r in range(len(curves))]
+    for a, t, v in zip(i.tolist(), j.tolist(), _percents(delta.tolist())):
+        cells[built[a]][built[t]] = v
+    return cells
 
 
 def curve_csv_rows(curve: RDCurve) -> list[str]:

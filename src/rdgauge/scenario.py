@@ -339,6 +339,7 @@ def bd_grid(
     Each config's curves (per clip for classic, one aggregate for smart)
     are built once and shared by every cell in its row and column; a
     config whose aggregate curve cannot be built is N/A against all.
+    The smart cells come from one ``bd_rate_matrix`` pass.
     """
     if method not in ("classic", "smart"):
         raise ValueError(f"unknown grid method {method!r}")
@@ -347,7 +348,9 @@ def bd_grid(
     labels = [f"{f}:{p}:{n}p" for (f, p, n) in configs]
     if method == "classic":
         curves = [bd_mod.curves_from_records(s, metric_kind) for s in slices]
-        pair = bd_mod.classic_bd_rate
+        cells = [[0.0 if i == j else _classic_cell(a, t)
+                  for j, t in enumerate(curves)]
+                 for i, a in enumerate(curves)]
     else:
         curves = []
         for s, label in zip(slices, labels):
@@ -356,24 +359,16 @@ def bd_grid(
                     s, ladder, metric_kind, id=label))
             except AnalysisError:
                 curves.append(None)
-        pair = bd_mod.bd_rate
-
-    cells: list[list[Optional[float]]] = []
-    for i in range(len(configs)):
-        row: list[Optional[float]] = []
-        for j in range(len(configs)):
-            if i == j:
-                row.append(0.0)
-                continue
-            if curves[i] is None or curves[j] is None:
-                row.append(None)
-                continue
-            try:
-                row.append(pair(curves[i], curves[j]).value)
-            except AnalysisError:
-                row.append(None)
-        cells.append(row)
+        cells = bd_mod.bd_rate_matrix(curves)
     return ComparisonGrid(labels=labels, cells=cells, kind="bd", method=method)
+
+
+def _classic_cell(anchor: bd_mod.ClipCurves,
+                  test: bd_mod.ClipCurves) -> Optional[float]:
+    try:
+        return bd_mod.classic_bd_rate(anchor, test).value
+    except AnalysisError:
+        return None
 
 
 def time_grid(summaries: Sequence[ConfigSummary]) -> ComparisonGrid:

@@ -21,8 +21,9 @@ well-formed, newline-terminated lines, so a crashed append is parsed
 again on every load until it is completed or fails as a malformed line.
 ``load`` writes the index to a temporary file in the same directory and
 renames it over the old one, so no reader sees half of it; a failed
-write is logged and changes no result. ``load`` never writes the JSONL. The index is read with :mod:`marshal`, whose format is
-not safe against maliciously built data; its own digest guards against
+write is logged and changes no result. ``load`` never writes the
+JSONL. The index is read with :mod:`marshal`, whose format is not safe
+against maliciously built data; its own digest guards against
 accidents, not against someone who can write beside the store.
 """
 

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -90,22 +91,49 @@ class TestCleanCurve:
         assert [(p.rate, p.quality) for p in got] == expected
 
 
+def _stack_of(x, y):
+    """The one-row stack through knots (x, y)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return bd.CurveStack(x[None, :], y[None, :], np.array([len(x)]))
+
+
+def _evaluate(stack, at, row=0):
+    """Row ``row`` of a stack at ``at``, from its coefficients ``c``;
+    NaN outside the row's knots."""
+    at = np.asarray(at, dtype=float)
+    x = stack.x[row, :stack.n[row]]
+    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, len(x) - 2)
+    c0, c1, c2, c3 = stack.c[:, row, i]
+    s = at - x[i]
+    value = c3 + s * (c2 + s * (c1 + s * c0))
+    return np.where((at >= x[0]) & (at <= x[-1]), value, np.nan)
+
+
+def _integral(stack, a, b, row=0):
+    """The stack's integral of row ``row`` over [a, b] (negative when
+    b < a)."""
+    return float(stack.integrals(np.array([row]), np.array([float(a)]),
+                                 np.array([float(b)]))[0])
+
+
 class TestInterpolate:
     def test_passes_through_knots(self):
         curve = _curve(FOUR_POINT)
         f = bd.interpolate(curve)
         for p in curve.points:
-            assert f(p.quality) == pytest.approx(math.log10(p.rate), abs=1e-12)
+            assert _evaluate(f, p.quality) == pytest.approx(
+                math.log10(p.rate), abs=1e-12)
 
     def test_two_point_midpoint_is_mean_log_rate(self):
         curve = _curve([(1000, 30), (4000, 40)])
         f = bd.interpolate(curve)
         expected = (math.log10(1000) + math.log10(4000)) / 2
-        assert f(35.0) == pytest.approx(expected, abs=1e-12)
+        assert _evaluate(f, 35.0) == pytest.approx(expected, abs=1e-12)
 
     def test_four_point_value_brackets_and_matches_oracle(self):
         f = bd.interpolate(_curve(FOUR_POINT))
-        got = float(f(37.5))
+        got = float(_evaluate(f, 37.5))
         assert math.log10(2000) <= got <= math.log10(4000)
         # equally spaced log-rates make pchip exactly linear here
         assert got == pytest.approx(3.451544993495972, abs=1e-9)
@@ -115,32 +143,32 @@ class TestInterpolate:
         for _ in range(20):
             pts = random_curve_points(rng, int(rng.integers(3, 8)))
             f = bd.interpolate(_curve(pts))
-            qs = np.linspace(f.lo, f.hi, 1000)
-            vals = f(qs)
+            qs = np.linspace(f.lo[0], f.hi[0], 1000)
+            vals = _evaluate(f, qs)
             assert np.all(np.diff(vals) >= -1e-12)
 
 
 class TestClosedFormPchip:
-    """Slope rules and closed-form integrals of MonotoneInterpolant."""
+    """Slope rules and closed-form integrals of CurveStack."""
 
     def test_two_points_are_a_straight_line(self):
-        f = bd.MonotoneInterpolant([1.0, 3.0], [2.0, 6.0])
-        assert float(f(2.5)) == pytest.approx(5.0, abs=1e-15)
-        assert f.integrate(1.0, 3.0) == pytest.approx(8.0, abs=1e-15)
-        assert f.integrate(3.0, 1.5) == pytest.approx(-6.75, abs=1e-15)
+        f = _stack_of([1.0, 3.0], [2.0, 6.0])
+        assert float(_evaluate(f, 2.5)) == pytest.approx(5.0, abs=1e-15)
+        assert _integral(f, 1.0, 3.0) == pytest.approx(8.0, abs=1e-15)
+        assert _integral(f, 3.0, 1.5) == pytest.approx(-6.75, abs=1e-15)
 
     def test_three_points_match_hand_computed_hermite(self):
         # secants 2 and 0.5 over widths 1 and 2: interior slope is the
         # weighted harmonic mean 6/7, left end 2.5, right end estimate
         # -0.5 disagrees in sign with its secant and becomes 0
-        f = bd.MonotoneInterpolant([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
+        f = _stack_of([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
         d1 = 6.0 / 7.0
-        assert float(f(0.5)) == pytest.approx(
+        assert float(_evaluate(f, 0.5)) == pytest.approx(
             0.125 * 2.5 + 0.5 * 2.0 - 0.125 * d1, abs=1e-14)
-        assert float(f(2.0)) == pytest.approx(
+        assert float(_evaluate(f, 2.0)) == pytest.approx(
             0.5 * 2.0 + 0.125 * 2 * d1 + 0.5 * 3.0, abs=1e-14)
         whole = (1.0 + (2.5 - d1) / 12.0) + (5.0 + 4.0 * d1 / 12.0)
-        assert f.integrate(0.0, 3.0) == pytest.approx(whole, abs=1e-14)
+        assert _integral(f, 0.0, 3.0) == pytest.approx(whole, abs=1e-14)
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_end_slope_that_flips_sign_goes_to_zero(self, mirror):
@@ -149,41 +177,54 @@ class TestClosedFormPchip:
         at, end_segment = 0.5, (0.0, 1.0)
         if mirror:
             x, y, at, end_segment = [-2.0, -1.0, 0.0], y[::-1], -0.5, (-1.0, 0.0)
-        f = bd.MonotoneInterpolant(x, y)
+        f = _stack_of(x, y)
         # Hermite cubic with end slope 0 and interior slope 1.6
-        assert float(f(at)) == pytest.approx(0.3, abs=1e-14)
-        assert f.integrate(*end_segment) == pytest.approx(0.5 - 1.6 / 12.0,
-                                                          abs=1e-14)
+        assert float(_evaluate(f, at)) == pytest.approx(0.3, abs=1e-14)
+        assert _integral(f, *end_segment) == pytest.approx(0.5 - 1.6 / 12.0,
+                                                           abs=1e-14)
 
     def test_end_slope_clamped_to_three_secants(self):
         # secants 1 then -10: estimate 6.5 exceeds 3 * 1, so it is 3
-        f = bd.MonotoneInterpolant([0.0, 1.0, 2.0], [0.0, 1.0, -9.0])
-        assert float(f(0.5)) == pytest.approx(0.125 * 3.0 + 0.5, abs=1e-14)
-        assert f.integrate(0.0, 1.0) == pytest.approx(0.75, abs=1e-14)
+        f = _stack_of([0.0, 1.0, 2.0], [0.0, 1.0, -9.0])
+        assert float(_evaluate(f, 0.5)) == pytest.approx(0.125 * 3.0 + 0.5,
+                                                         abs=1e-14)
+        assert _integral(f, 0.0, 1.0) == pytest.approx(0.75, abs=1e-14)
 
     def test_nan_outside_knots(self):
-        f = bd.MonotoneInterpolant([0.0, 1.0, 2.0], [0.0, 1.0, 5.0])
-        vals = f(np.array([-0.1, 0.0, 2.0, 2.1]))
+        f = _stack_of([0.0, 1.0, 2.0], [0.0, 1.0, 5.0])
+        vals = _evaluate(f, np.array([-0.1, 0.0, 2.0, 2.1]))
         assert np.isnan(vals[[0, 3]]).all()
         assert vals[1] == 0.0 and vals[2] == 5.0
-        assert math.isnan(f.integrate(-0.1, 1.0))
+        # the span the BD kernel clips every integral to
+        assert (f.lo[0], f.hi[0]) == (0.0, 2.0)
 
     def test_matches_scipy(self):
+        # 500 curves of 2 to 13 knots in one stack, each row against
+        # scipy's PCHIP of that curve alone
         interpolate = pytest.importorskip("scipy.interpolate")
         rng = np.random.default_rng(41)
+        curves = []
         for k in range(500):
             n = int(rng.integers(2, 14))
             x = np.cumsum(rng.uniform(0.1, 10.0, n))
             # alternate monotone curves with sign-changing ones
             y = (np.cumsum(rng.uniform(0.0, 1.0, n)) if k % 2
                  else rng.normal(size=n))
-            ours = bd.MonotoneInterpolant(x, y)
+            curves.append((x, y))
+        n = np.array([len(x) for x, _ in curves])
+        xs = np.full((len(curves), n.max()), np.inf)
+        ys = np.zeros(xs.shape)
+        for r, (x, y) in enumerate(curves):
+            xs[r, :len(x)], ys[r, :len(y)] = x, y
+        stack = bd.CurveStack(xs, ys, n)
+        for r, (x, y) in enumerate(curves):
             ref = interpolate.PchipInterpolator(x, y, extrapolate=False)
             at = np.concatenate([x, rng.uniform(x[0], x[-1], 50)])
-            np.testing.assert_allclose(ours(at), ref(at), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(_evaluate(stack, at, r), ref(at),
+                                       rtol=0, atol=1e-12)
             a, b = rng.uniform(x[0], x[-1], 2)
             for lo, hi in ((a, b), (x[0], x[-1])):
-                assert ours.integrate(lo, hi) == pytest.approx(
+                assert _integral(stack, lo, hi, r) == pytest.approx(
                     float(ref.integrate(lo, hi)), rel=1e-12, abs=1e-12)
 
 
@@ -276,27 +317,35 @@ class TestRandomizedSuite:
         assert shifted.overlap[0] == pytest.approx(base.overlap[0] + 7.5)
 
 
+def _rung(rates, method="harmonic"):
+    """``aggregate_points`` of one rung of clips at these rates."""
+    return bd.aggregate_points(
+        [MetricRecord(f"c{i}", "x264", "m", 1, 4000.0, r, vmaf=50.0)
+         for i, r in enumerate(rates)], method=method).rate
+
+
 class TestHarmonicMean:
+    """The harmonic mean of ``aggregate_points``, on the rates of a rung."""
+
     def test_examples(self):
-        assert bd.harmonic_mean([1, 2, 4]) == pytest.approx(12 / 7)
-        assert bd.harmonic_mean([5.5]) == 5.5
-        assert bd.harmonic_mean([3000, 6000]) == pytest.approx(4000.0)
+        assert _rung([1, 2, 4]) == pytest.approx(12 / 7)
+        assert _rung([5.5]) == 5.5
+        assert _rung([3000, 6000]) == pytest.approx(4000.0)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bd.harmonic_mean([])
-        with pytest.raises(DomainError):
-            bd.harmonic_mean([1.0, 0.0])
-        with pytest.raises(DomainError):
-            bd.harmonic_mean([1.0, -2.0])
+        with pytest.raises(AggregationError, match="no records to aggregate"):
+            bd.aggregate_points([])
+        for rates, low in (([1.0, 0.0], "0.0"), ([1.0, -2.0], "-2.0")):
+            with pytest.raises(DomainError, match=(
+                    f"^harmonic mean needs positive values, got {low}$")):
+                _rung(rates)
 
     def test_never_exceeds_arithmetic_mean(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            vals = rng.uniform(0.1, 100, size=rng.integers(1, 10))
-            hm = bd.harmonic_mean(vals)
-            assert hm <= np.mean(vals) + 1e-12
-        assert bd.harmonic_mean([4.0, 4.0, 4.0]) == pytest.approx(4.0)
+            vals = rng.uniform(0.1, 100, size=rng.integers(1, 10)).tolist()
+            assert _rung(vals) <= _rung(vals, "arithmetic") + 1e-12
+        assert _rung([4.0, 4.0, 4.0]) == pytest.approx(4.0)
 
 
 class TestAggregatePoints:
@@ -476,9 +525,60 @@ class TestSmartAndClassic:
         ]
 
 
+class _ScalarPchip:
+    """The scalar PCHIP integral that ``bd_rate`` and ``bd_quality`` used
+    before every BD value ran through ``CurveStack``: one row of
+    ``bd._pchip_tables``, then per bound a binary search and
+    ``bd._segment_integrals`` on Python floats. Kept as the reference
+    of the batched kernel."""
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        c, cum = bd._pchip_tables(x[None, :], np.asarray(y, dtype=float)[None, :])
+        self.lo = float(x[0])
+        self.hi = float(x[-1])
+        self.knots = x.tolist()
+        self.segments = c[:, 0, :].T.tolist()
+        self.cum = cum[0].tolist()
+
+    def _primitive(self, v):
+        i = min(bisect_right(self.knots, v), len(self.knots) - 1) - 1
+        return self.cum[i] + bd._segment_integrals(*self.segments[i],
+                                                   v - self.knots[i])
+
+    def integrate(self, a, b):
+        return self._primitive(b) - self._primitive(a)
+
+
+def _reference_bd(anchor, test, quality=False):
+    """``bd_rate`` (or ``bd_quality``) of one pair on ``_ScalarPchip``."""
+    if anchor.metric_kind != test.metric_kind:
+        raise AnalysisError(
+            f"metric kinds differ: {anchor.metric_kind} vs {test.metric_kind}")
+    axes = [(c.qualities, np.log10(c.rates)) for c in (anchor, test)]
+    if quality:
+        axes = [(y, x) for x, y in axes]
+    fa, ft = (_ScalarPchip(x, y) for x, y in axes)
+    lo = max(fa.lo, ft.lo)
+    hi = min(fa.hi, ft.hi)
+    if not lo < hi:
+        raise OverlapError(
+            f"curves share no {'log-rate' if quality else 'quality'} interval "
+            f"([{fa.lo:g}, {fa.hi:g}] vs [{ft.lo:g}, {ft.hi:g}])")
+    delta = (ft.integrate(lo, hi) - fa.integrate(lo, hi)) / (hi - lo)
+    kind = anchor.metric_kind
+    return bd.BDResult(
+        value=delta if quality else (10.0 ** delta - 1.0) * 100.0,
+        kind="quality" if quality else "rate", overlap=(lo, hi),
+        anchor_points_used=len(anchor.points),
+        test_points_used=len(test.points),
+        method_note=(f"pchip {kind} over log10-rate; exact integral" if quality
+                     else f"pchip log10-rate over {kind}; exact integral"))
+
+
 def _reference_classic(anchor_curves, test_curves):
-    """The per-clip ``bd_rate`` loop that the batched classic_bd_rate
-    replaced, kept as its reference."""
+    """The per-clip BD-Rate loop that the batched classic_bd_rate
+    replaced, on the scalar reference, kept as its reference."""
     shared = sorted(set(anchor_curves) & set(test_curves))
     missing = len(set(anchor_curves) ^ set(test_curves))
     values = []
@@ -488,7 +588,7 @@ def _reference_classic(anchor_curves, test_curves):
     anchor_pts = test_pts = 0
     for clip_id in shared:
         try:
-            result = bd.bd_rate(anchor_curves[clip_id], test_curves[clip_id])
+            result = _reference_bd(anchor_curves[clip_id], test_curves[clip_id])
         except (OverlapError, CurveError):
             errors += 1
             continue
@@ -512,35 +612,49 @@ def _reference_classic(anchor_curves, test_curves):
 
 
 @st.composite
+def _random_curve(draw, clip="c", rising=None, kinds=("vmaf",)):
+    """An RDCurve of 2, 3 or 12 knots. Qualities are integers plus one of
+    three offsets, so overlaps often touch or miss, and a quality of 0
+    may be 0.0 or -0.0; rates, ints or
+    floats, may fall as well as rise (unless ``rising``), so end slopes
+    flip sign and get clamped. Rising rates are distinct and often
+    shared between curves, so log-rate overlaps touch or miss too."""
+    n = draw(st.sampled_from([2, 3, 12]))
+    qualities = sorted(draw(st.lists(st.integers(0, 60), min_size=n,
+                                     max_size=n, unique=True)))
+    offset = draw(st.sampled_from([0, 0.125, 0.5]))
+    zero = draw(st.sampled_from([0.0, -0.0]))  # the sign of a 0 quality
+    if rising is None:
+        rising = draw(st.booleans())
+    rates = draw(st.lists(st.one_of(st.integers(50, 20000),
+                                    st.floats(50.0, 20000.0),
+                                    st.sampled_from([100, 400, 1600, 6400])),
+                          min_size=n, max_size=n, unique=rising))
+    if rising:
+        rates.sort()
+    return bd.RDCurve(id=clip, metric_kind=draw(st.sampled_from(kinds)),
+                      points=tuple(bd.RDPoint(rate=r, quality=q + offset or zero)
+                                   for r, q in zip(rates, qualities)))
+
+
+@st.composite
 def _curve_set(draw):
-    """Clip id -> RDCurve of 2, 3 or 12 knots. Qualities are integers
-    plus one of three offsets, so overlaps often touch or miss; rates,
-    ints or floats, may fall as well as rise, so end slopes flip sign
-    and get clamped."""
+    """Clip id -> ``_random_curve``."""
     clips = draw(st.lists(st.sampled_from([f"c{i}" for i in range(8)]),
                           unique=True, max_size=6))
-    curves = {}
-    for clip in clips:
-        n = draw(st.sampled_from([2, 3, 12]))
-        qualities = sorted(draw(st.lists(st.integers(0, 60), min_size=n,
-                                         max_size=n, unique=True)))
-        offset = draw(st.sampled_from([0, 0.125, 0.5]))
-        rates = draw(st.lists(st.one_of(st.integers(50, 20000),
-                                        st.floats(50.0, 20000.0)),
-                              min_size=n, max_size=n))
-        if draw(st.booleans()):
-            rates.sort()
-        curves[clip] = bd.RDCurve(id=clip, metric_kind="vmaf", points=tuple(
-            bd.RDPoint(rate=r, quality=q + offset)
-            for r, q in zip(rates, qualities)))
-    return curves
+    return {clip: draw(_random_curve(clip)) for clip in clips}
 
 
-def _classic_outcome(fn, anchor, test):
+def _exact(fn, *args, **kwargs):
+    """A BD result with every float in hex (so -0.0 and 0.0 differ), or
+    an error as (type, message)."""
     try:
-        return fn(anchor, test)
+        r = fn(*args, **kwargs)
     except AnalysisError as exc:
         return type(exc), str(exc)
+    return (r.value.hex(), r.overlap[0].hex(), r.overlap[1].hex(), r.kind,
+            r.anchor_points_used, r.test_points_used, r.method_note,
+            r.overlap_label)
 
 
 @settings(max_examples=150, deadline=None)
@@ -550,15 +664,44 @@ def test_batched_classic_equals_per_clip_loop(anchor, test, other_kind):
     if other_kind in test:  # a metric-kind mismatch, if the clip is shared
         test[other_kind] = bd.RDCurve(id=other_kind, metric_kind="psnr_y",
                                       points=test[other_kind].points)
-    want = _classic_outcome(_reference_classic, anchor, test)
+    want = _exact(_reference_classic, anchor, test)
     for a, t in ((anchor, test), (bd.ClipCurves(anchor), bd.ClipCurves(test))):
-        got = _classic_outcome(bd.classic_bd_rate, a, t)
-        assert got == want
-        if isinstance(want, bd.BDResult):
-            assert got.value == want.value
-            assert got.overlap == want.overlap
-            assert (got.anchor_points_used, got.test_points_used) == (
-                want.anchor_points_used, want.test_points_used)
+        assert _exact(bd.classic_bd_rate, a, t) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from([True, True, False]).flatmap(
+    lambda rising: st.tuples(*[_random_curve(
+        rising=rising, kinds=("vmaf",) * 7 + ("psnr_y",))] * 2)))
+def test_pair_values_equal_scalar_reference(pair):
+    anchor, test = pair
+    assert (_exact(bd.bd_rate, anchor, test)
+            == _exact(_reference_bd, anchor, test))
+    rising = all(np.all(np.diff(c.rates) > 0) for c in pair)
+    if rising:  # log-rate knots must increase
+        assert (_exact(bd.bd_quality, anchor, test)
+                == _exact(_reference_bd, anchor, test, quality=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(curves=st.lists(st.one_of(st.none(), _random_curve(
+    kinds=("vmaf",) * 7 + ("psnr_y",))), max_size=6))
+def test_rate_matrix_equals_bd_rate_per_pair(curves):
+    if len(curves) > 1 and curves[-1] is not None:
+        curves.append(curves[-1])  # a curve listed twice
+    cells = bd.bd_rate_matrix(curves)
+    assert [len(row) for row in cells] == [len(curves)] * len(curves)
+    for i, a in enumerate(curves):
+        for j, t in enumerate(curves):
+            if i == j:
+                assert cells[i][j] == 0.0
+                continue
+            want = None if a is None or t is None else _exact(bd.bd_rate, a,
+                                                              t)[0]
+            if isinstance(want, type):  # bd_rate raises
+                want = None
+            cell = cells[i][j]
+            assert (None if cell is None else cell.hex()) == want
 
 
 def test_classic_mixes_knot_counts_and_clamped_ends():
@@ -585,9 +728,11 @@ def test_classic_mixes_knot_counts_and_clamped_ends():
     assert got.method_note == ("classic mean over 3 clips; excluded: "
                                "1 overlap/curve errors, 0 unmatched")
     assert got.anchor_points_used == 2 + 3 + 12
-    assert bd.interpolate(anchor["c1"])._segments[0][2] == 0.0
+    # c[2] is each segment's slope at its left knot, c[3] its value there
+    assert bd.interpolate(anchor["c1"]).c[2, 0, 0] == 0.0
     f = bd.interpolate(anchor["c2"])
-    assert f._segments[0][2] == 3.0 * ((f.y[1] - f.y[0]) / (f.x[1] - f.x[0]))
+    x, y = f.x[0], f.c[3, 0]
+    assert f.c[2, 0, 0] == 3.0 * ((y[1] - y[0]) / (x[1] - x[0]))
 
 
 def test_csv_helpers():
@@ -621,48 +766,70 @@ class TestGridBuildsOnce:
         built = []
         original = bd.CurveStack
 
-        def counting(curves):
-            stacked.append(curves)
-            return original(curves)
+        def counting(x, y, n):
+            stacked.append(n)
+            return original(x, y, n)
 
         monkeypatch.setattr(bd, "CurveStack", counting)
         monkeypatch.setattr(bd, "interpolate", built.append)
         grid = scenario.bd_grid(self.CONFIGS, self._records(), self.LADDER)
         assert len(stacked) == len(self.CONFIGS)
-        assert len({id(c) for c in stacked}) == len(stacked)
-        assert all(len(curves) == self.N_CLIPS for curves in stacked)
+        assert len({id(n) for n in stacked}) == len(stacked)
+        assert all(len(n) == self.N_CLIPS for n in stacked)
         assert built == []  # no per-curve interpolant
         assert all(cell is not None for row in grid.cells for cell in row)
 
     def test_one_aggregate_per_config_in_smart_grid(self, monkeypatch):
         records = self._records()
-        # a config with a single rung cannot form an aggregate curve
-        configs = self.CONFIGS + [("x265", "fast", 1)]
+        # a config with a single rung cannot form an aggregate curve; one
+        # far below the others in quality shares no interval with them;
+        # and one config is listed twice
+        configs = self.CONFIGS + [("x265", "fast", 1), ("x265", "slow", 1),
+                                  self.CONFIGS[1]]
         records += [MetricRecord(clip_id="c0", family="x265", preset="fast",
                                  passes=1, target_kbps=500.0,
                                  measured_kbps=500.0, vmaf=50.0)]
+        records += make_records([f"c{i}" for i in range(self.N_CLIPS)],
+                                "x265", "slow", 1, self.LADDER,
+                                efficiency=0.01)
         seen = []
+        stacked = []
         original = bd.aggregate_curve
+        original_stack = bd.CurveStack
 
         def counting(recs, *args, **kwargs):
             seen.append((recs[0].family, recs[0].preset, recs[0].passes))
             return original(recs, *args, **kwargs)
 
+        def stacking(x, y, n):
+            stacked.append(len(n))
+            return original_stack(x, y, n)
+
         monkeypatch.setattr(bd, "aggregate_curve", counting)
+        monkeypatch.setattr(bd, "CurveStack", stacking)
         grid = scenario.bd_grid(configs, records, self.LADDER, method="smart")
         assert sorted(seen) == sorted(configs)
+        assert stacked == [len(configs) - 1]  # one stack, x265:fast left out
         monkeypatch.undo()
 
         slices = [scenario.records_for_config(records, *c) for c in configs]
+        failed = 0
         for i in range(len(configs)):
             for j in range(len(configs)):
                 if i == j:
                     assert grid.cells[i][j] == 0.0
-                elif "x265" in (configs[i][0], configs[j][0]):
-                    assert grid.cells[i][j] is None
-                else:
-                    want = bd.smart_bd_rate(slices[i], slices[j], self.LADDER)
-                    assert grid.cells[i][j] == want.value
+                    continue
+                try:
+                    want = bd.smart_bd_rate(slices[i], slices[j],
+                                            self.LADDER).value
+                except (OverlapError, CurveError):
+                    want = None
+                    failed += 1
+                assert grid.cells[i][j] == want, (i, j)
+        # x265:fast against the 6 others, both ways; x265:slow against the
+        # remaining 5, both ways
+        assert failed == 2 * 6 + 2 * 5
+        assert grid.cells[1][6] == grid.cells[6][1] == 0.0  # listed twice
 
 
 # ------------------------------------------------- columnar references

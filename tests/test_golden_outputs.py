@@ -1,7 +1,10 @@
 """Byte-exact digests of the analysis commands' output files.
 
 A refactor of the BD engine, the store or the report writer must leave
-these bytes, and every BD value to the last bit, unchanged. The store is
+these bytes, and every BD value to the last bit, unchanged:
+``bd-values.txt`` pins each classic and smart BD-Rate between two
+configurations and ``bd-quality.txt`` each ``bd_quality``, per shared
+clip and between aggregate curves, every float in hex. The store is
 built from ``make_records`` with fixed seeds and planted cases: a clip
 with a single point (so ``curves_from_records`` drops it), a clip with
 a Pareto-dominated point, curves of 2, 11 and 12 knots in one
@@ -79,6 +82,8 @@ DIGESTS = {
         "f09e22cb19fec5c263132ecf11f76f59f92970475eaaa7a85f75d897f44b8076",
     "bd-values.txt":
         "730ee6e0b2b8d834ccfecce1d2bd3d14f5ad3f8d55bfcd3e83d045c3dc2afec8",
+    "bd-quality.txt":
+        "8cf7f14e9258f1bc18d6efb2468cea7edf7109009405c1bd799d1d9e1501d8cb",
     "report/report.txt":
         "49713360acf1161ce667a9e86b7db31bb01d27119b3f9ec5060b0389a16c4cf1",
 }
@@ -160,7 +165,9 @@ def _outputs(work: Path) -> dict:
     }
     for path in sorted((work / "report").iterdir()):
         texts[f"report/{path.name}"] = path.read_bytes()
-    texts["bd-values.txt"] = _exact_values(store.load(store_path))
+    loaded = store.load(store_path)
+    texts["bd-values.txt"] = _exact_values(loaded)
+    texts["bd-quality.txt"] = _exact_quality_values(loaded)
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in texts.items()}
 
@@ -191,6 +198,37 @@ def _exact_values(records) -> bytes:
                     result.overlap[0].hex(), result.overlap[1].hex(),
                     result.anchor_points_used, result.test_points_used,
                     result.method_note))))
+    return "\n".join(lines).encode()
+
+
+def _exact_quality_values(records) -> bytes:
+    """``bd_quality`` between every two configurations, on each clip they
+    share and on their aggregate curves, with each float in hex."""
+    groups = scenario.group_by_config(records)
+    clips = {cfg: bd.curves_from_records(groups[cfg]) for cfg in groups}
+    lines = []
+
+    def line(anchor, test, what, pair):
+        try:
+            result = bd.bd_quality(*pair())
+        except AnalysisError as exc:
+            lines.append(f"{anchor} {test} {what} {exc}")
+            return
+        lines.append(" ".join(map(str, (
+            anchor, test, what, result.value.hex(), result.overlap[0].hex(),
+            result.overlap[1].hex(), result.anchor_points_used,
+            result.test_points_used, result.method_note))))
+
+    for anchor in sorted(groups):
+        for test in sorted(groups):
+            if anchor == test:
+                continue
+            a, t = clips[anchor], clips[test]
+            for clip in sorted(a.keys() & t.keys()):
+                line(anchor, test, clip, lambda: (a[clip], t[clip]))
+            line(anchor, test, "aggregate", lambda: (
+                bd.aggregate_curve(groups[anchor], LADDER),
+                bd.aggregate_curve(groups[test], LADDER)))
     return "\n".join(lines).encode()
 
 
