@@ -23,12 +23,14 @@ it.
 Two dataset reductions are provided: the conventional one (BD-Rate per
 clip, then arithmetic mean) and the aggregate-curve one (harmonic-mean
 rate and quality per ladder rung on each side, then a single BD-Rate).
-``curves_from_records`` returns a ``ClipCurves`` mapping that stacks
-all of a configuration's clip curves once, and ``classic_bd_rate``
-integrates every shared clip of a pair in one pass on the two stacks.
-``bd_rate_matrix`` stacks a grid's aggregate curves once and integrates
-every pair of them in one pass. Each value equals a ``bd_rate`` of its
-pair to the bit.
+``curves_from_records`` returns a ``ClipCurves`` mapping over the
+padded points of a configuration's clip curves.
+``classic_bd_rate_matrix`` stacks every configuration's clip curves of
+a grid once and integrates every shared clip of every pair in one pass;
+``classic_bd_rate`` is its one-pair case, so each cell equals the
+``classic_bd_rate`` of its pair to the bit. ``bd_rate_matrix`` stacks a
+grid's aggregate curves once and integrates every pair of them in one
+pass; each value equals a ``bd_rate`` of its pair to the bit.
 
 Both reductions read a ``RecordTable``'s columns. ``curves_from_records``
 cleans every clip of a configuration at once (``_clean``) and builds an
@@ -357,11 +359,9 @@ def _one_pair(fa: CurveStack, ft: CurveStack,
     return lo.item(), hi.item(), delta.item()
 
 
-def _check_pair(anchor: RDCurve, test: RDCurve) -> None:
-    if anchor.metric_kind != test.metric_kind:
-        raise AnalysisError(
-            f"metric kinds differ: {anchor.metric_kind} vs {test.metric_kind}"
-        )
+def _check_kinds(anchor: str, test: str) -> None:
+    if anchor != test:
+        raise AnalysisError(f"metric kinds differ: {anchor} vs {test}")
 
 
 def _percents(deltas: Iterable[float]) -> list[float]:
@@ -371,7 +371,7 @@ def _percents(deltas: Iterable[float]) -> list[float]:
 
 def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
     """Average percent bitrate difference of test vs anchor at equal quality."""
-    _check_pair(anchor, test)
+    _check_kinds(anchor.metric_kind, test.metric_kind)
     lo, hi, delta = _one_pair(anchor.interpolant, test.interpolant, "quality")
     return BDResult(
         value=_percents([delta])[0], kind="rate", overlap=(lo, hi),
@@ -383,7 +383,7 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
 
 def bd_quality(anchor: RDCurve, test: RDCurve) -> BDResult:
     """Average quality difference of test vs anchor at equal rate."""
-    _check_pair(anchor, test)
+    _check_kinds(anchor.metric_kind, test.metric_kind)
     lo, hi, value = _one_pair(anchor.rate_interpolant, test.rate_interpolant,
                               "log-rate")
     return BDResult(
@@ -547,8 +547,7 @@ class ClipCurves(Mapping[str, RDCurve]):
     Row r = ``rows[clip_id]`` holds that clip's ``n[r]`` points in
     ``rates[r]`` and ``qualities[r]``, by increasing rate (padded), and
     its metric kind in ``kinds[r]``. An ``RDCurve`` is built when it is
-    first read, and the stacked interpolants (``CurveStack``) once, on
-    first use.
+    first read; the classic BD functions stack the arrays themselves.
     """
 
     def __init__(self, curves: Mapping[str, RDCurve]):
@@ -595,10 +594,6 @@ class ClipCurves(Mapping[str, RDCurve]):
     def __repr__(self) -> str:
         return f"ClipCurves({dict(self)!r})"
 
-    @cached_property
-    def stack(self) -> CurveStack:
-        return CurveStack(self.qualities, np.log10(self.rates), self.n)
-
 
 def _padded(curves: Sequence[RDCurve]) -> tuple:
     """The knot counts, rates and qualities of curves, a row each, the
@@ -625,7 +620,9 @@ def curves_from_records(
     """
     table = RecordTable.of(records)
     codes, names = table.columns["clip"], table.tables["clip"]
-    by_id = sorted(np.unique(codes).tolist(), key=names.__getitem__)
+    # a bare np.unique would import numpy.ma, 14 ms, in every process
+    present = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    by_id = sorted(present.tolist(), key=names.__getitem__)
     ids = [names[c] for c in by_id]
     rank = np.zeros(len(names), dtype=np.intp)
     rank[by_id] = np.arange(len(by_id))
@@ -665,37 +662,109 @@ def classic_bd_rate(
     treated as zero. The result's ``overlap`` is the union of the
     included clips' overlaps, not a quality interval every clip shares.
 
-    Every shared clip is integrated at once on the two sides' stacks;
-    each per-clip value, the mean over clips in clip-id order and the
-    union equal those of a ``bd_rate`` per clip.
+    This is the one-pair case of ``classic_bd_rate_matrix``: each
+    per-clip value, the mean over clips in clip-id order and the union
+    equal those of a ``bd_rate`` per clip.
     """
     a = _clip_curves(anchor_curves)
     t = _clip_curves(test_curves)
-    shared = sorted(a.rows.keys() & t.rows.keys())
-    missing = len(a.rows.keys() ^ t.rows.keys())
-    a_rows = np.array([a.rows[c] for c in shared], dtype=np.intp)
-    t_rows = np.array([t.rows[c] for c in shared], dtype=np.intp)
-    mixed = np.flatnonzero(a.kinds[a_rows] != t.kinds[t_rows])
-    if len(mixed):
-        clip_id = shared[mixed[0]]
-        _check_pair(anchor_curves[clip_id], test_curves[clip_id])
-    _, a_rows, t_rows, lo, hi, delta = _bd(a.stack, a_rows, t.stack, t_rows)
-    errors = len(shared) - len(delta)
-    if errors == len(shared):
+    shared, mixed, values, lo, hi, a_n, t_n = _classic(
+        [a, t], np.array([0]), np.array([1]))
+    if mixed[0] is not None:
+        _check_kinds(*mixed[0])
+    missing = len(a) + len(t) - 2 * int(shared[0])
+    errors = int(shared[0]) - len(lo)
+    if values[0] is None:
         raise AggregationError(
             f"no clip produced a valid BD-Rate ({errors} overlap failures, "
             f"{missing} unmatched clips)"
         )
-    values = _percents(delta.tolist())
-    note = (f"classic mean over {len(values)} clips; "
+    note = (f"classic mean over {len(lo)} clips; "
             f"excluded: {errors} overlap/curve errors, {missing} unmatched")
     return BDResult(
-        value=float(np.mean(values)), kind="rate",
+        value=values[0], kind="rate",
         overlap=(min(lo.tolist()), max(hi.tolist())),
-        anchor_points_used=int(a.n[a_rows].sum()),
-        test_points_used=int(t.n[t_rows].sum()),
+        anchor_points_used=int(a_n.sum()), test_points_used=int(t_n.sum()),
         method_note=note, overlap_label="quality span of the included clips",
     )
+
+
+def classic_bd_rate_matrix(
+    curves: Sequence[Mapping[str, RDCurve]],
+) -> list[list[Optional[float]]]:
+    """``classic_bd_rate(curves[i], curves[j]).value`` in cell (i, j),
+    for a grid.
+
+    The diagonal is 0.0. A cell is None where ``classic_bd_rate`` would
+    raise: the shared clips mix metric kinds, there is no shared clip,
+    or no shared clip overlaps. Every shared clip of every cell goes
+    through one ``_bd`` call; each value equals ``classic_bd_rate``'s to
+    the bit.
+    """
+    curves = [_clip_curves(c) for c in curves]
+    i, j = np.nonzero(~np.eye(len(curves), dtype=bool))
+    cells: list[list[Optional[float]]] = [
+        [0.0 if r == c else None for c in range(len(curves))]
+        for r in range(len(curves))]
+    if len(i):
+        values = _classic(curves, i, j)[2]
+        for a, t, v in zip(i.tolist(), j.tolist(), values):
+            cells[a][t] = v
+    return cells
+
+
+def _classic(curves: Sequence[ClipCurves], i: np.ndarray,
+             j: np.ndarray) -> tuple:
+    """Classic BD-Rates of the pairs (``curves[i[p]]``, ``curves[j[p]]``).
+
+    Every config's clip curves go into one ``CurveStack``. The clip ids
+    of all configs are numbered once, in sorted order, in a configs x
+    clips table of stack rows (-1 where a config lacks the clip), so a
+    pair's shared clips are the columns where both its rows hold one,
+    in clip-id order. Every shared clip of every pair goes through one
+    ``_bd`` call.
+
+    Returns, per pair: its shared clip count; the (anchor, test) metric
+    kinds of its first shared clip whose kinds differ, or None; and its
+    value, the mean of its included clips' percents (None for mixed
+    kinds or no included clip). Then, for the included clips of every
+    pair, pair by pair: their overlaps' lo and hi and their anchor's and
+    test's knot counts.
+    """
+    starts = np.cumsum([0] + [len(c) for c in curves]).tolist()
+    rates = np.ones((starts[-1], max(c.rates.shape[1] for c in curves)))
+    qualities = np.full(rates.shape, np.inf)
+    ids = sorted(set().union(*(c.rows for c in curves)))
+    column = {cid: k for k, cid in enumerate(ids)}
+    table = np.full((len(curves), len(ids)), -1, dtype=np.intp)
+    for k, c in enumerate(curves):
+        rows = slice(starts[k], starts[k + 1])
+        rates[rows, :c.rates.shape[1]] = c.rates
+        qualities[rows, :c.qualities.shape[1]] = c.qualities
+        table[k, [column[cid] for cid in c]] = np.arange(starts[k],
+                                                         starts[k + 1])
+    n = np.concatenate([c.n for c in curves])
+    kinds = np.concatenate([c.kinds for c in curves])
+
+    p, col = np.nonzero((table[i] >= 0) & (table[j] >= 0))
+    shared = np.bincount(p, minlength=len(i))
+    a_rows, t_rows = table[i[p], col], table[j[p], col]
+    differ = np.flatnonzero(kinds[a_rows] != kinds[t_rows])
+    mixed: list = [None] * len(i)
+    for e in differ[::-1].tolist():  # so each pair keeps its first
+        mixed[p[e]] = (kinds[a_rows[e]], kinds[t_rows[e]])
+    keep = np.bincount(p[differ], minlength=len(i))[p] == 0
+    p, a_rows, t_rows = p[keep], a_rows[keep], t_rows[keep]
+
+    stack = CurveStack(qualities, np.log10(rates), n)
+    ok, a_rows, t_rows, lo, hi, delta = _bd(stack, a_rows, stack, t_rows)
+    ends = np.cumsum(np.bincount(p[ok], minlength=len(i))).tolist()
+    percents = _percents(delta.tolist())
+    # a mean per pair, as classic_bd_rate takes it alone; np.add.reduceat
+    # need not sum in the same order
+    values = [float(np.mean(percents[s:e])) if s < e else None
+              for s, e in zip([0] + ends[:-1], ends)]
+    return shared, mixed, values, lo, hi, n[a_rows], n[t_rows]
 
 
 def _clip_curves(curves: Mapping[str, RDCurve]) -> ClipCurves:

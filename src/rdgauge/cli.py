@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -104,9 +105,10 @@ def _cmd_plan(args) -> int:
         with open(args.out, "w", encoding="utf-8") as f:
             for job in jobs:
                 f.write(json.dumps(dataclasses.asdict(job)) + "\n")
+    work_dir = args.work_dir or os.environ.get(runner.ENV_WORK_DIR, ".")
     for job in jobs[:args.show]:
         print(" ".join(" ".join(v) for v in
-                       encoders.build_commands(job, args.work_dir)))
+                       encoders.build_commands(job, work_dir)))
     print(f"planned {len(jobs)} jobs")
     return EXIT_OK
 
@@ -342,7 +344,10 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: nothing in it
+    depends on the environment, which the commands read when they run."""
     parser = argparse.ArgumentParser(
         prog="rdgauge",
         description="Encoder benchmark planning and rate-distortion analytics.")
@@ -374,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan_p.add_argument("--toggles",
                         help="semicolon-separated raw toggle strings")
     plan_p.add_argument("--work-dir",
-                        default=os.environ.get(runner.ENV_WORK_DIR, "."))
+                        help="encode output directory "
+                             f"(or ${runner.ENV_WORK_DIR}, default .)")
 
     metric_p = argparse.ArgumentParser(add_help=False)
     metric_p.add_argument("--metric", choices=["vmaf", "psnr_y"], default="vmaf")

@@ -339,7 +339,8 @@ def bd_grid(
     Each config's curves (per clip for classic, one aggregate for smart)
     are built once and shared by every cell in its row and column; a
     config whose aggregate curve cannot be built is N/A against all.
-    The smart cells come from one ``bd_rate_matrix`` pass.
+    The cells come from one ``classic_bd_rate_matrix`` or
+    ``bd_rate_matrix`` pass.
     """
     if method not in ("classic", "smart"):
         raise ValueError(f"unknown grid method {method!r}")
@@ -347,10 +348,8 @@ def bd_grid(
     slices = [groups.get(cfg, []) for cfg in configs]
     labels = [f"{f}:{p}:{n}p" for (f, p, n) in configs]
     if method == "classic":
-        curves = [bd_mod.curves_from_records(s, metric_kind) for s in slices]
-        cells = [[0.0 if i == j else _classic_cell(a, t)
-                  for j, t in enumerate(curves)]
-                 for i, a in enumerate(curves)]
+        cells = bd_mod.classic_bd_rate_matrix(
+            [bd_mod.curves_from_records(s, metric_kind) for s in slices])
     else:
         curves = []
         for s, label in zip(slices, labels):
@@ -361,14 +360,6 @@ def bd_grid(
                 curves.append(None)
         cells = bd_mod.bd_rate_matrix(curves)
     return ComparisonGrid(labels=labels, cells=cells, kind="bd", method=method)
-
-
-def _classic_cell(anchor: bd_mod.ClipCurves,
-                  test: bd_mod.ClipCurves) -> Optional[float]:
-    try:
-        return bd_mod.classic_bd_rate(anchor, test).value
-    except AnalysisError:
-        return None
 
 
 def time_grid(summaries: Sequence[ConfigSummary]) -> ComparisonGrid:

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -704,6 +705,81 @@ def test_rate_matrix_equals_bd_rate_per_pair(curves):
             assert (None if cell is None else cell.hex()) == want
 
 
+def _classic_per_pair(curves):
+    """``classic_bd_rate(a, t).value`` of every pair in hex, None where it
+    raises, and 0.0 on the diagonal: what the classic matrix must hold."""
+    cells = []
+    for i, a in enumerate(curves):
+        row = []
+        for j, t in enumerate(curves):
+            want = (0.0).hex() if i == j else _exact(bd.classic_bd_rate, a,
+                                                      t)[0]
+            row.append(None if isinstance(want, type) else want)
+        cells.append(row)
+    return cells
+
+
+def _hex_cells(cells):
+    return [[None if c is None else c.hex() for c in row] for row in cells]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets=st.lists(_curve_set(), max_size=5), twice=st.booleans(),
+       other_kind=st.sampled_from([None, "c0", "c3"]))
+def test_classic_matrix_equals_classic_bd_rate_per_pair(sets, twice,
+                                                        other_kind):
+    if sets and other_kind in sets[-1]:  # a metric-kind mismatch
+        sets[-1][other_kind] = bd.RDCurve(
+            id=other_kind, metric_kind="psnr_y",
+            points=sets[-1][other_kind].points)
+    if twice and sets:
+        sets.append(sets[0])  # a config listed twice
+    want = _classic_per_pair(sets)
+    assert _hex_cells(bd.classic_bd_rate_matrix(sets)) == want
+    curves = [bd.ClipCurves(c) for c in sets]
+    assert _hex_cells(bd.classic_bd_rate_matrix(curves)) == want
+
+
+def test_classic_matrix_planted_cases():
+    ladder = (500, 1000, 2000, 4000)
+    clips = ["c0", "c1", "c2"]
+    records = make_records(clips, "x264", "medium", 1, ladder)
+    records += make_records(clips, "x264", "fast", 1, ladder, rate_factor=0.9)
+    # far below the others in quality: no shared clip overlaps
+    records += make_records(clips, "x265", "slow", 1, ladder, efficiency=0.01)
+    # a single rung per clip: every clip is dropped
+    records += make_records(clips, "x265", "fast", 1, ladder[:1])
+    # no clip in common with the others
+    records += make_records(["d0", "d1"], "svt-av1", "6", 1, ladder)
+    groups = scenario.group_by_config(records)
+    curves = [bd.curves_from_records(groups[c]) for c in groups.configs]
+    assert [len(c) for c in curves] == [3, 3, 3, 0, 2]
+    # the same clips as x264:medium, measured in PSNR: mixed kinds
+    curves.append(bd.curves_from_records(groups[groups.configs[0]],
+                                         bd.METRIC_PSNR_Y))
+    curves.append(curves[1])  # x264:fast listed twice
+    cells = bd.classic_bd_rate_matrix(curves)
+    assert _hex_cells(cells) == _classic_per_pair(curves)
+    values = {(i, j) for i, row in enumerate(cells)
+              for j, cell in enumerate(row) if cell is not None and i != j}
+    assert values == {(0, 1), (1, 0), (0, 6), (6, 0), (1, 6), (6, 1)}
+    assert cells[1][6] == 0.0
+    for (i, j), error in {(0, 2): "no clip produced a valid BD-Rate (3 "
+                                  "overlap failures, 0 unmatched clips)",
+                          (0, 3): "(0 overlap failures, 3 unmatched clips)",
+                          (0, 4): "(0 overlap failures, 5 unmatched clips)",
+                          (0, 5): "metric kinds differ: vmaf vs psnr_y"}.items():
+        with pytest.raises(AnalysisError, match=re.escape(error)):
+            bd.classic_bd_rate(curves[i], curves[j])
+
+
+def test_classic_matrix_of_one_config():
+    curves = bd.curves_from_records(make_records(["c0"], "x264", "medium", 1,
+                                                 (500, 1000)))
+    assert bd.classic_bd_rate_matrix([curves]) == [[0.0]]
+    assert bd.classic_bd_rate_matrix([]) == []
+
+
 def test_classic_mixes_knot_counts_and_clamped_ends():
     # 2, 3 and 12 knots in one config. c1's first end estimate opposes
     # its secant and becomes 0; c2's secants change sign at the start,
@@ -761,21 +837,29 @@ class TestGridBuildsOnce:
                                     rate_factor=1.0 - 0.1 * k)
         return records
 
-    def test_one_stack_per_config_in_classic_grid(self, monkeypatch):
+    def test_one_stack_and_one_bd_call_per_classic_grid(self, monkeypatch):
         stacked = []
         built = []
-        original = bd.CurveStack
+        calls = []
+        original, original_bd = bd.CurveStack, bd._bd
 
         def counting(x, y, n):
             stacked.append(n)
             return original(x, y, n)
 
+        def counting_bd(*args):
+            calls.append(len(args[1]))
+            return original_bd(*args)
+
         monkeypatch.setattr(bd, "CurveStack", counting)
+        monkeypatch.setattr(bd, "_bd", counting_bd)
         monkeypatch.setattr(bd, "interpolate", built.append)
         grid = scenario.bd_grid(self.CONFIGS, self._records(), self.LADDER)
-        assert len(stacked) == len(self.CONFIGS)
-        assert len({id(n) for n in stacked}) == len(stacked)
-        assert all(len(n) == self.N_CLIPS for n in stacked)
+        # one stack holding every config's clips, one BD pass over every
+        # shared clip of every cell
+        assert [len(n) for n in stacked] == [len(self.CONFIGS) * self.N_CLIPS]
+        k = len(self.CONFIGS)
+        assert calls == [k * (k - 1) * self.N_CLIPS]
         assert built == []  # no per-curve interpolant
         assert all(cell is not None for row in grid.cells for cell in row)
 
@@ -1069,7 +1153,7 @@ def test_per_clip_curves_are_built_when_read(monkeypatch):
     monkeypatch.setattr(bd, "_curve", counting)
     curves = bd.curves_from_records(records)
     assert list(curves) == ["c0", "c1"] and built == []
-    curves.stack
+    bd.classic_bd_rate(curves, curves)
     assert built == []
     assert curves["c1"] is curves["c1"]
     assert built == ["c1"]

@@ -63,6 +63,27 @@ class TestPlan:
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 
+    def test_work_dir_env_is_read_per_call(self, tmp_path, monkeypatch,
+                                           capsys):
+        argv = ["plan", "--clips", "a", "--families", "x264", "--presets",
+                "medium", "--passes", "1", "--ladder", "8000", "--show", "1"]
+        for name in ("first", "second"):
+            work = str(tmp_path / name)
+            monkeypatch.setenv("RDGAUGE_WORK_DIR", work)
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert f" {work}/" in out
+            assert str(tmp_path / ("second" if name == "first" else "first")
+                       ) not in out
+        assert main(argv + ["--work-dir", str(tmp_path / "flag")]) == 0
+        assert f" {tmp_path / 'flag'}/" in capsys.readouterr().out
+
+    def test_valid_call_after_usage_error(self, capsys):
+        assert main(["plan", "--show", "x"]) == 1
+        assert main(["plan", "--clips", "a", "--families", "x264",
+                     "--passes", "1", "--ladder", "1000"]) == 0
+        assert "planned 6 jobs" in capsys.readouterr().out
+
 
 class TestImportAndScenario:
     def test_import_counts(self, tmp_path, capsys):
@@ -515,6 +536,27 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c",
          "import rdgauge.cli, sys; assert 'scipy' not in sys.modules"],
         env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_grid_and_curves_do_not_load_numpy_ma(tmp_path):
+    """A bare np.unique imports numpy.ma (about 14 ms) on first use."""
+    store_path = tmp_path / "s.jsonl"
+    _fill_store(store_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = f"""
+import sys
+from rdgauge.cli import main
+store = {str(store_path)!r}
+assert main(["grid", "--store", store, "--configs",
+             "x264:medium:1,svt-av1:6:1", "--method", "classic"]) == 0
+assert main(["curves", "--store", store, "--config", "x264:medium:1",
+             "--per-clip"]) == 0
+assert "numpy.ma" not in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", script],
+                   env={**os.environ, "PYTHONPATH": path}, check=True,
+                   capture_output=True)
 
 
 def test_log_level_option(tmp_path):
