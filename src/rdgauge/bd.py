@@ -26,17 +26,23 @@ rate and quality per ladder rung on each side, then a single BD-Rate).
 ``curves_from_records`` returns a ``ClipCurves`` mapping over the
 padded points of a configuration's clip curves.
 ``classic_bd_rate_matrix`` stacks every configuration's clip curves of
-a grid once and integrates every shared clip of every pair in one pass;
-``classic_bd_rate`` is its one-pair case, so each cell equals the
-``classic_bd_rate`` of its pair to the bit. ``bd_rate_matrix`` stacks a
-grid's aggregate curves once and integrates every pair of them in one
-pass; each value equals a ``bd_rate`` of its pair to the bit.
+a grid once and integrates the shared clips of its pairs in passes of
+bounded size; ``classic_bd_rate`` is its one-pair case, so each cell
+equals the ``classic_bd_rate`` of its pair to the bit.
+``bd_rate_matrix`` stacks a grid's aggregate curves once and integrates
+every pair of them in one pass; each value equals a ``bd_rate`` of its
+pair to the bit.
 
-Both reductions read a ``RecordTable``'s columns. ``curves_from_records``
-cleans every clip of a configuration at once (``_clean``) and builds an
-``RDCurve`` per clip only when one is read; ``aggregate_curve`` sums
+Both reductions read a ``RecordTable``'s columns, and each has a
+batched builder for a grid: ``curves_by_group`` and
+``aggregate_curves`` take one table whose rows are numbered by group
+(configuration) and the groups to build, and clean every curve of every
+group in one ``_clean`` call. ``curves_from_records`` and
+``aggregate_curve`` are their one-group cases, and each group gets what
+its own call gives, to the bit, with the same log lines and errors. An
+``RDCurve`` per clip is built only when one is read; rung means sum
 each rung's reciprocals with ``np.bincount``, left to right in record
-order, so its means equal a Python loop's to the bit.
+order, so they equal a Python loop's to the bit.
 """
 
 from __future__ import annotations
@@ -149,21 +155,26 @@ def _clean(group: np.ndarray, groups: int, rate: np.ndarray,
     in rows of two arrays (curves x most survivors), by increasing rate,
     the qualities padded with +inf.
 
-    The points are sorted by (curve, rate, -quality), stably, and padded
-    to rows with -inf; a point survives when its quality is above the
-    running maximum of the points before it in its row. An exact
-    duplicate, and a point with the quality of a lower rate, never is,
-    so the first of equal points in input order is the one kept.
+    The points are laid out a curve per row, in input order, padded with
+    (+inf, -inf), and each row is sorted by (rate, -quality), stably; a
+    point survives when its quality is above the running maximum of the
+    points before it in its row. An exact duplicate, and a point with
+    the quality of a lower rate, never is, so the first of equal points
+    in input order is the one kept.
     """
-    order = np.lexsort((-quality, rate, group))
+    order = np.argsort(group, kind="stable")
     g = group[order]
     count = np.bincount(group, minlength=groups)
     col = np.arange(len(order)) - (np.cumsum(count) - count)[g]
     shape = (groups, int(count.max()) if len(order) else 0)
     q = np.full(shape, -np.inf)
-    r = np.ones(shape)
+    r = np.full(shape, np.inf)
     q[g, col] = quality[order]
     r[g, col] = rate[order]
+    # sorting short rows is much faster than one sort of every point
+    by = np.lexsort((-q, r), axis=1)
+    q = np.take_along_axis(q, by, axis=1)
+    r = np.take_along_axis(r, by, axis=1)
     before = np.full(shape, -np.inf)
     before[:, 1:] = np.maximum.accumulate(q, axis=1)[:, :-1]
     keep = q > before
@@ -261,6 +272,10 @@ def _pchip_tables(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return c, np.cumsum(parts, axis=1)
 
 
+# curves per pass of a CurveStack build
+_ROWS = 1024
+
+
 class CurveStack:
     """PCHIPs through the knots of many curves, as padded arrays.
 
@@ -269,7 +284,8 @@ class CurveStack:
     segment), its segment coefficients in ``c[:, r]`` (cubics in
     s = x - x_i, highest power first) and the integrals from its first
     knot to each knot in ``cum[r]``. ``y`` is read up to each row's knot
-    count. The rows are built in one numpy pass per knot count.
+    count. The rows are built in one numpy pass per knot count and
+    ``_ROWS`` rows, so the build's temporary arrays stay small.
 
     Slopes are Fritsch-Butland at interior knots (the weighted harmonic
     mean of the two neighbouring secants, zero where they differ in
@@ -288,12 +304,14 @@ class CurveStack:
         self.cum = np.zeros((len(n), width))
         self.c = np.zeros((4, len(n), width - 1))
         for knots in sorted(set(n.tolist())):
-            rows = np.flatnonzero(n == knots)
-            knots_x = x[rows, :knots]
-            c, cum = _pchip_tables(knots_x, y[rows, :knots])
-            self.x[rows, :knots] = knots_x
-            self.cum[rows, :knots] = cum
-            self.c[:, rows, :knots - 1] = c
+            same = np.flatnonzero(n == knots)
+            for start in range(0, len(same), _ROWS):
+                rows = same[start:start + _ROWS]
+                knots_x = x[rows, :knots]
+                c, cum = _pchip_tables(knots_x, y[rows, :knots])
+                self.x[rows, :knots] = knots_x
+                self.cum[rows, :knots] = cum
+                self.c[:, rows, :knots - 1] = c
         self.lo = self.x[:, 0]
         self.hi = self.x[np.arange(len(n)), n - 1]
 
@@ -303,10 +321,14 @@ class CurveStack:
         inside that row's knot span."""
         rows = np.concatenate([rows, rows])
         v = np.concatenate([lo, hi])
-        x = self.x[rows]
-        i = np.minimum(np.count_nonzero(x <= v[:, None], axis=1),
-                       self.n[rows] - 1) - 1
-        s = v - x[np.arange(len(v)), i]
+        # each bound's segment: the count of its row's knots after the
+        # first that are <= it, one knot column at a time, so no
+        # (bounds x knots) array is built
+        i = np.zeros(len(v), dtype=np.intp)
+        for k in range(1, self.x.shape[1]):
+            i += self.x[:, k][rows] <= v
+        i = np.minimum(i, self.n[rows] - 2)
+        s = v - self.x[rows, i]
         p = self.cum[rows, i] + _segment_integrals(*self.c[:, rows, i], s)
         return p[len(lo):] - p[:len(lo)]
 
@@ -503,26 +525,95 @@ def aggregate_curve(
     method: str = "harmonic",
     id: str = "",
 ) -> RDCurve:
-    """One aggregate point per ladder rung with data, then a cleaned curve."""
+    """One aggregate point per ladder rung with data, then a cleaned curve.
+
+    This is the one-group case of ``aggregate_curves``.
+    """
     table = RecordTable.of(records)
+    curve = aggregate_curves(table, np.zeros(len(table), dtype=np.intp), [0],
+                             [id], ladder, metric_kind, method)[0]
+    if isinstance(curve, AnalysisError):
+        raise curve
+    return curve
+
+
+def aggregate_curves(
+    table: RecordTable,
+    group: np.ndarray,
+    picks: Sequence[int],
+    ids: Sequence[str],
+    ladder: Sequence[float],
+    metric_kind: str = METRIC_VMAF,
+    method: str = "harmonic",
+) -> list:
+    """``aggregate_curve`` of each picked group of a table's rows, in one
+    pass.
+
+    Row r of ``table`` belongs to group ``group[r]``. Entry k of the
+    result is the aggregate curve, with id ``ids[k]``, of the rows of
+    group ``picks[k]``, or the ``AnalysisError`` that ``aggregate_curve``
+    raises for them. A group may be picked twice, and a group that
+    numbers no row has no records. Every (group, rung) cell is reduced
+    in one ``_aggregate`` call and every curve cleaned in one ``_clean``
+    call; each cell's rows keep their table order, so each curve equals
+    that of an ``aggregate_curve`` call on its group's rows to the bit.
+    """
     rungs, at = np.unique(np.array(ladder, dtype=float), return_inverse=True)
+    wanted, slot = _slots(group, picks)
     target = table.columns["tbr_kbps"]
-    rows = np.flatnonzero(np.isin(target, rungs))
-    group = np.searchsorted(rungs, target[rows])
-    rates, qualities, errors = _aggregate(
-        table, rows, group, len(rungs), metric_kind, method)
-    count = np.bincount(group, minlength=len(rungs))
-    points = []
-    for g in at.tolist():
-        if count[g]:
-            if errors[g] is not None:
-                raise errors[g]
-            points.append((rates[g], qualities[g]))
-    if len(points) < 2:
-        raise CurveError(
-            f"aggregate curve {id!r} spans {len(points)} ladder rung(s); need 2"
-        )
-    return clean_curve(points, id=id, metric_kind=metric_kind)
+    rows = np.flatnonzero((slot[group] >= 0) & np.isin(target, rungs))
+    cell = slot[group[rows]] * len(rungs) + np.searchsorted(rungs, target[rows])
+    cells = len(wanted) * len(rungs)
+    rates, qualities, errors = _aggregate(table, rows, cell, cells,
+                                          metric_kind, method)
+    count = np.bincount(cell, minlength=cells).tolist()
+
+    # each group's points in ladder order, or its first error
+    found: list = [None] * len(wanted)
+    points: list[list] = [[] for _ in wanted]
+    for s in range(len(wanted)):
+        for g in (s * len(rungs) + at).tolist():
+            if count[g]:
+                if errors[g] is not None:
+                    found[s] = errors[g]
+                    break
+                points[s].append((rates[g], qualities[g]))
+    clean = [s for s in range(len(wanted))
+             if found[s] is None and len(points[s]) >= 2]
+    owner = np.repeat(np.arange(len(clean)), [len(points[s]) for s in clean])
+    flat = [pt for s in clean for pt in points[s]]
+    bad, n, crates, cqualities = _clean(
+        owner, len(clean), np.array([r for r, _ in flat], dtype=float),
+        np.array([q for _, q in flat], dtype=float))
+    row = {s: c for c, s in enumerate(clean)}
+
+    out: list = []
+    for pick, id in zip(slot[np.asarray(picks, dtype=np.intp)].tolist(), ids):
+        c = row.get(pick)
+        if found[pick] is not None:
+            out.append(found[pick])
+        elif c is None:
+            out.append(CurveError(
+                f"aggregate curve {id!r} spans {len(points[pick])} ladder "
+                "rung(s); need 2"))
+        elif bad[c] >= 0:
+            out.append(CurveError(_bad_point(*flat[bad[c]])))
+        elif n[c] < 2:
+            out.append(CurveError(_too_few(id, n[c])))
+        else:
+            out.append(_curve(id, metric_kind, crates[c, :n[c]],
+                              cqualities[c, :n[c]]))
+    return out
+
+
+def _slots(group: np.ndarray, picks: Sequence[int]) -> tuple:
+    """The distinct picked groups, sorted, and the position among them of
+    every group number (-1 for one not picked), indexed by group number."""
+    wanted = sorted(set(picks))
+    size = max([int(group.max()) if len(group) else -1, *wanted]) + 1
+    slot = np.full(size, -1, dtype=np.intp)
+    slot[wanted] = np.arange(len(wanted))
+    return wanted, slot
 
 
 def smart_bd_rate(
@@ -614,41 +705,86 @@ def curves_from_records(
     """Per-clip cleaned curves of (measured rate, quality), by clip id.
 
     Clips whose points collapse below two survivors are left out, each
-    logged at INFO with its configuration and the reason. Every clip is
-    cleaned at once (``_clean``); clips are taken in id order, so a clip
-    missing a measurement raises after the drops of the clips before it.
+    logged at INFO with its configuration and the reason. Clips are
+    taken in id order, so a clip missing a measurement raises after the
+    drops of the clips before it. This is the one-group case of
+    ``curves_by_group``.
     """
     table = RecordTable.of(records)
-    codes, names = table.columns["clip"], table.tables["clip"]
+    return curves_by_group(table, np.zeros(len(table), dtype=np.intp), [0],
+                           metric_kind)[0]
+
+
+def curves_by_group(
+    table: RecordTable,
+    group: np.ndarray,
+    picks: Sequence[int],
+    metric_kind: str = METRIC_VMAF,
+) -> list[ClipCurves]:
+    """``curves_from_records`` of each picked group of a table's rows, in
+    one pass.
+
+    Row r of ``table`` belongs to group ``group[r]``. Entry k of the
+    result holds the clip curves of the rows of group ``picks[k]``. A
+    group may be picked twice, and a group that numbers no row has no
+    clips. Every clip of every picked group is cleaned in one ``_clean``
+    call, its rows in table order. Then, pick by pick, the group's
+    dropped clips are logged and its first clip missing a measurement
+    raises, so the log lines and the error are those of one
+    ``curves_from_records`` call per pick, and each curve equals its
+    points to the bit.
+    """
+    wanted, slot = _slots(group, picks)
+    rows = np.flatnonzero(slot[group] >= 0)
+    codes, names = table.columns["clip"][rows], table.tables["clip"]
     # a bare np.unique would import numpy.ma, 14 ms, in every process
     present = np.flatnonzero(np.bincount(codes, minlength=len(names)))
     by_id = sorted(present.tolist(), key=names.__getitem__)
-    ids = [names[c] for c in by_id]
     rank = np.zeros(len(names), dtype=np.intp)
     rank[by_id] = np.arange(len(by_id))
-    clip = rank[codes]  # each row's clip, numbered in id order
-    rate = table.columns["kbps"]
-    quality, null = _metric_column(table, metric_kind)
-    bad, n, rates, qualities = _clean(clip, len(ids), rate, quality)
+    # each row's curve, numbered by group and then clip id
+    width = max(len(by_id), 1)
+    keys, lead, curve = np.unique(slot[group[rows]] * width + rank[codes],
+                                  return_index=True, return_inverse=True)
+    ids = [names[by_id[k]] for k in (keys % width).tolist()]
+    bounds = np.searchsorted(keys // width,
+                             np.arange(len(wanted) + 1)).tolist()
+    rate = table.columns["kbps"][rows]
+    quality, null = (c[rows] for c in _metric_column(table, metric_kind))
+    bad, n, rates, qualities = _clean(curve, len(keys), rate, quality)
+    dropped = (bad >= 0) | (n < 2)
+    with_null = np.bincount(curve[null], minlength=len(keys)) > 0
 
-    stop = int(clip[null].min()) if null.any() else len(ids)
-    dropped = np.flatnonzero((bad >= 0) | (n < 2))
-    if len(dropped):
-        _, lead = np.unique(clip, return_index=True)
-        for c in dropped[dropped < stop].tolist():
+    built = []  # per group: its drop log lines, its error, its curves
+    for s in range(len(wanted)):
+        first, end = bounds[s], bounds[s + 1]
+        nulls = np.flatnonzero(with_null[first:end])
+        stop = first + int(nulls[0]) if len(nulls) else end
+        drops = []
+        for c in (first + np.flatnonzero(dropped[first:stop])).tolist():
             reason = (_bad_point(rate[bad[c]].item(), quality[bad[c]].item())
                       if bad[c] >= 0 else _too_few(ids[c], n[c]))
-            rec = table[lead[c]]
-            log.info("dropping clip %s of %s:%s:%dp: %s", ids[c], rec.family,
-                     rec.preset, rec.passes, reason)
-    if stop < len(ids):
-        raise _missing(table, np.flatnonzero(null & (clip == stop))[0],
-                       metric_kind)
-    kept = np.flatnonzero((bad < 0) & (n >= 2))
-    return ClipCurves._of_arrays(
-        [ids[c] for c in kept.tolist()],
-        np.full(len(kept), metric_kind, dtype=object), n[kept],
-        rates[kept], qualities[kept])
+            rec = table[rows[lead[c]]]
+            drops.append((ids[c], rec.family, rec.preset, rec.passes, reason))
+        error = None
+        if stop < end:
+            row = rows[np.flatnonzero(null & (curve == stop))[0]]
+            error = _missing(table, row, metric_kind)
+        ok = first + np.flatnonzero(~dropped[first:end])
+        built.append((drops, error, ClipCurves._of_arrays(
+            [ids[c] for c in ok.tolist()],
+            np.full(len(ok), metric_kind, dtype=object), n[ok], rates[ok],
+            qualities[ok])))
+
+    out = []
+    for s in slot[np.asarray(picks, dtype=np.intp)].tolist():
+        drops, error, curves = built[s]
+        for args in drops:
+            log.info("dropping clip %s of %s:%s:%dp: %s", *args)
+        if error is not None:
+            raise error
+        out.append(curves)
+    return out
 
 
 def classic_bd_rate(
@@ -669,7 +805,7 @@ def classic_bd_rate(
     a = _clip_curves(anchor_curves)
     t = _clip_curves(test_curves)
     shared, mixed, values, lo, hi, a_n, t_n = _classic(
-        [a, t], np.array([0]), np.array([1]))
+        *_stacked([a, t]), np.array([0]), np.array([1]))
     if mixed[0] is not None:
         _check_kinds(*mixed[0])
     missing = len(a) + len(t) - 2 * int(shared[0])
@@ -697,9 +833,11 @@ def classic_bd_rate_matrix(
 
     The diagonal is 0.0. A cell is None where ``classic_bd_rate`` would
     raise: the shared clips mix metric kinds, there is no shared clip,
-    or no shared clip overlaps. Every shared clip of every cell goes
-    through one ``_bd`` call; each value equals ``classic_bd_rate``'s to
-    the bit.
+    or no shared clip overlaps. Every config's clip curves go into one
+    stack; the cells are integrated in passes of whole pairs, at most
+    ``_CHUNK`` (pair, clip) cells each (a grid of 8 configs and 60 clips
+    takes one pass), so memory stays bounded as the grid grows. Each
+    value equals ``classic_bd_rate``'s to the bit.
     """
     curves = [_clip_curves(c) for c in curves]
     i, j = np.nonzero(~np.eye(len(curves), dtype=bool))
@@ -707,30 +845,27 @@ def classic_bd_rate_matrix(
         [0.0 if r == c else None for c in range(len(curves))]
         for r in range(len(curves))]
     if len(i):
-        values = _classic(curves, i, j)[2]
-        for a, t, v in zip(i.tolist(), j.tolist(), values):
-            cells[a][t] = v
+        stack, kinds, table = _stacked(curves)
+        # pairs per pass, so that a pass reads at most _CHUNK
+        # (pair, clip) cells and its memory stays bounded
+        step = max(1, _CHUNK // max(1, table.shape[1]))
+        for start in range(0, len(i), step):
+            a, t = i[start:start + step], j[start:start + step]
+            values = _classic(stack, kinds, table, a, t)[2]
+            for r, c, v in zip(a.tolist(), t.tolist(), values):
+                cells[r][c] = v
     return cells
 
 
-def _classic(curves: Sequence[ClipCurves], i: np.ndarray,
-             j: np.ndarray) -> tuple:
-    """Classic BD-Rates of the pairs (``curves[i[p]]``, ``curves[j[p]]``).
+# (pair, clip) cells per pass of a classic grid
+_CHUNK = 4096
 
-    Every config's clip curves go into one ``CurveStack``. The clip ids
-    of all configs are numbered once, in sorted order, in a configs x
-    clips table of stack rows (-1 where a config lacks the clip), so a
-    pair's shared clips are the columns where both its rows hold one,
-    in clip-id order. Every shared clip of every pair goes through one
-    ``_bd`` call.
 
-    Returns, per pair: its shared clip count; the (anchor, test) metric
-    kinds of its first shared clip whose kinds differ, or None; and its
-    value, the mean of its included clips' percents (None for mixed
-    kinds or no included clip). Then, for the included clips of every
-    pair, pair by pair: their overlaps' lo and hi and their anchor's and
-    test's knot counts.
-    """
+def _stacked(curves: Sequence[ClipCurves]) -> tuple:
+    """Every config's clip curves in one ``CurveStack``, their metric
+    kinds by stack row, and a configs x clips table of stack rows (-1
+    where a config lacks the clip), the clip ids numbered once, in
+    sorted order."""
     starts = np.cumsum([0] + [len(c) for c in curves]).tolist()
     rates = np.ones((starts[-1], max(c.rates.shape[1] for c in curves)))
     qualities = np.full(rates.shape, np.inf)
@@ -745,7 +880,25 @@ def _classic(curves: Sequence[ClipCurves], i: np.ndarray,
                                                          starts[k + 1])
     n = np.concatenate([c.n for c in curves])
     kinds = np.concatenate([c.kinds for c in curves])
+    return CurveStack(qualities, np.log10(rates), n), kinds, table
 
+
+def _classic(stack: CurveStack, kinds: np.ndarray, table: np.ndarray,
+             i: np.ndarray, j: np.ndarray) -> tuple:
+    """Classic BD-Rates of the pairs (config ``i[p]``, config ``j[p]``)
+    of a ``_stacked`` grid.
+
+    A pair's shared clips are the columns where both its rows of
+    ``table`` hold a stack row, in clip-id order. Every shared clip of
+    every pair goes through one ``_bd`` call.
+
+    Returns, per pair: its shared clip count; the (anchor, test) metric
+    kinds of its first shared clip whose kinds differ, or None; and its
+    value, the mean of its included clips' percents (None for mixed
+    kinds or no included clip). Then, for the included clips of every
+    pair, pair by pair: their overlaps' lo and hi and their anchor's and
+    test's knot counts.
+    """
     p, col = np.nonzero((table[i] >= 0) & (table[j] >= 0))
     shared = np.bincount(p, minlength=len(i))
     a_rows, t_rows = table[i[p], col], table[j[p], col]
@@ -756,15 +909,15 @@ def _classic(curves: Sequence[ClipCurves], i: np.ndarray,
     keep = np.bincount(p[differ], minlength=len(i))[p] == 0
     p, a_rows, t_rows = p[keep], a_rows[keep], t_rows[keep]
 
-    stack = CurveStack(qualities, np.log10(rates), n)
     ok, a_rows, t_rows, lo, hi, delta = _bd(stack, a_rows, stack, t_rows)
     ends = np.cumsum(np.bincount(p[ok], minlength=len(i))).tolist()
-    percents = _percents(delta.tolist())
-    # a mean per pair, as classic_bd_rate takes it alone; np.add.reduceat
-    # need not sum in the same order
-    values = [float(np.mean(percents[s:e])) if s < e else None
-              for s, e in zip([0] + ends[:-1], ends)]
-    return shared, mixed, values, lo, hi, n[a_rows], n[t_rows]
+    percents = np.array(_percents(delta.tolist()))
+    # each pair's mean as np.mean takes it: a pairwise np.add.reduce over
+    # the pair alone, then one division; np.add.reduceat would sum left
+    # to right instead
+    values = [float(np.add.reduce(percents[s:e])) / (e - s) if s < e
+              else None for s, e in zip([0] + ends[:-1], ends)]
+    return shared, mixed, values, lo, hi, stack.n[a_rows], stack.n[t_rows]
 
 
 def _clip_curves(curves: Mapping[str, RDCurve]) -> ClipCurves:

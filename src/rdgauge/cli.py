@@ -295,8 +295,7 @@ def _cmd_report(args) -> int:
         base_overrides["vmaf_threshold"] = args.threshold
 
     reports = []
-    curves: dict[str, list] = {}
-    aggregates: dict[tuple[str, str, int], Optional[bd_mod.RDCurve]] = {}
+    picks: list[list[tuple[str, str, int]]] = []  # per scenario
     picked: list[tuple[str, str, int]] = []
     summaries_by_label: dict[str, scenario.ConfigSummary] = {}
     for sid in scenario_ids:
@@ -309,29 +308,23 @@ def _cmd_report(args) -> int:
         reports.append(rep)
         for s in summaries:
             summaries_by_label.setdefault(s.label, s)
-        scenario_curves = []
+        configs = []
         for family in sorted(rep.selections):
             pick = rep.selections[family]
-            if pick is None:
-                continue
-            config = (pick.family, pick.preset, pick.passes)
-            if config not in picked:
-                picked.append(config)
-            if config not in aggregates:
-                try:
-                    aggregates[config] = bd_mod.aggregate_curve(
-                        groups.get(config, []), ladder, args.metric,
-                        id=pick.label)
-                except (RdgaugeError, ValueError):
-                    aggregates[config] = None
-            if aggregates[config] is not None:
-                scenario_curves.append(aggregates[config])
-        curves[sid] = scenario_curves
+            if pick is not None:
+                configs.append((pick.family, pick.preset, pick.passes))
+        picks.append(configs)
+        picked += [config for config in configs if config not in picked]
 
+    aggregates = scenario.aggregate_curves(picked, groups, ladder, args.metric)
+    by_config = dict(zip(picked, aggregates))
+    curves = {sid: [by_config[c] for c in configs
+                    if by_config[c] is not None]
+              for sid, configs in zip(scenario_ids, picks)}
     grids = []
     if len(picked) > 1:
         grids.append(scenario.bd_grid(picked, groups, ladder, args.method,
-                                      args.metric))
+                                      args.metric, aggregates))
         picked_summaries = [summaries_by_label[f"{f}:{p}:{n}p"]
                             for (f, p, n) in picked]
         grids.append(scenario.time_grid(picked_summaries))

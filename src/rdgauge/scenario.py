@@ -120,6 +120,11 @@ class ConfigGroups(Mapping[Config, RecordTable]):
         self._number = {cfg: g for g, cfg in enumerate(self.configs)}
         self._tables: dict[Config, RecordTable] = {}
 
+    def numbers(self, configs: Iterable[Config]) -> list[int]:
+        """Each config's number in ``group``; a config with no records
+        gets one that numbers no row."""
+        return [self._number.get(cfg, len(self.configs)) for cfg in configs]
+
     def __getitem__(self, config: Config) -> RecordTable:
         view = self._tables.get(config)
         if view is None:
@@ -327,38 +332,52 @@ def records_for_config(records: Records, family: str, preset: str,
     return groups.table.take(np.zeros(0, dtype=np.intp))
 
 
+def aggregate_curves(
+    configs: Sequence[Config],
+    records: Records,
+    ladder: Sequence[float],
+    metric_kind: str = bd_mod.METRIC_VMAF,
+) -> list[Optional[bd_mod.RDCurve]]:
+    """Each config's harmonic aggregate curve, labelled like a grid row,
+    or None where it cannot be built; one ``bd.aggregate_curves`` pass."""
+    groups = _grouped(records)
+    labels = [f"{f}:{p}:{n}p" for (f, p, n) in configs]
+    built = bd_mod.aggregate_curves(groups.table, groups.group,
+                                    groups.numbers(configs), labels, ladder,
+                                    metric_kind)
+    return [None if isinstance(c, AnalysisError) else c for c in built]
+
+
 def bd_grid(
     configs: Sequence[Config],
     records: Records,
     ladder: Sequence[float],
     method: str = "classic",
     metric_kind: str = bd_mod.METRIC_VMAF,
+    aggregates: Optional[Sequence[Optional[bd_mod.RDCurve]]] = None,
 ) -> ComparisonGrid:
     """Pairwise BD-Rate matrix; overlap failures become explicit N/A cells.
 
     Each config's curves (per clip for classic, one aggregate for smart)
-    are built once and shared by every cell in its row and column; a
-    config whose aggregate curve cannot be built is N/A against all.
-    The cells come from one ``classic_bd_rate_matrix`` or
-    ``bd_rate_matrix`` pass.
+    are built once, every config's in one ``bd.curves_by_group`` or
+    ``aggregate_curves`` pass, and shared by every cell in its row and
+    column; a config whose aggregate curve cannot be built is N/A
+    against all. ``aggregates``, when given, are the configs'
+    ``aggregate_curves``, which the smart method then does not build
+    again. The cells come from one ``classic_bd_rate_matrix`` or
+    ``bd_rate_matrix`` call.
     """
     if method not in ("classic", "smart"):
         raise ValueError(f"unknown grid method {method!r}")
     groups = _grouped(records)
-    slices = [groups.get(cfg, []) for cfg in configs]
     labels = [f"{f}:{p}:{n}p" for (f, p, n) in configs]
     if method == "classic":
-        cells = bd_mod.classic_bd_rate_matrix(
-            [bd_mod.curves_from_records(s, metric_kind) for s in slices])
+        cells = bd_mod.classic_bd_rate_matrix(bd_mod.curves_by_group(
+            groups.table, groups.group, groups.numbers(configs), metric_kind))
     else:
-        curves = []
-        for s, label in zip(slices, labels):
-            try:
-                curves.append(bd_mod.aggregate_curve(
-                    s, ladder, metric_kind, id=label))
-            except AnalysisError:
-                curves.append(None)
-        cells = bd_mod.bd_rate_matrix(curves)
+        if aggregates is None:
+            aggregates = aggregate_curves(configs, groups, ladder, metric_kind)
+        cells = bd_mod.bd_rate_matrix(aggregates)
     return ComparisonGrid(labels=labels, cells=cells, kind="bd", method=method)
 
 

@@ -11,14 +11,15 @@ record (re-runs supersede).
 ``load`` keeps an index next to the store, ``<store>.idx``, so that a
 repeat load parses only the lines appended since. The index holds the
 keep-latest state of the store's first n bytes as the table's columns,
-in load order, with n, their line count and a blake2b digest of them.
-It is a cache and is never trusted over the JSONL: when the store was
-rewritten, truncated or replaced, or the index is missing, corrupt or
-from another index format or marshal version, ``load`` parses the
-whole store and returns the same records it would without an index.
-Deleting the index is always safe. It covers only complete,
-well-formed, newline-terminated lines, so a crashed append is parsed
-again on every load until it is completed or fails as a malformed line.
+in load order, with n, their line count and a sha256 digest of them
+(index format 3). It is a cache and is never trusted over the JSONL:
+when the store was rewritten, truncated or replaced, or the index is
+missing, corrupt or from another index format or marshal version,
+``load`` parses the whole store and returns the same records it would
+without an index. Deleting the index is always safe. It covers only
+complete, well-formed, newline-terminated lines, so a crashed append is
+parsed again on every load until it is completed or fails as a
+malformed line.
 ``load`` writes the index to a temporary file in the same directory and
 renames it over the old one, so no reader sees half of it; a failed
 write is logged and changes no result. ``load`` never writes the
@@ -58,7 +59,7 @@ FIELDS = ("clip", "family", "preset", "passes", "tbr_kbps", "kbps", "vmaf",
 
 _INDEX_HEADER = struct.Struct("<4sHH")  # magic, index format, marshal version
 _INDEX_MAGIC = b"RDGI"
-_INDEX_FORMAT = 2
+_INDEX_FORMAT = 3
 _DIGEST_SIZE = 32
 
 # Errors that make a line malformed rather than the store unreadable.
@@ -294,7 +295,7 @@ def _digest(data) -> bytes:
     # Imported here: hashlib loads OpenSSL, a cost at start-up that the
     # commands which never read a store should not pay.
     import hashlib
-    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
+    return hashlib.sha256(data).digest()
 
 
 def _read_index(path: Path, data: bytes) -> tuple[int, int, "RecordTable"]:

@@ -773,6 +773,22 @@ def test_classic_matrix_planted_cases():
             bd.classic_bd_rate(curves[i], curves[j])
 
 
+def test_classic_mean_over_many_clips_is_pairwise():
+    # np.mean sums pairwise from eight terms on; a left-to-right sum of
+    # these 40 clips' values differs in the last bit
+    rng = np.random.default_rng(0)
+    anchor, test = {}, {}
+    for k in range(40):
+        a, t = random_curve_pair(rng)
+        anchor[f"c{k:02d}"] = bd.clean_curve(a, id=f"c{k:02d}")
+        test[f"c{k:02d}"] = bd.clean_curve(t, id=f"c{k:02d}")
+    per_clip = [bd.bd_rate(anchor[c], test[c]).value for c in sorted(anchor)]
+    mean = float(np.mean(per_clip))
+    assert mean != sum(per_clip) / len(per_clip)
+    assert bd.classic_bd_rate(anchor, test).value.hex() == mean.hex()
+    assert bd.classic_bd_rate_matrix([anchor, test])[0][1].hex() == mean.hex()
+
+
 def test_classic_matrix_of_one_config():
     curves = bd.curves_from_records(make_records(["c0"], "x264", "medium", 1,
                                                  (500, 1000)))
@@ -876,23 +892,26 @@ class TestGridBuildsOnce:
         records += make_records([f"c{i}" for i in range(self.N_CLIPS)],
                                 "x265", "slow", 1, self.LADDER,
                                 efficiency=0.01)
-        seen = []
+        calls = []
         stacked = []
-        original = bd.aggregate_curve
+        original = bd.aggregate_curves
         original_stack = bd.CurveStack
 
-        def counting(recs, *args, **kwargs):
-            seen.append((recs[0].family, recs[0].preset, recs[0].passes))
-            return original(recs, *args, **kwargs)
+        def counting(table, group, picks, *args, **kwargs):
+            calls.append([table[int(np.flatnonzero(group == g)[0])]
+                          for g in picks])
+            return original(table, group, picks, *args, **kwargs)
 
         def stacking(x, y, n):
             stacked.append(len(n))
             return original_stack(x, y, n)
 
-        monkeypatch.setattr(bd, "aggregate_curve", counting)
+        monkeypatch.setattr(bd, "aggregate_curves", counting)
         monkeypatch.setattr(bd, "CurveStack", stacking)
         grid = scenario.bd_grid(configs, records, self.LADDER, method="smart")
-        assert sorted(seen) == sorted(configs)
+        # one batched build, covering each listed config once
+        assert [[(r.family, r.preset, r.passes) for r in first]
+                for first in calls] == [configs]
         assert stacked == [len(configs) - 1]  # one stack, x265:fast left out
         monkeypatch.undo()
 
@@ -1138,6 +1157,99 @@ def test_columnar_aggregate_equals_per_record_loop(records, ladder, metric,
     assert (_outcome_of(bd.aggregate_points, records, metric, method)
             == _outcome_of(_reference_aggregate_points, records, metric,
                            method))
+
+
+_CONFIGS = [("x264", "medium", 1), ("x264", "slow", 1), ("x265", "fast", 2)]
+_ABSENT = ("svt-av1", "4", 1)  # listed, never stored
+
+
+@st.composite
+def _grouped_stores(draw):
+    """Records of up to three configs, in random order, and a list of
+    configs to build: stored ones, some listed twice, and one with no
+    records. Clip curves are mostly rising, with planted odd points,
+    null metrics, single-point clips, exact duplicates and, sometimes,
+    a config that measured a single rung."""
+    records = []
+    for family, preset, passes in _CONFIGS:
+        clips = draw(st.lists(st.sampled_from(["a", "b", "c", "a,b"]),
+                              unique=True, max_size=4))
+        for clip in clips:
+            rungs = draw(st.lists(st.sampled_from(_LADDER_RUNGS + (3000.0,)),
+                                  unique=True, min_size=1, max_size=5))
+            for tbr in rungs:
+                odd = draw(st.floats(0, 1)) < 0.08
+                rate = draw(_RATES) if odd else tbr * draw(st.floats(0.8, 1.2))
+                quality = (draw(_QUALITIES) if odd
+                           else 20.0 + tbr / 100.0 + draw(st.floats(-8, 8)))
+                records.append(MetricRecord(
+                    clip_id=clip, family=family, preset=preset, passes=passes,
+                    target_kbps=tbr, measured_kbps=rate, vmaf=quality,
+                    psnr_y=30.0 + tbr / 400.0))
+    for change in ({}, {"vmaf": None}, {"psnr_y": None}):
+        # an exact duplicate, or a record with a null metric
+        if records and draw(st.integers(0, 2)) == 0:
+            k = draw(st.integers(0, len(records) - 1))
+            records.append(dataclasses.replace(records[k], **change))
+    if draw(st.booleans()):  # one rung per clip: no curve can be built
+        records += [MetricRecord(clip_id=clip, family="svt-av1", preset="8",
+                                 passes=1, target_kbps=1000.0,
+                                 measured_kbps=900.0, vmaf=50.0, psnr_y=38.0)
+                    for clip in ("a", "b")]
+    records = draw(st.permutations(records))
+    stored = sorted({(r.family, r.preset, r.passes) for r in records})
+    picks = draw(st.lists(st.sampled_from(stored + [_ABSENT]), max_size=6))
+    return records, picks
+
+
+def _logged(fn, *args):
+    """``fn(*args)``, or the AnalysisError it raises as (type, message),
+    and the INFO lines of rdgauge.bd it logged, in order."""
+    handler = _Collect()
+    log = logging.getLogger("rdgauge.bd")
+    log.addHandler(handler)
+    old_level = log.level
+    log.setLevel(logging.INFO)
+    try:
+        try:
+            out = fn(*args)
+        except AnalysisError as exc:
+            out = _bits(exc)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(old_level)
+    return out, handler.messages
+
+
+@settings(max_examples=300, deadline=None)
+@given(store=_grouped_stores(),
+       metric=st.sampled_from([bd.METRIC_VMAF, bd.METRIC_PSNR_Y]),
+       ladder=st.lists(st.sampled_from(_LADDER_RUNGS + (8000.0,)),
+                       max_size=6),
+       method=st.sampled_from(["harmonic", "harmonic", "arithmetic",
+                               "median"]))
+def test_batched_builders_equal_per_config_calls(store, metric, ladder,
+                                                 method):
+    records, picks = store
+    groups = scenario.group_by_config(records)
+    slices = [scenario.records_for_config(groups, *cfg) for cfg in picks]
+    numbers = groups.numbers(picks)
+
+    def per_config():  # as a grid built them: stop at the first error
+        return [_bits(bd.curves_from_records(s, metric)) for s in slices]
+
+    def batched():
+        return [_bits(c) for c in bd.curves_by_group(
+            groups.table, groups.group, numbers, metric)]
+
+    assert _logged(batched) == _logged(per_config)
+
+    labels = [f"{f}:{p}:{n}p" for f, p, n in picks]
+    want = [_outcome_of(bd.aggregate_curve, s, ladder, metric, method, id=label)
+            for s, label in zip(slices, labels)]
+    got = bd.aggregate_curves(groups.table, groups.group, numbers, labels,
+                              ladder, metric, method)
+    assert [_bits(c) for c in got] == want
 
 
 def test_per_clip_curves_are_built_when_read(monkeypatch):

@@ -508,6 +508,37 @@ class TestReportCommand:
         assert "rd-S1.svg" in names
 
 
+    @pytest.mark.parametrize("method", ["classic", "smart"])
+    def test_one_aggregate_build_per_report(self, tmp_path, capsys,
+                                            monkeypatch, method):
+        from rdgauge import bd, scenario
+
+        store_path = tmp_path / "s.jsonl"
+        _fill_store(store_path)
+        builds = []
+        original = bd.aggregate_curves
+
+        def counting(*args, **kwargs):
+            builds.append(list(args[2]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bd, "aggregate_curves", counting)
+        out_dir = tmp_path / "out"
+        assert main(["report", "--store", str(store_path), "--out",
+                     str(out_dir), "--ladder", LADDER, "--method",
+                     method]) == 0
+        assert len(builds) == 1 and len(builds[0]) == 2  # the two picks
+        monkeypatch.undo()
+        # the grid reads as one built on its own from the store
+        text = (out_dir / f"grid-bd-{method}.csv").read_text()
+        labels = text.splitlines()[0].split(",")[1:]
+        configs = [(f, p, int(n[:-1])) for f, p, n in
+                   (label.split(":") for label in labels)]
+        grid = scenario.bd_grid(configs, store.load(store_path),
+                                tuple(map(int, LADDER.split(","))), method)
+        assert text == "\n".join(grid.csv_rows()) + "\n"
+
+
 class TestEnvironmentErrors:
     def test_vmaf_without_ffmpeg_is_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))

@@ -60,6 +60,11 @@ def test_traced_analysis_commands_fill_every_hook(monkeypatch, tmp_path,
                         "--configs", ",".join(configs)]),
         ("report", ["report", *common, "--out", str(tmp_path / "report"),
                     "--scatter", "--curves-csv"]),
+        # the grids and the report build every config's curves in one
+        # batched call; these two reach the per-config builders
+        ("curves", ["curves", *common, "--config", configs[0]]),
+        ("curves_per_clip", ["curves", *common, "--config", configs[0],
+                             "--per-clip"]),
     ]
     tracer = tracing.Tracer()
     tracer.install()
@@ -69,13 +74,12 @@ def test_traced_analysis_commands_fill_every_hook(monkeypatch, tmp_path,
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    metrics = tracer.metrics([0, 1, 2])
+    metrics = tracer.metrics([0, 1, 2, 3, 4])
     for m in metrics.values():
         assert m["store.load.calls"] == 1
         assert m["store.load.lines"] == 80
         assert all(v >= 0 for k, v in m.items() if k.endswith(".self_ms"))
-    assert metrics[0]["bd.curves_from_records.ms"] > 0
-    assert metrics[1]["bd.aggregate_curve.calls"] > 0
-    assert metrics[1]["bd.aggregate_curves_per_config"] == 1.0
-    assert metrics[2]["bd.aggregate_curve.calls"] > 0
+    assert metrics[4]["bd.curves_from_records.ms"] > 0
+    assert metrics[3]["bd.aggregate_curve.calls"] > 0
+    assert metrics[3]["bd.aggregate_curves_per_config"] == 1.0
     assert metrics[2]["report.files"] == 14

@@ -253,6 +253,36 @@ class TestBDGrid:
         assert grid.cells[0][1] is None
         assert grid.cells[0][0] == 0.0
 
+    def test_classic_grid_memory_is_bounded(self):
+        """One classic grid of 20 configs x 200 clips x 12 rungs: its
+        transient memory must not grow with configs^2 x clips."""
+        import tracemalloc
+
+        from rdgauge import bd
+
+        ladder = tuple(250 * 2 ** (k / 2) for k in range(12))
+        clips = [f"clip{i:03d}" for i in range(200)]
+        configs = [("x264", f"p{k}", 1) for k in range(20)]
+        records = []
+        for k, (family, preset, passes) in enumerate(configs):
+            records += make_records(clips, family, preset, passes, ladder,
+                                    rate_factor=1.0 - 0.02 * k, seed=k,
+                                    rate_jitter=0.01)
+        groups = scenario.group_by_config(records)
+        del records
+        tracemalloc.start()
+        try:
+            grid = bd_grid(configs, groups, ladder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20, peak / 2 ** 20
+        curves = {k: bd.curves_from_records(groups[configs[k]])
+                  for k in (0, 7, 19)}
+        for i, j in ((0, 7), (7, 0), (19, 0), (7, 19)):
+            want = bd.classic_bd_rate(curves[i], curves[j]).value
+            assert grid.cells[i][j].hex() == want.hex()
+
     def test_csv_rows(self):
         grid = time_grid([_summary(preset="a", hours=100.0),
                           _summary(preset="b", hours=None)])

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import json
+import marshal
 import math
+import os
 import re
 import struct
 import tempfile
@@ -381,6 +384,24 @@ class TestIndex:
         assert [r.vmaf for r in got] == [77.5, 70.25]
         assert got == _reference_load(tmp_store)
 
+    def test_in_place_edit_with_restored_times_falls_back(self, tmp_store):
+        """An edit of the same length whose file times are put back, as
+        ``cp -p`` or ``rsync -t`` leave them, is still seen."""
+        store.append(tmp_store, _record(vmaf=88.5))
+        store.append(tmp_store, _record(clip_id="shot02", vmaf=70.25))
+        store.load(tmp_store)
+        before = tmp_store.stat()
+        data = tmp_store.read_bytes()
+        with open(tmp_store, "r+b") as f:
+            f.write(data.replace(b"88.5", b"77.5"))
+        os.utime(tmp_store, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = tmp_store.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size,
+                                                      before.st_mtime_ns)
+        got = store.load(tmp_store)
+        assert [r.vmaf for r in got] == [77.5, 70.25]
+        assert got == _reference_load(tmp_store)
+
     def test_truncated_store_falls_back(self, tmp_store):
         _fill(tmp_store)
         store.load(tmp_store)
@@ -471,37 +492,61 @@ class TestIndex:
                                                                tmp_store)
 
 
+def _write_old_index(path, fmt, body):
+    """An index of format ``fmt`` over ``body``, with blake2b digests as
+    formats 1 and 2 kept them."""
+    store.index_path(path).write_bytes(
+        struct.pack("<4sHH", b"RDGI", fmt, marshal.version) + _blake2b(body)
+        + body)
+
+
+def _blake2b(data):
+    return hashlib.blake2b(data, digest_size=32).digest()
+
+
 def _format_1_index(path):
     """The index a format-1 loader wrote for ``path``: each surviving row
     as a field tuple, its line index and the load-order permutation."""
-    import hashlib
-    import marshal
-
     records = _reference_load(path)
     data = path.read_bytes()
-
-    def digest(b):
-        return hashlib.blake2b(b, digest_size=32).digest()
-
     rows = [dataclasses.astuple(r) for r in records]
-    body = marshal.dumps((len(data), digest(data), data.count(b"\n"),
-                          (rows, list(range(len(rows))),
-                           list(range(len(rows))))), 2)
-    store.index_path(path).write_bytes(
-        struct.pack("<4sHH", b"RDGI", 1, marshal.version) + digest(body)
-        + body)
+    _write_old_index(path, 1, marshal.dumps(
+        (len(data), _blake2b(data), data.count(b"\n"),
+         (rows, list(range(len(rows))), list(range(len(rows))))), 2))
+
+
+def _format_2_index(path):
+    """The index a format-2 loader wrote for ``path``: the table's column
+    buffers under blake2b digests."""
+    from rdgauge.table import RecordTable
+
+    data = path.read_bytes()
+    table = RecordTable.from_records(_reference_load(path))
+    _write_old_index(path, 2, marshal.dumps(
+        (len(data), _blake2b(data), data.count(b"\n"), table.buffers()), 2))
 
 
 def test_format_1_index_falls_back_and_is_rewritten(tmp_store, caplog):
     _fill(tmp_store, 4)
     _format_1_index(tmp_store)
+    _check_old_index_is_rewritten(tmp_store, caplog, 1)
+
+
+def test_format_2_index_falls_back_and_is_rewritten(tmp_store, caplog):
+    _fill(tmp_store, 4)
+    _format_2_index(tmp_store)
+    _check_old_index_is_rewritten(tmp_store, caplog, 2)
+
+
+def _check_old_index_is_rewritten(tmp_store, caplog, fmt):
     with caplog.at_level("WARNING"):
         got = store.load(tmp_store)
     assert got == _reference_load(tmp_store)
-    assert any("ignoring store index" in r.message and "format 1" in r.message
-               and "want 2" in r.message for r in caplog.records)
+    assert any("ignoring store index" in r.message
+               and f"format {fmt}" in r.message and "want 3" in r.message
+               for r in caplog.records)
     head = store.index_path(tmp_store).read_bytes()[:8]
-    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 2)
+    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 3)
     caplog.clear()
     with caplog.at_level("WARNING"):
         assert store.load(tmp_store) == got
