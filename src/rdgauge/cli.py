@@ -73,7 +73,7 @@ def _require_store(args) -> str:
 
 
 def _build_plan(args) -> list[encoders.EncodeJob]:
-    if getattr(args, "toolsweep", False):
+    if args.toolsweep:
         if not args.toggles:
             raise PlanError("--toolsweep needs --toggles")
         toggles = [t.strip() for t in args.toggles.split(";") if t.strip()]
@@ -91,12 +91,10 @@ def _build_plan(args) -> list[encoders.EncodeJob]:
             if not plist:
                 raise PlanError(f"none of {wanted} are {fam} presets")
     pass_modes = tuple(int(p) for p in args.passes.split(","))
-    kwargs = {}
-    if getattr(args, "maxrate_factor", None) is not None:
-        kwargs["maxrate_factor"] = args.maxrate_factor
     return encoders.plan_matrix(
         _clip_list(args), families, ladder=_parse_ladder(args.ladder),
-        pass_modes=pass_modes, presets=presets, **kwargs)
+        pass_modes=pass_modes, presets=presets,
+        maxrate_factor=args.maxrate_factor)
 
 
 def _cmd_plan(args) -> int:
@@ -256,7 +254,7 @@ def _scenario_spec(args) -> scenario.ScenarioSpec:
         overrides["overshoot_threshold"] = args.overshoot
     if args.budget_hours is not None:
         overrides["time_budget_hours"] = args.budget_hours
-    if getattr(args, "slack_points", None) is not None:
+    if args.slack_points is not None:
         overrides["coverage_slack_points"] = args.slack_points
     return scenario.make_scenario(args.id, **overrides)
 
@@ -294,20 +292,26 @@ def _cmd_report(args) -> int:
     if args.threshold is not None:
         base_overrides["vmaf_threshold"] = args.threshold
 
+    # summarize reads only the VMAF bar, the checkpoint and the
+    # overshoot gate, and this command sets those alike for every
+    # scenario (S3's hour budget is not a gate it counts), so one call
+    # serves them all.
+    summaries = []
+    if scenario_ids:
+        summaries = scenario.summarize(
+            groups, scenario.make_scenario(scenario_ids[0], **base_overrides))
+    summaries_by_label = {s.label: s for s in summaries}
+
     reports = []
     picks: list[list[tuple[str, str, int]]] = []  # per scenario
     picked: list[tuple[str, str, int]] = []
-    summaries_by_label: dict[str, scenario.ConfigSummary] = {}
     for sid in scenario_ids:
         overrides = dict(base_overrides)
         if args.budget_hours is not None and sid == "S3":
             overrides["time_budget_hours"] = args.budget_hours
         spec = scenario.make_scenario(sid, **overrides)
-        summaries = scenario.summarize(groups, spec)
         rep = scenario.select_presets(summaries, spec)
         reports.append(rep)
-        for s in summaries:
-            summaries_by_label.setdefault(s.label, s)
         configs = []
         for family in sorted(rep.selections):
             pick = rep.selections[family]
@@ -365,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     plan_p.add_argument("--presets", help="restrict presets (comma-separated)")
     plan_p.add_argument("--passes", default="1,2")
     plan_p.add_argument("--ladder", help="target bitrates in kb/s, comma-separated")
-    plan_p.add_argument("--maxrate-factor", type=float, default=None,
-                        help="max rate as a multiple of target (default 1.2)")
+    plan_p.add_argument("--maxrate-factor", type=float,
+                        default=encoders.MAXRATE_FACTOR_DEFAULT,
+                        help="max rate as a multiple of target "
+                             "(default %(default)s)")
     plan_p.add_argument("--toolsweep", action="store_true",
                         help="plan a tool-off sweep instead of a matrix")
     plan_p.add_argument("--toggles",

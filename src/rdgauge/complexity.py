@@ -45,13 +45,9 @@ import numpy as np
 from . import kernels
 from .cpus import available_cpus
 from .errors import RdgaugeError, Y4MValidationError
-from .y4m import Frame, Y4MReader
+from .y4m import Y4MReader
 
 BLOCK = kernels.BLOCK
-
-
-def _depth_scale(bit_depth: int) -> float:
-    return float(1 << (bit_depth - 8))
 
 
 def _frame_energy(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,42 +81,6 @@ def _change_energy(
     total = int(diff.sum(axis=1, dtype=acc).sum(dtype=np.uint64))
     mad = float(total) / diff.size
     return float(texture + mad)
-
-
-def block_texture_energy(block: np.ndarray, bit_depth: int = 8) -> float:
-    """Texture energy of a single full 32x32 luma block.
-
-    Sum of DCT AC coefficient magnitudes (unweighted), over block area
-    and over 2^(bit_depth - 8). Zero for constant blocks and invariant
-    under a constant offset, since only the DC coefficient moves.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != (BLOCK, BLOCK):
-        raise Y4MValidationError(f"expected a {BLOCK}x{BLOCK} block, got {block.shape}")
-    raw = kernels.block_energies(block)[0, 0]
-    return float(raw) / (BLOCK * BLOCK) / _depth_scale(bit_depth)
-
-
-def frame_spatial_energy(frame: Frame) -> float:
-    """Mean block texture energy over the frame's luma plane."""
-    _, grid = _frame_energy(frame.y)
-    return float(grid.mean()) / _depth_scale(frame.bit_depth)
-
-
-def temporal_energy(frame_t: Frame, frame_prev: Frame) -> float:
-    """Inter-frame change energy; symmetric in its arguments.
-
-    Mean absolute per-block texture-energy difference plus mean
-    absolute luma difference, both normalised by bit depth.
-    """
-    if frame_t.y.shape != frame_prev.y.shape:
-        raise Y4MValidationError(
-            f"frame size mismatch: {frame_t.y.shape} vs {frame_prev.y.shape}"
-        )
-    if frame_t.bit_depth != frame_prev.bit_depth:
-        raise Y4MValidationError("bit depth mismatch between frames")
-    energy = _change_energy(_frame_energy(frame_t.y), _frame_energy(frame_prev.y))
-    return energy / _depth_scale(frame_t.bit_depth)
 
 
 @dataclass(frozen=True)
@@ -170,7 +130,7 @@ def analyze_clip(
         own = True
         cid = clip_id or Path(source).stem
     try:
-        scale = _depth_scale(reader.header.bit_depth)
+        scale = float(1 << (reader.header.bit_depth - 8))
         frame_se: list[float] = []
         frame_te: list[float] = []
         prev = None

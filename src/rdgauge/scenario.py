@@ -202,17 +202,6 @@ class ScenarioReport:
     rationale: dict[str, str]
     summaries: list[ConfigSummary] = field(default_factory=list)
 
-    def check(self, spec: ScenarioSpec) -> bool:
-        """Re-verify every selection against the scenario's hard constraints."""
-        for summary in self.selections.values():
-            if summary is None:
-                continue
-            if spec.objective == OBJECTIVE_BUDGETED:
-                budget = spec.time_budget_hours * (1.0 + spec.budget_tolerance)
-                if summary.total_hours is None or summary.total_hours > budget:
-                    return False
-        return True
-
 
 def _coverage_order(s: ConfigSummary) -> tuple:
     hours = s.total_hours if s.total_hours is not None else float("inf")
@@ -402,18 +391,6 @@ def time_grid(summaries: Sequence[ConfigSummary]) -> ComparisonGrid:
 SUMMARY_CSV_FIELDS = ("family", "preset", "passes", "n_records", "n_above",
                       "n_checkpoint_records", "n_checkpoint_above",
                       "overshoot_count", "total_hours")
-
-
-def summaries_to_csv(summaries: Iterable[ConfigSummary]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_CSV_FIELDS)
-    for s in summaries:
-        writer.writerow([s.family, s.preset, s.passes, s.n_records, s.n_above,
-                         s.n_checkpoint_records, s.n_checkpoint_above,
-                         s.overshoot_count,
-                         "" if s.total_hours is None else repr(s.total_hours)])
-    return buf.getvalue()
 
 
 def summaries_from_csv(text: str) -> list[ConfigSummary]:

@@ -131,10 +131,6 @@ class MetricRecord:
         }
         return json.dumps(row, ensure_ascii=False)
 
-    @classmethod
-    def from_line(cls, line: str) -> "MetricRecord":
-        return cls(*_fields(json.loads(line)))
-
 
 def _fields(row: dict) -> tuple:
     """A parsed line's MetricRecord field values, in field order.

@@ -1,9 +1,10 @@
-"""YUV4MPEG2 (Y4M) stream reading and writing.
+"""YUV4MPEG2 (Y4M) stream reading.
 
 Only progressive 4:2:0 at 8 or 10 bit is supported, which covers the
 benchmark corpus. Frames are planar numpy arrays; 10-bit samples travel
 as little-endian 16-bit words. Reading is streaming, one frame at a
-time, so multi-GB 4K clips never get buffered whole.
+time, so multi-GB 4K clips never get buffered whole. rdgauge writes no
+Y4M: its clips come from elsewhere and the encoders read them directly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Optional, Union
 
 import numpy as np
 
@@ -118,19 +119,6 @@ class VideoHeader:
     def fps(self) -> float:
         return self.fps_num / self.fps_den
 
-    def header_line(self) -> bytes:
-        tags = [
-            SIGNATURE.decode(),
-            f"W{self.width}",
-            f"H{self.height}",
-            f"F{self.fps_num}:{self.fps_den}",
-            f"I{self.interlacing}",
-            f"A{self.pixel_aspect[0]}:{self.pixel_aspect[1]}",
-            self.chroma,
-        ]
-        tags.extend(self.extra_tags)
-        return (" ".join(tags) + "\n").encode("ascii")
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -140,14 +128,6 @@ class Frame:
     u: np.ndarray
     v: np.ndarray
     bit_depth: int = 8
-
-    def conforms_to(self, header: VideoHeader) -> bool:
-        return (
-            self.bit_depth == header.bit_depth
-            and self.y.shape == (header.height, header.width)
-            and self.u.shape == (header.chroma_height, header.chroma_width)
-            and self.v.shape == (header.chroma_height, header.chroma_width)
-        )
 
 
 def _chroma_depth(tag: str) -> int:
@@ -311,13 +291,6 @@ class Y4MReader:
     def read_frame(self) -> Optional[Frame]:
         return read_frame(self._stream, self.header)
 
-    def frames(self) -> Iterator[Frame]:
-        while True:
-            frame = self.read_frame()
-            if frame is None:
-                return
-            yield frame
-
     def close(self) -> None:
         if self._owns:
             self._stream.close()
@@ -327,46 +300,6 @@ class Y4MReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def write_clip(
-    header: VideoHeader,
-    frames: Iterable[Frame],
-    sink: BinaryIO,
-) -> int:
-    """Write a header plus frames; returns bytes written.
-
-    The emitted stream re-parses to an identical header and bit-identical
-    frames.
-    """
-    written = 0
-    line = header.header_line()
-    sink.write(line)
-    written += len(line)
-    for i, frame in enumerate(frames):
-        if not frame.conforms_to(header):
-            raise Y4MValidationError(
-                f"frame {i} does not conform to header "
-                f"({header.width}x{header.height} C{header.chroma[1:]})"
-            )
-        for plane in (frame.y, frame.u, frame.v):
-            if plane.size and int(plane.max()) > header.sample_max:
-                raise Y4MValidationError(
-                    f"frame {i} has samples above {header.sample_max}"
-                )
-        sink.write(FRAME_MARKER + b"\n")
-        written += len(FRAME_MARKER) + 1
-        for plane in (frame.y, frame.u, frame.v):
-            data = np.ascontiguousarray(plane, dtype=header.dtype).tobytes()
-            sink.write(data)
-            written += len(data)
-    return written
-
-
-def read_clip(source: Union[str, Path, BinaryIO]) -> tuple[VideoHeader, list[Frame]]:
-    """Read an entire (small) clip into memory. Intended for tests and tools."""
-    with Y4MReader(source) as reader:
-        return reader.header, list(reader.frames())
 
 
 def probe_clip(path: Union[str, Path]) -> tuple[VideoHeader, int]:
@@ -394,37 +327,3 @@ def probe_clip(path: Union[str, Path]) -> tuple[VideoHeader, int]:
             count += 1
     return header, count
 
-
-def make_header(width: int, height: int, fps_num: int = 24, fps_den: int = 1,
-                bit_depth: int = 8) -> VideoHeader:
-    """Convenience constructor for generated clips."""
-    chroma = "C420" if bit_depth == 8 else "C420p10"
-    return VideoHeader(width=width, height=height, fps_num=fps_num,
-                       fps_den=fps_den, chroma=chroma)
-
-
-def synthetic_clip(
-    header: VideoHeader,
-    n_frames: int,
-    seed: int = 0,
-    motion: bool = True,
-) -> list[Frame]:
-    """Deterministic pseudo-random frames with some temporal structure.
-
-    Used by the smoke test and the clip generator CLI; moving content
-    keeps encoders honest about rate control.
-    """
-    rng = np.random.default_rng(seed)
-    hi = header.sample_max
-    base = rng.integers(0, hi + 1, size=(header.height, header.width))
-    frames = []
-    for t in range(n_frames):
-        shift = t if motion else 0
-        y = np.roll(base, shift, axis=1).astype(header.dtype)
-        u = rng.integers(0, hi + 1, size=(header.chroma_height, header.chroma_width),
-                         dtype=np.uint16 if header.bit_depth > 8 else np.uint8)
-        v = rng.integers(0, hi + 1, size=(header.chroma_height, header.chroma_width),
-                         dtype=np.uint16 if header.bit_depth > 8 else np.uint8)
-        frames.append(Frame(y=y, u=u.astype(header.dtype), v=v.astype(header.dtype),
-                            bit_depth=header.bit_depth))
-    return frames

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import (clip_stream, make_header, read_clip, synthetic_clip,
+                      write_clip)
 from oracles import bd_rate_trapezoid, random_curve_pair
 from rdgauge import bd, complexity, runner, scenario, y4m
 from rdgauge.encoders import (
@@ -194,7 +196,7 @@ def test_criterion_09_y4m_round_trip():
             depth = 8 if i % 2 == 0 else 10
             width = 2 * int(rng.integers(1, 9))
             height = 2 * int(rng.integers(1, 9))
-            header = y4m.make_header(width, height, bit_depth=depth)
+            header = make_header(width, height, bit_depth=depth)
             frames = []
             for _ in range(int(rng.integers(1, 4))):
                 frames.append(y4m.Frame(
@@ -207,16 +209,16 @@ def test_criterion_09_y4m_round_trip():
                     bit_depth=depth))
             import io
             sink = io.BytesIO()
-            y4m.write_clip(header, frames, sink)
+            write_clip(header, frames, sink)
             sink.seek(0)
-            h2, back = y4m.read_clip(sink)
+            h2, back = read_clip(sink)
             assert h2 == header
             assert len(back) == len(frames)
             for a, b in zip(frames, back):
                 assert np.array_equal(a.y, b.y)
                 assert np.array_equal(a.u, b.u)
                 assert np.array_equal(a.v, b.v)
-        assert y4m.make_header(3840, 2160, bit_depth=10).frame_payload_bytes \
+        assert make_header(3840, 2160, bit_depth=10).frame_payload_bytes \
             == 24_883_200
     _run(9, "100 randomized clips survive write->parse bit-exactly; 4K 10-bit "
             "payload is 24,883,200 bytes", body)
@@ -225,12 +227,12 @@ def test_criterion_09_y4m_round_trip():
 def test_criterion_10_complexity_sanity():
     def body():
         import io
-        header = y4m.make_header(64, 64)
+        header = make_header(64, 64)
         flat = np.full((64, 64), 128, np.uint8)
         chroma = np.full((32, 32), 64, np.uint8)
         frames = [y4m.Frame(y=flat, u=chroma, v=chroma)] * 5
         sink = io.BytesIO()
-        y4m.write_clip(header, frames, sink)
+        write_clip(header, frames, sink)
         sink.seek(0)
         record = complexity.analyze_clip(y4m.Y4MReader(sink), clip_id="flat")
         assert record.clip_se == 0.0
@@ -241,15 +243,17 @@ def test_criterion_10_complexity_sanity():
         luma = rng.integers(0, 200, (64, 64))
         textured = [y4m.Frame(y=luma.astype(np.uint8), u=chroma, v=chroma)] * 4
         sink = io.BytesIO()
-        y4m.write_clip(header, textured, sink)
+        write_clip(header, textured, sink)
         sink.seek(0)
         static = complexity.analyze_clip(y4m.Y4MReader(sink), clip_id="static")
         assert static.clip_te == 0.0
 
         base = y4m.Frame(y=luma.astype(np.uint8), u=chroma, v=chroma)
         offset = y4m.Frame(y=(luma + 30).astype(np.uint8), u=chroma, v=chroma)
-        se_a = complexity.frame_spatial_energy(base)
-        se_b = complexity.frame_spatial_energy(offset)
+        se_a = complexity.analyze_clip(
+            y4m.Y4MReader(clip_stream(header, [base]))).frame_se[0]
+        se_b = complexity.analyze_clip(
+            y4m.Y4MReader(clip_stream(header, [offset]))).frame_se[0]
         assert abs(se_a - se_b) < 1e-9
     _run(10, "constant clip SE = TE = 0 exactly; static clip TE = 0; SE "
              "invariant under luma offset (1e-9)", body)
@@ -275,11 +279,11 @@ def test_criterion_11_live_smoke(tmp_path):
 
     def body():
         start = time.perf_counter()
-        header = y4m.make_header(64, 64, fps_num=24)
-        frames = y4m.synthetic_clip(header, 48, seed=3)
+        header = make_header(64, 64, fps_num=24)
+        frames = synthetic_clip(header, 48, seed=3)
         clip = tmp_path / "smoke.y4m"
         with open(clip, "wb") as f:
-            y4m.write_clip(header, frames, f)
+            write_clip(header, frames, f)
 
         curves = {}
         for preset in ("ultrafast", "veryfast"):

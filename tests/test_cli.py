@@ -8,9 +8,9 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import make_records
+from conftest import make_header, make_records, synthetic_clip, write_clip
 from rdgauge import complexity as cx_mod
-from rdgauge import store, y4m
+from rdgauge import store
 from rdgauge.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -56,6 +56,15 @@ class TestPlan:
                      "8000", "--show", "1"]) == 0
         out = capsys.readouterr().out
         assert "-maxrate 9600k" in out
+
+    def test_default_maxrate_factor_is_the_encoders_default(self, capsys):
+        argv = ["plan", "--clips", "a", "--families", "x264,svt-av1",
+                "--passes", "1,2", "--ladder", "1000,8000", "--show", "40"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--maxrate-factor", "1.2"]) == 0
+        assert capsys.readouterr().out == default
+        assert "-maxrate 9600k" in default
 
     def test_usage_error_exit_code(self):
         assert main(["plan"]) == 2 or main(["plan", "--clips", ""]) == 2
@@ -341,11 +350,10 @@ class TestAnalytics:
 
 class TestComplexityCommand:
     def test_complexity_outputs(self, tmp_path, capsys):
-        header = y4m.make_header(32, 32)
-        frames = y4m.synthetic_clip(header, 3, seed=5)
+        header = make_header(32, 32)
+        frames = synthetic_clip(header, 3, seed=5)
         clip = tmp_path / "tiny.y4m"
-        with open(clip, "wb") as f:
-            y4m.write_clip(header, frames, f)
+        write_clip(header, frames, clip)
         rows = tmp_path / "cx.jsonl"
         csv_path = tmp_path / "scatter.csv"
         rc = main(["complexity", "--clips", str(clip), "--out", str(rows),
@@ -357,12 +365,12 @@ class TestComplexityCommand:
         assert csv_path.read_text().startswith("clip_id,clip_se,clip_te")
 
     def test_scatter_csv_quotes_clip_ids(self, tmp_path, capsys):
-        header = y4m.make_header(32, 32)
+        header = make_header(32, 32)
         clips_dir = tmp_path / "clips"
         clips_dir.mkdir()
         for name in ("a,b", 'q"t', "plain"):
-            with open(clips_dir / f"{name}.y4m", "wb") as f:
-                y4m.write_clip(header, y4m.synthetic_clip(header, 2), f)
+            write_clip(header, synthetic_clip(header, 2),
+                       clips_dir / f"{name}.y4m")
         rows = tmp_path / "cx.jsonl"
         csv_path = tmp_path / "scatter.csv"
         rc = main(["complexity", "--clips-dir", str(clips_dir),
@@ -380,12 +388,11 @@ class TestComplexityCommand:
         assert '"q""t",' in text
 
     def test_bad_clip_keeps_finished_clips(self, tmp_path, capsys):
-        header = y4m.make_header(32, 32)
+        header = make_header(32, 32)
         clips = []
         for name, n_frames in (("a_good", 3), ("b_cut", 2), ("c_good", 2)):
             path = tmp_path / f"{name}.y4m"
-            with open(path, "wb") as f:
-                y4m.write_clip(header, y4m.synthetic_clip(header, n_frames), f)
+            write_clip(header, synthetic_clip(header, n_frames), path)
             clips.append(path)
         data = clips[1].read_bytes()
         clips[1].write_bytes(data[:-100])  # truncate the last frame
@@ -405,9 +412,8 @@ class TestComplexityCommand:
     def test_forged_frame_size_fails_only_its_clip(self, tmp_path, capsys):
         clips_dir = tmp_path / "clips"
         clips_dir.mkdir()
-        header = y4m.make_header(32, 32)
-        with open(clips_dir / "ok.y4m", "wb") as f:
-            y4m.write_clip(header, y4m.synthetic_clip(header, 2), f)
+        header = make_header(32, 32)
+        write_clip(header, synthetic_clip(header, 2), clips_dir / "ok.y4m")
         forged = b"YUV4MPEG2 W2000000 H2000000 F30:1 Ip A1:1 C420jpeg\nFRAME\n"
         (clips_dir / "forged.y4m").write_bytes(forged + bytes(160 - len(forged)))
         rows = tmp_path / "cx.jsonl"
@@ -450,10 +456,9 @@ class TestComplexityCommand:
         clips_dir.mkdir()
         for n, size in enumerate([(64, 32), (32, 32), (96, 64), (64, 64),
                                   (32, 64)]):
-            header = y4m.make_header(*size)
+            header = make_header(*size)
             path = clips_dir / f"c{n}.y4m"
-            with open(path, "wb") as f:
-                y4m.write_clip(header, y4m.synthetic_clip(header, 3, seed=n), f)
+            write_clip(header, synthetic_clip(header, 3, seed=n), path)
         bad = clips_dir / "c2.y4m"
         bad.write_bytes(bad.read_bytes()[:-50])  # the middle clip is cut
         one = self._run_with_cpus(monkeypatch, capsys, clips_dir,
@@ -508,6 +513,27 @@ class TestReportCommand:
         assert "rd-S1.svg" in names
 
 
+    def test_one_summary_per_report(self, tmp_path, capsys, monkeypatch):
+        from rdgauge import scenario
+
+        store_path = tmp_path / "s.jsonl"
+        _fill_store(store_path)
+        calls = []
+        original = scenario.summarize
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "summarize", counting)
+        assert main(["report", "--store", str(store_path), "--out",
+                     str(tmp_path / "out"), "--ladder", LADDER]) == 0
+        assert len(calls) == 1  # for the default S1,S2,S3
+        assert main(["report", "--store", str(store_path), "--out",
+                     str(tmp_path / "none"), "--ladder", LADDER,
+                     "--scenarios", ""]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("method", ["classic", "smart"])
     def test_one_aggregate_build_per_report(self, tmp_path, capsys,
                                             monkeypatch, method):
@@ -547,10 +573,9 @@ class TestEnvironmentErrors:
         assert rc == 3
 
     def test_encode_without_binaries_is_exit_3(self, tmp_path, monkeypatch):
-        header = y4m.make_header(8, 8)
+        header = make_header(8, 8)
         clip = tmp_path / "c.y4m"
-        with open(clip, "wb") as f:
-            y4m.write_clip(header, y4m.synthetic_clip(header, 2), f)
+        write_clip(header, synthetic_clip(header, 2), clip)
         monkeypatch.setenv("PATH", str(tmp_path))
         monkeypatch.delenv("RDGAUGE_BIN_DIR", raising=False)
         rc = main(["encode", "--clips", str(clip), "--families", "x264",

@@ -1,118 +1,119 @@
-import io
-
 import numpy as np
 import pytest
 
+from conftest import (clip_stream, luma_frame, make_header, synthetic_clip,
+                      write_clip)
 from rdgauge import complexity, kernels, y4m
-from rdgauge.errors import IncompleteFrameError, Y4MValidationError
+from rdgauge.errors import IncompleteFrameError
 
 DCT = kernels.dct_matrix(32)
 
 
-def _frame_from_luma(luma, bit_depth=8):
-    luma = np.asarray(luma)
-    h, w = luma.shape
-    dtype = np.uint8 if bit_depth == 8 else np.uint16
-    zeros = np.zeros((h // 2, w // 2), dtype)
-    return y4m.Frame(y=luma.astype(dtype), u=zeros, v=zeros, bit_depth=bit_depth)
+def _analyze(lumas, bit_depth=8):
+    """``analyze_clip`` over an in-memory clip of the given luma planes."""
+    h, w = np.shape(lumas[0])
+    frames = [luma_frame(luma, bit_depth) for luma in lumas]
+    stream = clip_stream(make_header(w, h, bit_depth=bit_depth), frames)
+    return complexity.analyze_clip(y4m.Y4MReader(stream), "clip")
+
+
+def _se(luma, bit_depth=8):
+    """SE of one frame: the frame_se of its one-frame clip."""
+    return _analyze([luma], bit_depth).frame_se[0]
+
+
+def _te(a, b, bit_depth=8):
+    """TE of frames a and b: the frame_te of the clip [b, a]."""
+    return _analyze([b, a], bit_depth).frame_te[0]
 
 
 class TestBlockTextureEnergy:
     def test_constant_block_is_zero(self):
-        assert complexity.block_texture_energy(np.full((32, 32), 57.0)) == 0.0
+        assert kernels.block_energies(np.full((32, 32), 57.0))[0, 0] == 0.0
 
     def test_unit_ac_coefficient_energy(self):
         # Synthesise the block whose forward transform is exactly one
-        # unit coefficient at (0, 1); energy is then 1/1024.
+        # unit coefficient at (0, 1); its energy is then 1.
         coeffs = np.zeros((32, 32))
         coeffs[0, 1] = 1.0
         block = DCT.T @ coeffs @ DCT
-        got = complexity.block_texture_energy(block, bit_depth=8)
-        assert got == pytest.approx(1.0 / 1024.0, abs=1e-9)
+        got = kernels.block_energies(block)[0, 0]
+        assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_bit_depth_normalisation(self):
-        coeffs = np.zeros((32, 32))
-        coeffs[2, 3] = 4.0
-        block = DCT.T @ coeffs @ DCT + 512.0
-        got8 = complexity.block_texture_energy(block, bit_depth=8)
-        got10 = complexity.block_texture_energy(block, bit_depth=10)
-        assert got10 == pytest.approx(got8 / 4.0, rel=1e-12)
+        # an 8-bit clip and the 10-bit clip of its samples times 4 have
+        # the same energies, to the bit
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            h, w = 2 * rng.integers(8, 40, size=2)
+            lumas = [rng.integers(0, 256, (h, w))
+                     for _ in range(rng.integers(1, 4))]
+            rec8 = _analyze(lumas)
+            rec10 = _analyze([4 * luma for luma in lumas], bit_depth=10)
+            assert rec10.frame_se == rec8.frame_se
+            assert rec10.frame_te == rec8.frame_te
 
     def test_offset_invariance(self):
         rng = np.random.default_rng(5)
         block = rng.uniform(0, 200, (32, 32))
-        base = complexity.block_texture_energy(block)
-        shifted = complexity.block_texture_energy(block + 31.0)
+        base = kernels.block_energies(block)[0, 0]
+        shifted = kernels.block_energies(block + 31.0)[0, 0]
         assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(Y4MValidationError):
-            complexity.block_texture_energy(np.zeros((16, 16)))
 
 
 class TestFrameSpatialEnergy:
     def test_constant_gray_frame_is_zero(self):
-        frame = _frame_from_luma(np.full((64, 64), 128))
-        assert complexity.frame_spatial_energy(frame) == 0.0
+        assert _se(np.full((64, 64), 128)) == 0.0
 
     def test_two_block_frame_is_mean(self):
         rng = np.random.default_rng(6)
         left = rng.integers(0, 256, (32, 32))
         right = rng.integers(0, 256, (32, 32))
-        frame = _frame_from_luma(np.hstack([left, right]))
-        a = complexity.block_texture_energy(left.astype(float))
-        b = complexity.block_texture_energy(right.astype(float))
-        assert complexity.frame_spatial_energy(frame) == pytest.approx(
+        a = kernels.block_energies(left.astype(float))[0, 0] / 1024.0
+        b = kernels.block_energies(right.astype(float))[0, 0] / 1024.0
+        assert _se(np.hstack([left, right])) == pytest.approx(
             (a + b) / 2.0, rel=1e-9)
 
     def test_checkerboard_beats_low_frequency_ramp(self):
         idx = np.indices((64, 64)).sum(axis=0)
         checker = np.where(idx % 2 == 0, 200, 55)
         ramp = np.tile(np.linspace(55, 200, 64, dtype=np.int64), (64, 1))
-        se_checker = complexity.frame_spatial_energy(_frame_from_luma(checker))
-        se_ramp = complexity.frame_spatial_energy(_frame_from_luma(ramp))
-        assert se_checker > se_ramp
+        assert _se(checker) > _se(ramp)
 
     def test_edge_blocks_replication_padded(self):
         # 48x48 frame: padding replicates edges, constant rows stay constant
-        frame = _frame_from_luma(np.full((48, 48), 99))
-        assert complexity.frame_spatial_energy(frame) == 0.0
+        assert _se(np.full((48, 48), 99)) == 0.0
 
     def test_contrast_monotonicity_on_ramps(self):
         base = np.tile(np.linspace(-1.0, 1.0, 64), (64, 1))
         last = -1.0
         for amp in (10, 40, 80, 120):
-            luma = (128 + amp * base).astype(np.int64)
-            se = complexity.frame_spatial_energy(_frame_from_luma(luma))
+            se = _se((128 + amp * base).astype(np.int64))
             assert se >= last
             last = se
 
 
 class TestTemporalEnergy:
     def test_identical_frames_zero(self):
-        frame = _frame_from_luma(np.random.default_rng(7).integers(0, 256, (64, 64)))
-        assert complexity.temporal_energy(frame, frame) == 0.0
+        luma = np.random.default_rng(7).integers(0, 256, (64, 64))
+        assert _te(luma, luma) == 0.0
 
     def test_constant_offset_leaves_only_mad_term(self):
         rng = np.random.default_rng(8)
         luma = rng.integers(0, 200, (64, 64))
-        a = _frame_from_luma(luma)
-        b = _frame_from_luma(luma + 10)
-        assert complexity.temporal_energy(a, b) == pytest.approx(10.0, abs=1e-9)
+        assert _te(luma, luma + 10) == pytest.approx(10.0, abs=1e-9)
 
     def test_constant_offset_10bit_scaling(self):
         rng = np.random.default_rng(9)
         luma = rng.integers(0, 900, (64, 64))
-        a = _frame_from_luma(luma, bit_depth=10)
-        b = _frame_from_luma(luma + 10, bit_depth=10)
-        assert complexity.temporal_energy(a, b) == pytest.approx(10.0 / 4.0, abs=1e-9)
+        assert _te(luma, luma + 10, bit_depth=10) == pytest.approx(
+            10.0 / 4.0, abs=1e-9)
 
     def test_symmetric(self):
         rng = np.random.default_rng(10)
-        a = _frame_from_luma(rng.integers(0, 256, (64, 64)))
-        b = _frame_from_luma(rng.integers(0, 256, (64, 64)))
-        assert complexity.temporal_energy(a, b) == pytest.approx(
-            complexity.temporal_energy(b, a), rel=1e-12)
+        a = rng.integers(0, 256, (64, 64))
+        b = rng.integers(0, 256, (64, 64))
+        assert _te(a, b) == _te(b, a)
 
     def test_padding_rows_count_in_mad(self):
         # 40 rows pad to 64: the last real row is replicated 24 times.
@@ -125,12 +126,7 @@ class TestTemporalEnergy:
         a[39] = 110
         b[39] = 90
         expected = 20 * 32 * (1 + 24) / (64 * 32)  # 25 of 64 rows differ
-        fa, fb = _frame_from_luma(a), _frame_from_luma(b)
-        assert complexity.temporal_energy(fa, fb) == pytest.approx(
-            expected, abs=1e-9)
-        rec = complexity.analyze_clip(
-            y4m.Y4MReader(_clip_stream([fa, fb], y4m.make_header(32, 40))), "pad")
-        assert rec.frame_te[0] == pytest.approx(expected, abs=1e-9)
+        assert _te(a, b) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("dtype, shape", [
         (np.uint8, (64, 96)), (np.uint16, (64, 96)),
@@ -147,71 +143,42 @@ class TestTemporalEnergy:
             want = float(np.abs(x.astype(np.int64) - y).sum()) / x.size
             assert complexity._change_energy((x, grid), (y, grid)) == want
 
-    def test_dimension_mismatch(self):
-        a = _frame_from_luma(np.zeros((32, 32)))
-        b = _frame_from_luma(np.zeros((64, 64)))
-        with pytest.raises(Y4MValidationError):
-            complexity.temporal_energy(a, b)
-
-
-def _clip_stream(frames, header):
-    sink = io.BytesIO()
-    y4m.write_clip(header, frames, sink)
-    sink.seek(0)
-    return sink
-
 
 class TestAnalyzeClip:
     def test_static_clip(self):
         rng = np.random.default_rng(13)
-        header = y4m.make_header(64, 64)
         luma = rng.integers(0, 256, (64, 64))
-        frames = [_frame_from_luma(luma)] * 10
-        rec = complexity.analyze_clip(
-            y4m.Y4MReader(_clip_stream(frames, header)), clip_id="static")
-        assert rec.clip_se == pytest.approx(
-            complexity.frame_spatial_energy(frames[0]), rel=1e-12)
+        rec = _analyze([luma] * 10)
+        assert rec.clip_se == pytest.approx(_se(luma), rel=1e-12)
         assert rec.clip_te == 0.0
         assert len(rec.frame_te) == 9
         assert all(t == 0.0 for t in rec.frame_te)
 
     def test_single_frame_clip(self):
-        header = y4m.make_header(32, 32)
-        frames = [_frame_from_luma(np.arange(1024).reshape(32, 32) % 256)]
-        rec = complexity.analyze_clip(
-            y4m.Y4MReader(_clip_stream(frames, header)), clip_id="one")
+        rec = _analyze([np.arange(1024).reshape(32, 32) % 256])
         assert rec.frame_te == ()
         assert rec.clip_te == 0.0
 
     def test_alternating_frames(self):
         rng = np.random.default_rng(14)
-        header = y4m.make_header(64, 64)
-        a = _frame_from_luma(rng.integers(0, 256, (64, 64)))
-        b = _frame_from_luma(rng.integers(0, 256, (64, 64)))
-        frames = [a, b, a, b, a]
-        rec = complexity.analyze_clip(
-            y4m.Y4MReader(_clip_stream(frames, header)), clip_id="alt")
-        expected = complexity.temporal_energy(a, b)
+        a = rng.integers(0, 256, (64, 64))
+        b = rng.integers(0, 256, (64, 64))
+        rec = _analyze([a, b, a, b, a])
+        expected = _te(a, b)
         assert rec.clip_te == pytest.approx(expected, rel=1e-12)
         for te in rec.frame_te:
             assert te == pytest.approx(expected, rel=1e-12)
 
     def test_se_invariant_under_luma_offset(self):
         rng = np.random.default_rng(15)
-        header = y4m.make_header(64, 64)
         luma = rng.integers(0, 200, (64, 64))
-        rec_a = complexity.analyze_clip(
-            y4m.Y4MReader(_clip_stream([_frame_from_luma(luma)] * 3, header)), "a")
-        rec_b = complexity.analyze_clip(
-            y4m.Y4MReader(_clip_stream([_frame_from_luma(luma + 20)] * 3, header)), "b")
+        rec_a = _analyze([luma] * 3)
+        rec_b = _analyze([luma + 20] * 3)
         assert rec_a.clip_se == pytest.approx(rec_b.clip_se, abs=1e-9)
 
     def test_energies_non_negative(self):
         rng = np.random.default_rng(16)
-        header = y4m.make_header(32, 32)
-        frames = [_frame_from_luma(rng.integers(0, 256, (32, 32))) for _ in range(4)]
-        rec = complexity.analyze_clip(
-            y4m.Y4MReader(_clip_stream(frames, header)), "nn")
+        rec = _analyze([rng.integers(0, 256, (32, 32)) for _ in range(4)])
         assert all(se >= 0 for se in rec.frame_se)
         assert all(te >= 0 for te in rec.frame_te)
         assert rec.clip_se <= max(rec.frame_se)
@@ -241,12 +208,9 @@ class TestAnalyzeClips:
     def test_one_worker_per_clip_up_to_the_cpus(self, tmp_path, monkeypatch,
                                                 cpus, clips, workers):
         sizes = self._pool_sizes(monkeypatch, cpus)
-        header = y4m.make_header(32, 32)
-        paths = []
-        for n in range(clips):
-            paths.append(tmp_path / f"c{n}.y4m")
-            with open(paths[-1], "wb") as f:
-                y4m.write_clip(header, y4m.synthetic_clip(header, 2, seed=n), f)
+        header = make_header(32, 32)
+        paths = [write_clip(header, synthetic_clip(header, 2, seed=n),
+                            tmp_path / f"c{n}.y4m") for n in range(clips)]
         got = list(complexity.analyze_clips(paths))
         assert sizes == [workers]
         assert got == [(path, complexity.analyze_clip(path)) for path in paths]
@@ -254,10 +218,9 @@ class TestAnalyzeClips:
     def test_failed_clips_yield_their_errors_in_order(self, tmp_path,
                                                       monkeypatch):
         self._pool_sizes(monkeypatch, 2)
-        header = y4m.make_header(32, 32)
-        good = tmp_path / "good.y4m"
-        with open(good, "wb") as f:
-            y4m.write_clip(header, y4m.synthetic_clip(header, 2), f)
+        header = make_header(32, 32)
+        good = write_clip(header, synthetic_clip(header, 2),
+                          tmp_path / "good.y4m")
         cut = tmp_path / "cut.y4m"
         cut.write_bytes(good.read_bytes()[:-10])
         missing = tmp_path / "missing.y4m"

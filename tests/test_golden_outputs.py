@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from conftest import make_records
+from conftest import make_header, make_records, write_clip
 from rdgauge import bd, complexity, scenario, store, y4m
 from rdgauge.cli import main
 from rdgauge.errors import AnalysisError
@@ -237,7 +237,7 @@ def _golden_clips():
     rng = np.random.default_rng(29)
     clips = []
     base = rng.integers(0, 256, (64, 96))
-    clips.append(("a_moving8", y4m.make_header(96, 64), [
+    clips.append(("a_moving8", make_header(96, 64), [
         np.roll(base, (t, 2 * t), axis=(0, 1)) for t in range(4)]))
     base = rng.integers(0, 256, (128, 96))
     frames = []
@@ -247,7 +247,7 @@ def _golden_clips():
         luma[96:] = 16
         luma[127, 63] = 17  # near-flat block: one sample off by 1
         frames.append(luma)
-    clips.append(("b_letterbox8", y4m.make_header(96, 128), frames))
+    clips.append(("b_letterbox8", make_header(96, 128), frames))
     top = 1023
     base = rng.integers(top - 3, top + 1, (64, 64))
     frames = []
@@ -257,9 +257,9 @@ def _golden_clips():
         luma[32:, 32:] = top if t % 2 else 0  # MAD at full swing
         luma[t, 40] = top - 1
         frames.append(luma)
-    clips.append(("c_max10", y4m.make_header(64, 64, bit_depth=10), frames))
+    clips.append(("c_max10", make_header(64, 64, bit_depth=10), frames))
     base = rng.integers(0, 256, (46, 70))
-    clips.append(("d_odd8", y4m.make_header(70, 46), [
+    clips.append(("d_odd8", make_header(70, 46), [
         np.roll(base, t, axis=0) for t in range(3)]))
     return clips
 
@@ -274,7 +274,7 @@ def _complexity_outputs(work: Path) -> dict:
         frames = [y4m.Frame(y=luma.astype(header.dtype), u=zeros, v=zeros,
                             bit_depth=header.bit_depth) for luma in lumas]
         with open(clips_dir / f"{name}.y4m", "wb") as f:
-            y4m.write_clip(header, frames, f)
+            write_clip(header, frames, f)
     out, scatter = work / "complexity.jsonl", work / "scatter.csv"
     assert main(["complexity", "--clips-dir", str(clips_dir), "--out",
                  str(out), "--scatter-csv", str(scatter)]) == 0

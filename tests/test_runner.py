@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import make_header, synthetic_clip, write_clip
 from rdgauge import runner, store, y4m
 from rdgauge.cli import main
 from rdgauge.encoders import EncodeJob
@@ -83,22 +84,19 @@ def _mvhd(timescale, duration, version=0):
     return _box(b"mvhd", bytes([version, 0, 0, 0]) + fields + bytes(80))
 
 
-def _write_clip(path, n_frames):
-    header = y4m.make_header(8, 8, fps_num=24)
-    with open(path, "wb") as f:
-        y4m.write_clip(header, y4m.synthetic_clip(header, n_frames, seed=1), f)
-    return path
+CLIP = make_header(8, 8, fps_num=24)  # the header of every test clip
 
 
 @pytest.fixture
 def small_clip(tmp_path):
     # 48 frames at 24 fps -> exactly 2 seconds
-    return _write_clip(tmp_path / "clip.y4m", 48)
+    return write_clip(CLIP, synthetic_clip(CLIP, 48, seed=1),
+                      tmp_path / "clip.y4m")
 
 
 @pytest.fixture
 def empty_clip(tmp_path):
-    return _write_clip(tmp_path / "empty.y4m", 0)
+    return write_clip(CLIP, [], tmp_path / "empty.y4m")
 
 
 def _job(small_clip, **kw):
@@ -293,8 +291,8 @@ class TestRunPlan:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_each_clip_probed_once_per_plan(self, fake_bin, tmp_path,
                                             monkeypatch, workers):
-        clips = [_write_clip(tmp_path / f"{name}.y4m", 24)
-                 for name in ("a", "b")]
+        clips = [write_clip(CLIP, synthetic_clip(CLIP, 24, seed=1),
+                            tmp_path / f"{name}.y4m") for name in ("a", "b")]
         jobs = [_job(clip, clip_id=clip.stem, target_kbps=tbr)
                 for tbr in range(100, 900, 100) for clip in clips]
         probes = Counter()
@@ -439,7 +437,8 @@ def test_clip_duration(small_clip, empty_clip):
 @pytest.mark.parametrize("bad", ["zero-frame", "truncated"])
 def test_bad_clip_fails_only_its_own_jobs(fake_bin, small_clip, tmp_path,
                                           capsys, bad):
-    bad_clip = _write_clip(tmp_path / "bad.y4m", 0 if bad == "zero-frame" else 3)
+    frames = synthetic_clip(CLIP, 0 if bad == "zero-frame" else 3, seed=1)
+    bad_clip = write_clip(CLIP, frames, tmp_path / "bad.y4m")
     if bad == "truncated":
         with open(bad_clip, "r+b") as f:
             f.truncate(bad_clip.stat().st_size - 1)
@@ -600,7 +599,8 @@ def test_metric_failure_fails_only_its_job(fake_bin, small_clip, tmp_path,
 
 def test_metric_frame_count_is_checked(fake_bin, tmp_path, capsys):
     # the fake metric log has 48 frames; the source has 24
-    clip = _write_clip(tmp_path / "clip.y4m", 24)
+    clip = write_clip(CLIP, synthetic_clip(CLIP, 24, seed=1),
+                      tmp_path / "clip.y4m")
     rc = _encode(["--families", "x264", "--presets", "medium",
                   "--passes", "1", "--ladder", "100", "--with-vmaf"],
                  clip, fake_bin, tmp_path)

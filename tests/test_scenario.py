@@ -109,7 +109,9 @@ class TestSelectPresets:
         b = _summary(preset="fastcfg", n=100, above=76, hours=10.0)
         report = select_presets([a, b], make_scenario("S3"))
         assert report.selections["x264"].preset == "fastcfg"
-        assert report.check(make_scenario("S3"))
+        spec = make_scenario("S3")
+        assert report.selections["x264"].total_hours <= (
+            spec.time_budget_hours * (1.0 + spec.budget_tolerance))
 
     def test_s3_infeasible_family_reported(self):
         a = _summary(preset="slowcfg", hours=100.0)
@@ -291,13 +293,14 @@ class TestBDGrid:
         assert rows[1].endswith(",0.0000,")  # n/a renders empty
 
 
-class TestSummaryCsvRoundTrip:
-    def test_round_trip(self):
+class TestSummaryCsvReader:
+    def test_first_row_and_row_count(self):
         summaries = summaries_from_csv((DATA / "summary_s1.csv").read_text())
-        text = scenario.summaries_to_csv(summaries)
-        again = summaries_from_csv(text)
-        assert again == summaries
-        assert again[0].total_hours == 1172.78
+        assert len(summaries) == 5
+        assert summaries[0] == ConfigSummary(
+            family="svt-av1", preset="2", passes=1, n_records=744,
+            n_above=619, n_checkpoint_records=62, n_checkpoint_above=58,
+            overshoot_count=3, total_hours=1172.78)
 
 
 def _reference_summarize(records, spec):

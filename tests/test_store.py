@@ -184,7 +184,7 @@ class TestImportTable:
 
 def _reference_load(path):
     """The per-line loader that the indexed one replaces, kept as the
-    reference: one ``from_line`` per line, keep-latest by (created_at,
+    reference: one parse per line, keep-latest by (created_at,
     line index), sorted by key and then created_at."""
     path = Path(path)
     if not path.exists():
@@ -195,7 +195,7 @@ def _reference_load(path):
     records = {}
     for idx, line in enumerate(raw):
         try:
-            rec = MetricRecord.from_line(line)
+            rec = MetricRecord(*store._fields(json.loads(line)))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             if idx == len(raw) - 1:
                 continue
