@@ -40,9 +40,11 @@ batched builder for a grid: ``curves_by_group`` and
 group in one ``_clean`` call. ``curves_from_records`` and
 ``aggregate_curve`` are their one-group cases, and each group gets what
 its own call gives, to the bit, with the same log lines and errors. An
-``RDCurve`` per clip is built only when one is read; rung means sum
-each rung's reciprocals with ``np.bincount``, left to right in record
-order, so they equal a Python loop's to the bit.
+``RDCurve`` per clip is built only when one is read. A rung's aggregate
+point is reduced only inside ``aggregate_curves``, every rung of every
+group in one ``_aggregate`` call; its means sum each rung's reciprocals
+with ``np.bincount``, left to right in record order, so they equal a
+Python loop's to the bit.
 """
 
 from __future__ import annotations
@@ -103,8 +105,16 @@ class RDCurve:
 
     @cached_property
     def rate_interpolant(self) -> CurveStack:
-        """log10(rate) -> quality, built on first use."""
-        return _row(np.log10(self.rates), self.qualities)
+        """log10(rate) -> quality, built on first use.
+
+        Two rates a float ulp apart can share one log10; such a curve
+        has no interpolant over log-rate and raises DomainError.
+        """
+        x = np.log10(self.rates)
+        if not np.all(np.diff(x) > 0):
+            raise DomainError(
+                f"curve {self.id!r}: log10 rates must increase")
+        return _row(x, self.qualities)
 
 
 @dataclass(frozen=True)
@@ -430,14 +440,18 @@ def _missing(table: RecordTable, row: int, metric_kind: str) -> AggregationError
 
 def _aggregate(table: RecordTable, rows: np.ndarray, group: np.ndarray,
                groups: int, metric_kind: str, method: str) -> tuple:
-    """``aggregate_points`` for groups of a table's rows at once.
+    """The aggregate (R, D) point of each group of a table's rows: the
+    harmonic means of rate and quality by default, or with
+    ``method="arithmetic"`` the additive bits/distortion variant.
 
     ``group[k]`` numbers the group of row ``rows[k]``, from 0 to
-    ``groups`` - 1. Returns each group's rate and quality and the error
-    it raises instead, or None, found in ``aggregate_points``' order:
-    mixed keys, a missing measurement, the method, then non-positive
-    rates and qualities. Each sum runs left to right over the group's
-    rows (``np.bincount``), as a Python loop's does.
+    ``groups`` - 1; each group holds same-key per-clip records of one
+    ladder rung. Returns each group's rate and quality and the error it
+    raises instead, or None, found in this order: mixed keys, a missing
+    measurement, the method, then non-positive rates and qualities. A
+    group with no rows gets no error and NaN means. Each sum runs left
+    to right over the group's rows (``np.bincount``), as a Python loop's
+    does.
     """
     cols = table.columns
     rate = cols["kbps"][rows]
@@ -494,28 +508,6 @@ def _aggregate(table: RecordTable, rows: np.ndarray, group: np.ndarray,
                 f"harmonic mean needs positive values, got "
                 f"{min(values.tolist())}")
     return rates.tolist(), qualities.tolist(), errors
-
-
-def aggregate_points(
-    records: Sequence[MetricRecord],
-    metric_kind: str = METRIC_VMAF,
-    method: str = "harmonic",
-) -> RDPoint:
-    """Collapse same-key per-clip records into one dataset (R, D) point.
-
-    Harmonic means by default; ``method="arithmetic"`` implements the
-    additive bits/distortion variant for comparison.
-    """
-    table = RecordTable.of(records)
-    if not len(table):
-        raise AggregationError("no records to aggregate")
-    rows = np.arange(len(table))
-    rates, qualities, errors = _aggregate(
-        table, rows, np.zeros(len(rows), dtype=np.intp), 1, metric_kind,
-        method)
-    if errors[0] is not None:
-        raise errors[0]
-    return RDPoint(rate=rates[0], quality=qualities[0])
 
 
 def aggregate_curve(

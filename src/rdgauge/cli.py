@@ -30,6 +30,23 @@ EXIT_DATA = 2
 EXIT_ENV = 3
 
 
+def _checked(convert, what: str, ok):
+    """An argparse type: ``convert`` the text, then require ``ok`` of the
+    value, so a bad value is a usage error rather than a traceback."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in its errors
+    return parse
+
+
+_positive_float = _checked(float, "a positive number", lambda v: v > 0)
+_positive_int = _checked(int, "a positive integer", lambda v: v > 0)
+_count = _checked(int, "an integer >= 0", lambda v: v >= 0)
+
+
 def _parse_config(text: str) -> tuple[str, str, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -390,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", parents=[clips_p, plan_p],
                        help="expand a benchmark plan")
     p.add_argument("--out", help="write the plan as JSON lines")
-    p.add_argument("--show", type=int, default=0,
+    p.add_argument("--show", type=_count, default=0,
                    help="print command lines for the first N jobs")
     p.set_defaults(func=_cmd_plan)
 
@@ -398,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run encodes and persist outcomes")
     p.add_argument("--binary-dir", default=None,
                    help=f"encoder binary directory (or ${runner.ENV_BIN_DIR})")
-    p.add_argument("--jobs", type=int, default=None, help="worker count")
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="worker count (default: one per CPU)")
     p.add_argument("--timing-strict", action="store_true",
                    help="serialise jobs for trustworthy wall-clock numbers")
     p.add_argument("--force", action="store_true",
@@ -461,11 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", parents=[store_p],
                        help="scenario-gated preset selection")
     p.add_argument("--id", default="S1", help="S1, S2, S3 or a custom id")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_positive_float, default=None,
                    help="VMAF bar (default 88)")
-    p.add_argument("--checkpoint", type=float, default=None,
+    p.add_argument("--checkpoint", type=_positive_float, default=None,
                    help="checkpoint bitrate in kb/s (default 4000)")
-    p.add_argument("--overshoot", type=float, default=None,
+    p.add_argument("--overshoot", type=_positive_float, default=None,
                    help="overshoot fraction (default 0.15)")
     p.add_argument("--budget-hours", type=float, default=None)
     p.add_argument("--slack-points", type=float, default=None,
@@ -478,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full report: scenarios, grids, curves, plots")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scenarios", default="S1,S2,S3")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_positive_float, default=None,
                    help="VMAF bar (default 88)")
     p.add_argument("--budget-hours", type=float, default=None)
     p.add_argument("--curves-csv", action="store_true",

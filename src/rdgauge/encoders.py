@@ -127,22 +127,20 @@ class EncodeJob:
 
 
 def _as_clip_pairs(clips: Iterable) -> list[tuple[str, str]]:
+    """(clip id, input path) of each clip, given as a ``.y4m`` path or an
+    id whose input is ``<id>.y4m``."""
     pairs = []
-    for clip in clips:
-        if isinstance(clip, (tuple, list)):
-            pairs.append((str(clip[0]), str(clip[1])))
+    for clip in map(str, clips):
+        if clip.endswith(".y4m"):
+            pairs.append((Path(clip).stem, clip))
         else:
-            clip = str(clip)
-            if clip.endswith(".y4m"):
-                pairs.append((Path(clip).stem, clip))
-            else:
-                pairs.append((clip, f"{clip}.y4m"))
+            pairs.append((clip, f"{clip}.y4m"))
     return pairs
 
 
 def plan_matrix(
     clips: Iterable,
-    specs: Sequence[Union[str, EncoderSpec]],
+    families: Sequence[str],
     ladder: Sequence[int] = DEFAULT_LADDER,
     pass_modes: Sequence[int] = (1, 2),
     presets: Optional[dict[str, Sequence[str]]] = None,
@@ -151,7 +149,7 @@ def plan_matrix(
     """Cartesian expansion in (clip, family, preset, pass, bitrate) order."""
     if not ladder:
         raise PlanError("bitrate ladder is empty")
-    resolved = [s if isinstance(s, EncoderSpec) else get_spec(s) for s in specs]
+    resolved = [get_spec(family) for family in families]
     jobs = []
     for clip_id, path in _as_clip_pairs(clips):
         for spec in resolved:

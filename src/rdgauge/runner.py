@@ -3,11 +3,11 @@
 Runs encoder processes with per-pass monotonic wall-clock timing,
 persists outcomes through the results store, and invokes the external
 VMAF tool over finished encodes. Completed (clip, family, preset,
-passes, tbr) keys are skipped unless forced. A plan resolves every
-tool it needs and probes each distinct clip's duration once, before any
-job runs; a clip that cannot be probed or has no frames, an encode that
-leaves no output, and a quality measurement that fails, fail only their
-own jobs.
+passes, tbr) keys, read from the store once per plan, are skipped
+unless forced. A plan resolves every tool it needs and probes each
+distinct clip's duration once, before any job runs; a clip that cannot
+be probed or has no frames, an encode that leaves no output, and a
+quality measurement that fails, fail only their own jobs.
 
 Rate accounting: ``measured_kbps`` counts every byte of the output file
 over the clip's duration, container overhead included (for IVF, the
@@ -141,22 +141,20 @@ def execute(
     MetricRecord; with ``with_vmaf`` its quality is first measured by
     ``measure_quality`` against the clip's probed frame count. If that
     raises MetricError, the record keeps vmaf and psnr_y None and the
-    outcome fails with the reason. ``run_plan`` passes ``known_keys``,
-    the store's completed keys, and ``durations``, each input path's
-    ``probe_duration`` result; a standalone call reads the store and
-    probes the clip itself.
+    outcome fails with the reason. The store is never read here: a job
+    is skipped, unless forced, only when its key is in ``known_keys``,
+    which ``run_plan`` fills from one ``store.load`` and a stored
+    outcome joins. ``durations`` maps each input path to its
+    ``probe_duration`` result; without it the clip is probed here.
     """
     work_dir = Path(work_dir or os.environ.get(ENV_WORK_DIR, "."))
     work_dir.mkdir(parents=True, exist_ok=True)
 
     record_key = (job.record_clip_id, job.family, job.preset, job.passes,
                   float(job.target_kbps))
-    if store_path and not force:
-        done = (record_key in known_keys if known_keys is not None
-                else store_mod.has_key(store_path, record_key))
-        if done:
-            log.info("skipping completed job %s", job.slug())
-            return JobOutcome(job=job, status="skipped")
+    if known_keys is not None and not force and record_key in known_keys:
+        log.info("skipping completed job %s", job.slug())
+        return JobOutcome(job=job, status="skipped")
 
     duration, frames, reason = (durations[job.input_path]
                                 if durations is not None
@@ -261,7 +259,8 @@ def run_plan(
     Before the first job, every tool the plan needs (each job's encoder,
     plus ffmpeg with ``with_vmaf``) is resolved, so a missing one raises
     MissingBinaryError with nothing run; then the store is read once for
-    its completed keys and each distinct clip is probed once. Timing-strict
+    its completed keys, which every job is checked against (no job reads
+    the store), and each distinct clip is probed once. Timing-strict
     mode serialises everything so wall-clock comparisons stay meaningful;
     otherwise jobs run on a worker pool, by default of one worker per CPU
     the process may run on.

@@ -16,10 +16,12 @@ in load order, with n, their line count and a sha256 digest of them
 when the store was rewritten, truncated or replaced, or the index is
 missing, corrupt or from another index format or marshal version,
 ``load`` parses the whole store and returns the same records it would
-without an index. Deleting the index is always safe. It covers only
-complete, well-formed, newline-terminated lines, so a crashed append is
-parsed again on every load until it is completed or fails as a
-malformed line.
+without an index. Deleting the index is always safe. Every line past
+the index is parsed on its own, with one ``json.loads``. The index
+advances only when a load parsed every such line and the store ends in
+a newline (and holds no lone CR), so after a crashed append each load
+parses the lines since the last good index until the line is
+completed or fails as a malformed line.
 ``load`` writes the index to a temporary file in the same directory and
 renames it over the old one, so no reader sees half of it; a failed
 write is logged and changes no result. ``load`` never writes the
@@ -35,7 +37,6 @@ import logging
 import marshal
 import math
 import os
-import re
 import stat
 import struct
 import tempfile
@@ -65,10 +66,6 @@ _DIGEST_SIZE = 32
 # Errors that make a line malformed rather than the store unreadable.
 _LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError,
                 OverflowError)
-# Two objects side by side on one line. Joined with ",\n", such a line can
-# pair up with a record split over two lines and still parse to one
-# object per line, so the store is then parsed line by line instead.
-_TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
 
 
 def _now() -> str:
@@ -202,13 +199,12 @@ def load(path: Union[str, Path]) -> RecordTable:
 def _load_tail(path: Path, data: bytes, start: int, first: int,
                table: "RecordTable") -> "RecordTable":
     """Fold the lines from byte ``start``, the first of them line
-    ``first``, into the keep-latest ``table`` of the lines before, and
-    index the complete, well-formed lines.
+    ``first``, into the keep-latest ``table`` of the lines before.
 
-    One ``json.loads`` parses all newline-terminated lines at once. A line
-    is parsed on its own only when that fails or when it lacks its
-    newline; that per-line parse names a malformed line, or skips a
-    malformed last line as a crashed append leaves it.
+    Each line is parsed on its own. A malformed line is an error, except
+    a malformed last line, which a crashed append leaves and which is
+    skipped with a warning. The index is rewritten only when every line
+    parsed, the data ends in a newline and no line ends in a lone CR.
     """
     text = data[start:].decode("utf-8")
     lone_cr = False
@@ -216,41 +212,32 @@ def _load_tail(path: Path, data: bytes, start: int, first: int,
         lone_cr = text.count("\r") != text.count("\r\n")
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
-    complete = len(lines) - 1  # lines that end in a newline
     if lines[-1] == "":
         lines.pop()
-    parsed = _parse_joined(lines[:complete])
 
     # Every line here follows every line of the table, so a tie on
     # created_at goes to the line here whatever the table row's line.
     latest = {row[:5]: (row[11], -1, row) for row in table.rows()}
-    covered = latest
-    indexed = complete
+    whole = True
     for k, line in enumerate(lines):
         i = first + k
         try:
-            row = _fields(parsed[k] if k < len(parsed) else json.loads(line))
+            row = _fields(json.loads(line))
         except _LINE_ERRORS as exc:
             if k < len(lines) - 1:
                 raise StoreLoadError(
                     f"{path}: malformed line {i + 1}: {exc}") from exc
             log.warning("ignoring partial trailing line %d in %s", i + 1, path)
-            indexed = min(indexed, k)
+            whole = False
             continue
-        if k == complete:  # an unterminated last line is never indexed
-            covered = dict(latest)
         key = row[:5]
         seen = latest.get(key)
         if seen is None or (row[11], i) >= seen[:2]:
             latest[key] = (row[11], i, row)
 
-    end = data.rfind(b"\n") + 1
-    if indexed < complete:  # the last complete line was skipped
-        end = data.rfind(b"\n", start, end - 1) + 1 or start
     table = _state(latest)
-    if end > start and not lone_cr:
-        _write_index(path, memoryview(data)[:end], first + indexed,
-                     table if covered is latest else _state(covered))
+    if whole and data.endswith(b"\n") and not lone_cr:
+        _write_index(path, data, first + len(lines), table)
     return table
 
 
@@ -261,24 +248,6 @@ def _state(latest: dict) -> "RecordTable":
 
     return from_rows(sorted((row for _, _, row in latest.values()),
                             key=_ROW_ORDER))
-
-
-def _parse_joined(lines: list[str]) -> list:
-    """Each line's object from one ``json.loads``, or [] unless every
-    line holds exactly one JSON object."""
-    joined = ",\n".join(lines)
-    if _TWO_OBJECTS.search(joined):
-        return []
-    try:
-        parsed = json.loads("[" + joined + "]")
-    except (json.JSONDecodeError, RecursionError):
-        return []
-    # A newline inside a string is invalid JSON, so when the count matches
-    # and no line holds two objects side by side, each comma joined above
-    # separated two lines and each object is its line parsed alone.
-    if len(parsed) != len(lines) or not all(type(v) is dict for v in parsed):
-        return []
-    return parsed
 
 
 def index_path(path: Union[str, Path]) -> Path:
@@ -355,11 +324,6 @@ def _write_index(path: Path, covered, lines: int,
                 os.remove(tmp)
             except OSError:
                 pass
-
-
-def has_key(path: Union[str, Path], key: tuple) -> bool:
-    """True when a record with this dedupe key is already stored."""
-    return any(rec.key() == key for rec in load(path))
 
 
 def import_table(

@@ -25,6 +25,7 @@ from rdgauge.errors import (
     OverlapError,
 )
 from rdgauge.store import MetricRecord
+from rdgauge.table import RecordTable
 
 FOUR_POINT = [(1000.0, 30.0), (2000.0, 35.0), (4000.0, 40.0), (8000.0, 45.0)]
 
@@ -283,6 +284,14 @@ class TestBDQuality:
         oracle = bd_quality_trapezoid(FOUR_POINT, test_pts)
         assert got.value == pytest.approx(oracle, abs=0.005)
 
+    def test_rates_with_one_log10_are_a_domain_error(self):
+        # distinct rates an ulp apart: log10 cannot tell them apart
+        test = _curve(FOUR_POINT[:3] + [(19999.999999999996, 50.0),
+                                        (20000.0, 51.0)])
+        assert np.log10(19999.999999999996) == np.log10(20000.0)
+        with pytest.raises(DomainError, match="log10 rates must increase"):
+            bd.bd_quality(_curve(FOUR_POINT), test)
+
 
 class TestRandomizedSuite:
     def test_matches_oracle_and_antisymmetry(self):
@@ -318,15 +327,26 @@ class TestRandomizedSuite:
         assert shifted.overlap[0] == pytest.approx(base.overlap[0] + 7.5)
 
 
+def _point(records, metric_kind=bd.METRIC_VMAF, method="harmonic"):
+    """The aggregate point of one rung of records, from ``bd._aggregate``
+    on one group, or the error it gives."""
+    table = RecordTable.of(records)
+    rates, qualities, errors = bd._aggregate(
+        table, np.arange(len(table)), np.zeros(len(table), dtype=np.intp), 1,
+        metric_kind, method)
+    if errors[0] is not None:
+        raise errors[0]
+    return bd.RDPoint(rate=rates[0], quality=qualities[0])
+
+
 def _rung(rates, method="harmonic"):
-    """``aggregate_points`` of one rung of clips at these rates."""
-    return bd.aggregate_points(
-        [MetricRecord(f"c{i}", "x264", "m", 1, 4000.0, r, vmaf=50.0)
-         for i, r in enumerate(rates)], method=method).rate
+    """The aggregate rate of one rung of clips at these rates."""
+    return _point([MetricRecord(f"c{i}", "x264", "m", 1, 4000.0, r, vmaf=50.0)
+                   for i, r in enumerate(rates)], method=method).rate
 
 
 class TestHarmonicMean:
-    """The harmonic mean of ``aggregate_points``, on the rates of a rung."""
+    """The harmonic mean of a rung's aggregate point, on its rates."""
 
     def test_examples(self):
         assert _rung([1, 2, 4]) == pytest.approx(12 / 7)
@@ -334,8 +354,6 @@ class TestHarmonicMean:
         assert _rung([3000, 6000]) == pytest.approx(4000.0)
 
     def test_domain_errors(self):
-        with pytest.raises(AggregationError, match="no records to aggregate"):
-            bd.aggregate_points([])
         for rates, low in (([1.0, 0.0], "0.0"), ([1.0, -2.0], "-2.0")):
             with pytest.raises(DomainError, match=(
                     f"^harmonic mean needs positive values, got {low}$")):
@@ -355,21 +373,21 @@ class TestAggregatePoints:
             MetricRecord("a", "x264", "m", 1, 4000.0, 3000.0, vmaf=80.0, psnr_y=40.0),
             MetricRecord("b", "x264", "m", 1, 4000.0, 6000.0, vmaf=96.0, psnr_y=42.0),
         ]
-        point = bd.aggregate_points(recs)
+        point = _point(recs)
         assert point.rate == pytest.approx(4000.0)
         assert point.quality == pytest.approx(87.2727, abs=1e-4)
 
     def test_single_clip_is_identity(self):
         rec = MetricRecord("a", "x264", "m", 1, 4000.0, 3900.0, vmaf=88.0,
                            psnr_y=40.0)
-        point = bd.aggregate_points([rec])
+        point = _point([rec])
         assert (point.rate, point.quality) == (3900.0, 88.0)
 
     def test_zero_vmaf_surfaces_domain_error(self):
         recs = [MetricRecord("a", "x264", "m", 1, 4000.0, 3000.0, vmaf=0.0,
                              psnr_y=40.0)]
         with pytest.raises(DomainError):
-            bd.aggregate_points(recs)
+            _point(recs)
 
     def test_mixed_keys_rejected(self):
         recs = [
@@ -377,14 +395,14 @@ class TestAggregatePoints:
             MetricRecord("b", "x264", "m", 1, 2000.0, 2100.0, vmaf=70.0, psnr_y=39.0),
         ]
         with pytest.raises(AggregationError):
-            bd.aggregate_points(recs)
+            _point(recs)
 
     def test_arithmetic_variant(self):
         recs = [
             MetricRecord("a", "x264", "m", 1, 4000.0, 3000.0, vmaf=80.0, psnr_y=40.0),
             MetricRecord("b", "x264", "m", 1, 4000.0, 6000.0, vmaf=96.0, psnr_y=42.0),
         ]
-        point = bd.aggregate_points(recs, method="arithmetic")
+        point = _point(recs, method="arithmetic")
         assert point.rate == pytest.approx(4500.0)
         assert point.quality == pytest.approx(88.0)
 
@@ -559,6 +577,9 @@ def _reference_bd(anchor, test, quality=False):
     axes = [(c.qualities, np.log10(c.rates)) for c in (anchor, test)]
     if quality:
         axes = [(y, x) for x, y in axes]
+        for c, (x, _) in zip((anchor, test), axes):
+            if not np.all(np.diff(x) > 0):
+                raise DomainError(f"curve {c.id!r}: log10 rates must increase")
     fa, ft = (_ScalarPchip(x, y) for x, y in axes)
     lo = max(fa.lo, ft.lo)
     hi = min(fa.hi, ft.hi)
@@ -1011,8 +1032,6 @@ def _reference_harmonic_mean(values):
 
 def _reference_aggregate_points(records, metric_kind=bd.METRIC_VMAF,
                                 method="harmonic"):
-    if not records:
-        raise AggregationError("no records to aggregate")
     keys = {(r.family, r.preset, r.passes, r.target_kbps) for r in records}
     if len(keys) != 1:
         raise AggregationError(
@@ -1152,11 +1171,11 @@ def test_columnar_aggregate_equals_per_record_loop(records, ladder, metric,
                        method, id="cfg")
     assert got == want
     rung = [r for r in records if r.target_kbps == 1000.0]
-    assert (_outcome_of(bd.aggregate_points, rung, metric, method)
-            == _outcome_of(_reference_aggregate_points, rung, metric, method))
-    assert (_outcome_of(bd.aggregate_points, records, metric, method)
-            == _outcome_of(_reference_aggregate_points, records, metric,
-                           method))
+    for group in (rung, records):
+        if group:  # an empty rung has no aggregate point
+            assert (_outcome_of(_point, group, metric, method)
+                    == _outcome_of(_reference_aggregate_points, group,
+                                   metric, method))
 
 
 _CONFIGS = [("x264", "medium", 1), ("x264", "slow", 1), ("x265", "fast", 2)]
@@ -1273,8 +1292,6 @@ def test_per_clip_curves_are_built_when_read(monkeypatch):
 
 
 def test_curves_and_aggregates_take_tables_and_lists_alike():
-    from rdgauge.table import RecordTable
-
     records = make_records(["c0", "c1", "c2"], "x264", "medium", 1,
                            (500, 1000, 2000, 4000), rate_jitter=0.05, seed=3)
     table = RecordTable.from_records(records)
@@ -1292,7 +1309,7 @@ def test_rung_means_sum_left_to_right(points):
     # terms on, so long rungs tell the two apart
     records = [MetricRecord(f"c{i}", "x264", "m", 1, 4000.0, r, vmaf=q)
                for i, (r, q) in enumerate(points)]
-    assert (_bits(bd.aggregate_points(records))
+    assert (_bits(_point(records))
             == _bits(_reference_aggregate_points(records)))
 
 
@@ -1303,4 +1320,4 @@ def test_rung_of_forty_clips_sums_left_to_right():
                for i, r in enumerate(rates)]
     assert 40 / np.sum([1.0 / r for r in rates]) != _reference_harmonic_mean(
         rates)  # the data tells a pairwise sum apart
-    assert bd.aggregate_points(records).rate == _reference_harmonic_mean(rates)
+    assert _point(records).rate == _reference_harmonic_mean(rates)

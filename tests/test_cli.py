@@ -94,6 +94,31 @@ class TestPlan:
         assert "planned 6 jobs" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "--from-summaries", "s.csv", "--threshold", "-1"],
+    ["scenario", "--from-summaries", "s.csv", "--overshoot", "0"],
+    ["scenario", "--from-summaries", "s.csv", "--checkpoint", "0"],
+    ["report", "--store", "{store}", "--out", "{out}", "--threshold", "-1"],
+    ["encode", "--clips", "a", "--families", "svt-av1", "--store", "{store}",
+     "--binary-dir", "{bin}", "--jobs", "-1"],
+    ["plan", "--clips", "a", "--families", "x264", "--show", "-1"],
+], ids=["threshold", "overshoot", "checkpoint", "report-threshold", "jobs",
+        "show"])
+def test_out_of_range_option_is_a_usage_error(tmp_path, capsys, argv):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "SvtAv1EncApp").write_text("#!/bin/sh\n")
+    _fill_store(tmp_path / "s.jsonl")
+    argv = [a.format(store=tmp_path / "s.jsonl", out=tmp_path / "out",
+                     bin=bin_dir) for a in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {argv[-2]}: must be" in errors[0]
+    assert out == ""
+
+
 class TestImportAndScenario:
     def test_import_counts(self, tmp_path, capsys):
         store_path = tmp_path / "s.jsonl"

@@ -127,11 +127,15 @@ class TestExecute:
         store_path = tmp_path / "s.jsonl"
         kw = dict(work_dir=tmp_path / "w", bin_dir=fake_bin,
                   store_path=store_path)
-        runner.execute(_job(small_clip), **kw)
-        before = (tmp_path / "s.jsonl").read_text()
-        outcome = runner.execute(_job(small_clip), **kw)
-        assert outcome.status == "skipped"
-        assert (tmp_path / "s.jsonl").read_text() == before
+        [first] = runner.run_plan([_job(small_clip)], workers=1, **kw)
+        assert first.status == "ok"
+        before = store_path.read_text()
+        [rerun] = runner.run_plan([_job(small_clip)], workers=1, **kw)
+        assert rerun.status == "skipped"
+        assert store_path.read_text() == before
+        # execute reads no store: only known_keys marks a job as done
+        assert runner.execute(_job(small_clip), **kw).status == "ok"
+        assert store_path.read_text() != before
 
     def test_force_reruns(self, fake_bin, small_clip, tmp_path):
         store_path = tmp_path / "s.jsonl"
@@ -296,13 +300,20 @@ class TestRunPlan:
         jobs = [_job(clip, clip_id=clip.stem, target_kbps=tbr)
                 for tbr in range(100, 900, 100) for clip in clips]
         probes = Counter()
+        loads = Counter()
         original = y4m.probe_clip
+        original_load = store.load
 
         def counting(path):
             probes[str(path)] += 1
             return original(path)
 
+        def counting_load(path):
+            loads[str(path)] += 1
+            return original_load(path)
+
         monkeypatch.setattr(y4m, "probe_clip", counting)
+        monkeypatch.setattr(store, "load", counting_load)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -313,6 +324,7 @@ class TestRunPlan:
             sys.setswitchinterval(interval)
         assert [o.status for o in outcomes] == ["ok"] * 16
         assert probes == {str(clip): 1 for clip in clips}
+        assert loads == {str(tmp_path / "s.jsonl"): 1}
         assert {o.measured_kbps for o in outcomes} == {80.0}  # 10000 B in 1 s
 
     def test_missing_metric_tool_fails_before_the_first_job(

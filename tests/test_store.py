@@ -250,6 +250,7 @@ def _patch_index(path, offset, new):
 
 
 _TS = ("2026-01-01T00:00:00", "2026-01-02T00:00:00")  # equal stamps tie
+_WHOLE = _record(clip_id="whole").to_line()  # a record line, unterminated
 
 _ops = st.lists(st.one_of(
     st.tuples(st.just("append"), st.integers(0, 3), st.integers(0, 1),
@@ -438,21 +439,39 @@ class TestIndex:
         assert tmp_store.read_bytes() == before
         assert tmp_store.stat().st_mtime_ns == mtime
 
-    @pytest.mark.parametrize("tail", [
-        '{"clip": "cut', '{"clip": "cut"}\n',
-        _record(clip_id="whole").to_line()], ids=["cut", "bad", "unterminated"])
+    @pytest.mark.parametrize("tail,rest", [
+        (_WHOLE[:12], _WHOLE[12:] + "\n"), ('{"clip": "cut"}\n', None),
+        (_WHOLE, "\n")], ids=["cut", "bad", "unterminated"])
     def test_skipped_or_unterminated_last_line_is_not_indexed(self, tmp_store,
-                                                             tail):
-        _fill(tmp_store)
+                                                             tail, rest):
+        """A load that skips its last line or finds it unterminated leaves
+        the index as it was, or absent; once the line is completed, the
+        next load indexes the whole store."""
+        idx = store.index_path(tmp_store)
+        for indexed in (False, True):
+            tmp_store.unlink(missing_ok=True)
+            idx.unlink(missing_ok=True)
+            _fill(tmp_store)
+            if indexed:
+                store.load(tmp_store)
+            before = idx.read_bytes() if indexed else None
+            with open(tmp_store, "a") as f:
+                f.write(tail)
+            assert store.load(tmp_store) == _reference_load(tmp_store)
+            assert (idx.read_bytes() if idx.exists() else None) == before
+        if rest is None:  # a complete malformed line stays malformed
+            store.append(tmp_store, _record(clip_id="later"))
+            with pytest.raises(StoreLoadError, match="malformed line 4"):
+                store.load(tmp_store)
+            assert idx.read_bytes() == before
+            return
         with open(tmp_store, "a") as f:
-            f.write(tail)
-        assert store.load(tmp_store) == _reference_load(tmp_store)
-        store.append(tmp_store, _record(clip_id="later"))
-        assert (_outcome(store.load, tmp_store)
-                == _outcome(_reference_load, tmp_store))
-        store.append(tmp_store, _record(clip_id="later still"))
-        with pytest.raises(StoreLoadError, match="malformed line 4"):
-            store.load(tmp_store)
+            f.write(rest)
+        got = store.load(tmp_store)
+        assert got == _reference_load(tmp_store)
+        assert [r.clip_id for r in got] == ["c0", "c1", "c2", "whole"]
+        data = tmp_store.read_bytes()
+        assert store._read_index(tmp_store, data)[0] == len(data)
 
     @pytest.mark.parametrize("layout", [
         "crlf", "lone-cr", "mixed-cr", "padded",
@@ -469,8 +488,8 @@ class TestIndex:
         elif layout == "padded":
             text = "".join(f" {line}\t\n" for line in lines)
         elif layout == "two-objects-and-split-record":
-            # one line with two records, one record split at a comma: joined
-            # with commas these still make one object per line
+            # one line with two records, then one record split at a comma
+            # over two lines: line 2 is the first that does not parse
             head, rest = lines[3].split(", ", 1)
             text = "\n".join([lines[0], f"{lines[1]}, {lines[2]}", head, rest,
                               lines[0]]) + "\n"
