@@ -480,10 +480,14 @@ def _aggregate(table: RecordTable, rows: np.ndarray, group: np.ndarray,
         qualities = np.full(groups, np.nan)
         low_rate = low_quality = np.zeros(groups, dtype=np.intp)
         if method == "arithmetic":
-            for g in present.tolist():
-                members = group == g
-                rates[g] = np.mean(rate[members])
-                qualities[g] = np.mean(quality[members])
+            # a group with an error keeps NaN means; +inf and -inf in
+            # one group give a NaN mean without a warning
+            valid = (count > 0) & (mixed + missing == 0)
+            with np.errstate(all="ignore"):
+                for g in np.flatnonzero(valid).tolist():
+                    members = group == g
+                    rates[g] = np.mean(rate[members])
+                    qualities[g] = np.mean(quality[members])
 
     errors: list = [None] * groups
     flagged = mixed + missing + low_rate + low_quality

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -43,6 +44,9 @@ def _checked(convert, what: str, ok):
 
 
 _positive_float = _checked(float, "a positive number", lambda v: v > 0)
+_positive_finite_float = _checked(float, "a positive finite number",
+                                  lambda v: 0 < v < math.inf)
+_non_negative_float = _checked(float, "a number >= 0", lambda v: v >= 0)
 _positive_int = _checked(int, "a positive integer", lambda v: v > 0)
 _count = _checked(int, "an integer >= 0", lambda v: v >= 0)
 
@@ -386,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan_p.add_argument("--presets", help="restrict presets (comma-separated)")
     plan_p.add_argument("--passes", default="1,2")
     plan_p.add_argument("--ladder", help="target bitrates in kb/s, comma-separated")
-    plan_p.add_argument("--maxrate-factor", type=float,
+    plan_p.add_argument("--maxrate-factor", type=_positive_finite_float,
                         default=encoders.MAXRATE_FACTOR_DEFAULT,
                         help="max rate as a multiple of target "
                              "(default %(default)s)")
@@ -485,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint bitrate in kb/s (default 4000)")
     p.add_argument("--overshoot", type=_positive_float, default=None,
                    help="overshoot fraction (default 0.15)")
-    p.add_argument("--budget-hours", type=float, default=None)
-    p.add_argument("--slack-points", type=float, default=None,
+    p.add_argument("--budget-hours", type=_positive_float, default=None)
+    p.add_argument("--slack-points", type=_non_negative_float, default=None,
                    help="S2 coverage slack in points (default 5)")
     p.add_argument("--from-summaries",
                    help="summary CSV instead of a record store")
@@ -498,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", default="S1,S2,S3")
     p.add_argument("--threshold", type=_positive_float, default=None,
                    help="VMAF bar (default 88)")
-    p.add_argument("--budget-hours", type=float, default=None)
+    p.add_argument("--budget-hours", type=_positive_float, default=None)
     p.add_argument("--curves-csv", action="store_true",
                    help="also write per-scenario curve CSVs")
     p.add_argument("--scatter", action="store_true",

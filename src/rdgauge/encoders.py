@@ -1,15 +1,16 @@
 """Benchmark plans and per-encoder command lines.
 
 Every encode targets VBR with a fixed 131-frame keyframe interval,
-scene-cut detection off, max rate and buffer size derived from the
-target bitrate, and one thread. x264/x265/NVENC go through an
-ffmpeg-compatible transcoder; SVT-AV1 uses its native app, which also
-chains its own second pass. Command construction is pure: the same job
-always yields the same argument vectors.
+scene-cut detection off, a max rate of ``maxrate_factor`` times the
+target, a buffer of twice the target, and one thread. x264/x265/NVENC
+go through an ffmpeg-compatible transcoder; SVT-AV1 uses its native
+app, which also chains its own second pass. Command construction is
+pure: the same job always yields the same argument vectors.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -26,9 +27,12 @@ DEFAULT_LADDER = (500, 1000, 2000, 3000, 4000, 6000, 8000, 10000, 12000,
 TOOLSWEEP_LADDER = (500, 1000, 2000, 3000, 4000, 5000, 6000, 8000, 10000)
 TOOLSWEEP_PRESET = "10"
 
-KEYINT_DEFAULT = 131
+# The fixed encode settings of every job.
+KEYINT_FRAMES = 131
+BUFSIZE_FACTOR = 2.0
+THREADS = 1
+
 MAXRATE_FACTOR_DEFAULT = 1.2
-BUFSIZE_FACTOR_DEFAULT = 2.0
 
 
 @dataclass(frozen=True)
@@ -36,34 +40,20 @@ class EncoderSpec:
     """Static description of one encoder family."""
 
     family: str
-    invocation_style: str  # "ffmpeg_wrapped" | "native_app"
     binary: str
     presets: tuple[str, ...]
     codec_lib: str = ""  # ffmpeg -c:v value, empty for native apps
-    params_flag: str = ""  # "-x264-params" style private option flag
-    tune_psnr: bool = False
 
+
+_X26X_PRESETS = ("veryslow", "slow", "medium", "fast", "veryfast", "ultrafast")
 
 ENCODERS: dict[str, EncoderSpec] = {
-    "x264": EncoderSpec(
-        family="x264", invocation_style="ffmpeg_wrapped", binary="ffmpeg",
-        presets=("veryslow", "slow", "medium", "fast", "veryfast", "ultrafast"),
-        codec_lib="libx264", params_flag="-x264-params", tune_psnr=True,
-    ),
-    "x265": EncoderSpec(
-        family="x265", invocation_style="ffmpeg_wrapped", binary="ffmpeg",
-        presets=("veryslow", "slow", "medium", "fast", "veryfast", "ultrafast"),
-        codec_lib="libx265", params_flag="-x265-params", tune_psnr=True,
-    ),
-    "svt-av1": EncoderSpec(
-        family="svt-av1", invocation_style="native_app", binary="SvtAv1EncApp",
-        presets=("2", "4", "6", "8", "10", "12"),
-    ),
-    "nvenc-av1": EncoderSpec(
-        family="nvenc-av1", invocation_style="ffmpeg_wrapped", binary="ffmpeg",
-        presets=("P1", "P3", "P4", "P5", "P7"),
-        codec_lib="av1_nvenc",
-    ),
+    "x264": EncoderSpec("x264", "ffmpeg", _X26X_PRESETS, "libx264"),
+    "x265": EncoderSpec("x265", "ffmpeg", _X26X_PRESETS, "libx265"),
+    "svt-av1": EncoderSpec("svt-av1", "SvtAv1EncApp",
+                           ("2", "4", "6", "8", "10", "12")),
+    "nvenc-av1": EncoderSpec("nvenc-av1", "ffmpeg",
+                             ("P1", "P3", "P4", "P5", "P7"), "av1_nvenc"),
 }
 
 
@@ -83,10 +73,7 @@ class EncodeJob:
     preset: str
     passes: int
     target_kbps: int
-    keyint_frames: int = KEYINT_DEFAULT
     maxrate_factor: float = MAXRATE_FACTOR_DEFAULT
-    bufsize_factor: float = BUFSIZE_FACTOR_DEFAULT
-    threads: int = 1
     extra_params: tuple[str, ...] = ()
     input_path: str = ""
     variant: str = ""  # tool-off toggle label, empty for plain jobs
@@ -96,6 +83,9 @@ class EncodeJob:
             raise PlanError(f"passes must be 1 or 2, got {self.passes}")
         if self.target_kbps <= 0:
             raise PlanError(f"target_kbps must be positive, got {self.target_kbps}")
+        if not 0 < self.maxrate_factor < math.inf:
+            raise PlanError("maxrate_factor must be positive and finite, "
+                            f"got {self.maxrate_factor}")
         spec = get_spec(self.family)
         if self.preset not in spec.presets:
             raise PlanError(
@@ -104,14 +94,6 @@ class EncodeJob:
             )
         if not self.input_path:
             object.__setattr__(self, "input_path", f"{self.clip_id}.y4m")
-
-    @property
-    def maxrate_kbps(self) -> float:
-        return round(self.maxrate_factor * self.target_kbps, 6)
-
-    @property
-    def bufsize_kbps(self) -> float:
-        return round(self.bufsize_factor * self.target_kbps, 6)
 
     @property
     def record_clip_id(self) -> str:
@@ -144,7 +126,7 @@ def plan_matrix(
     ladder: Sequence[int] = DEFAULT_LADDER,
     pass_modes: Sequence[int] = (1, 2),
     presets: Optional[dict[str, Sequence[str]]] = None,
-    **job_kwargs,
+    maxrate_factor: float = MAXRATE_FACTOR_DEFAULT,
 ) -> list[EncodeJob]:
     """Cartesian expansion in (clip, family, preset, pass, bitrate) order."""
     if not ladder:
@@ -155,16 +137,12 @@ def plan_matrix(
         for spec in resolved:
             family_presets = (presets or {}).get(spec.family, spec.presets)
             for preset in family_presets:
-                if preset not in spec.presets:
-                    raise PlanError(
-                        f"preset {preset!r} is not in the {spec.family} vocabulary"
-                    )
                 for passes in pass_modes:
                     for tbr in ladder:
                         jobs.append(EncodeJob(
                             clip_id=clip_id, family=spec.family, preset=preset,
                             passes=passes, target_kbps=int(tbr),
-                            input_path=path, **job_kwargs,
+                            maxrate_factor=maxrate_factor, input_path=path,
                         ))
     return jobs
 
@@ -194,6 +172,7 @@ def plan_toolsweep(
 
 
 def _kbps_token(kbps: float) -> str:
+    kbps = round(kbps, 6)
     if float(kbps) == int(kbps):
         return f"{int(kbps)}k"
     return f"{kbps:g}k"
@@ -205,105 +184,47 @@ def job_paths(job: EncodeJob, work_dir: Union[str, Path] = ".") -> tuple[str, st
     return base + ".mp4", base + ".log"
 
 
-def build_command(
-    job: EncodeJob,
-    pass_index: int,
-    work_dir: Union[str, Path] = ".",
-) -> list[str]:
-    """Argument vector for one pass of a job.
-
-    Single-invocation modes (1-pass, SVT-AV1 2-pass, NVENC multipass)
-    only have a pass 1; asking for their pass 2 is a plan error. The
-    first element is the tool's bare name; ``runner.execute`` runs the
-    path that ``runner.resolve_binary`` finds for it.
-    """
-    if pass_index < 1 or pass_index > job.passes:
-        raise PlanError(f"pass_index {pass_index} out of range for {job.passes}-pass job")
-    spec = get_spec(job.family)
-    output, passlog = job_paths(job, work_dir)
-
-    if spec.invocation_style == "native_app":
-        if pass_index != 1:
-            raise PlanError("SVT-AV1 chains both passes in a single invocation")
-        return _svt_vector(job, spec.binary, output)
-
-    if job.family == "nvenc-av1":
-        if pass_index != 1:
-            raise PlanError("NVENC multipass runs in a single invocation")
-        return _nvenc_vector(job, spec.binary, output)
-
-    return _ffmpeg_sw_vector(job, spec.binary, pass_index, output, passlog)
-
-
 def build_commands(
     job: EncodeJob,
     work_dir: Union[str, Path] = ".",
 ) -> list[list[str]]:
-    """All vectors to run in order; chained only for x264/x265 2-pass."""
-    spec = get_spec(job.family)
-    chained = spec.invocation_style == "ffmpeg_wrapped" and spec.params_flag
-    n = job.passes if (chained and job.passes == 2) else 1
-    return [build_command(job, i + 1, work_dir) for i in range(n)]
+    """Every argument vector of a job, to run in order.
 
-
-def _ffmpeg_sw_vector(job, binary, pass_index, output, passlog) -> list[str]:
+    SVT-AV1 and NVENC run either pass mode in one invocation; x264/x265
+    2-pass is two chained ffmpeg runs sharing a pass log. The first
+    element of each vector is the tool's bare name; ``runner.execute``
+    runs the path that ``runner.resolve_binary`` finds for it.
+    """
     spec = get_spec(job.family)
-    vec = [
-        binary, "-y", "-i", job.input_path,
-        "-g", str(job.keyint_frames), "-keyint_min", str(job.keyint_frames),
+    output, passlog = job_paths(job, work_dir)
+    keyint, threads = str(KEYINT_FRAMES), str(THREADS)
+    two_pass = job.passes == 2
+    if job.family == "svt-av1":
+        return [[
+            spec.binary, "-i", job.input_path, "--keyint", keyint,
+            "--tbr", str(job.target_kbps), "-lp", threads, "--rc", "1",
+            *(["--passes", "2"] if two_pass else []),
+            "--preset", job.preset, *job.extra_params, "-b", output,
+        ]]
+    head = [
+        spec.binary, "-y", "-i", job.input_path,
+        "-g", keyint, "-keyint_min", keyint,
         "-b:v", _kbps_token(job.target_kbps),
-        "-maxrate", _kbps_token(job.maxrate_kbps),
-        "-bufsize", _kbps_token(job.bufsize_kbps),
+        "-maxrate", _kbps_token(job.maxrate_factor * job.target_kbps),
+        "-bufsize", _kbps_token(BUFSIZE_FACTOR * job.target_kbps),
         "-c:v", spec.codec_lib,
-        "-threads", str(job.threads),
-        "-preset", job.preset,
     ]
-    if spec.tune_psnr:
-        vec += ["-tune", "psnr"]
-    if job.passes == 2:
-        vec += ["-pass", str(pass_index), "-passlogfile", passlog]
-    vec += [spec.params_flag, "scenecut=0"]
-    vec += list(job.extra_params)
-    if job.passes == 2 and pass_index == 1:
-        vec += ["-f", "mp4", os.devnull]
-    elif job.passes == 1:
-        vec += ["-f", "mp4", output]
-    else:
-        vec += [output]
-    return vec
-
-
-def _nvenc_vector(job, binary, output) -> list[str]:
-    vec = [
-        binary, "-y", "-i", job.input_path,
-        "-g", str(job.keyint_frames), "-keyint_min", str(job.keyint_frames),
-        "-b:v", _kbps_token(job.target_kbps),
-        "-maxrate", _kbps_token(job.maxrate_kbps),
-        "-bufsize", _kbps_token(job.bufsize_kbps),
-        "-c:v", "av1_nvenc",
-        "-rc", "vbr",
-        "-threads", str(job.threads),
-        "-preset", job.preset,
-        "-no-scenecut", "1",
-    ]
-    if job.passes == 2:
-        vec += ["-multipass", "2"]
-    vec += list(job.extra_params)
-    vec += [output]
-    return vec
-
-
-def _svt_vector(job, binary, output) -> list[str]:
-    vec = [
-        binary, "-i", job.input_path,
-        "--keyint", str(job.keyint_frames),
-        "--tbr", str(job.target_kbps),
-        "-lp", str(job.threads),
-        "--rc", "1",
-    ]
-    if job.passes == 2:
-        vec += ["--passes", "2"]
-    vec += ["--preset", job.preset]
-    vec += list(job.extra_params)
-    vec += ["-b", output]
-    return vec
+    if job.family == "nvenc-av1":
+        return [head + [
+            "-rc", "vbr", "-threads", threads, "-preset", job.preset,
+            "-no-scenecut", "1", *(["-multipass", "2"] if two_pass else []),
+            *job.extra_params, output,
+        ]]
+    head += ["-threads", threads, "-preset", job.preset, "-tune", "psnr"]
+    params = [f"-{job.family}-params", "scenecut=0", *job.extra_params]
+    if not two_pass:
+        return [head + params + ["-f", "mp4", output]]
+    return [head + ["-pass", "1", "-passlogfile", passlog] + params
+            + ["-f", "mp4", os.devnull],
+            head + ["-pass", "2", "-passlogfile", passlog] + params
+            + [output]]

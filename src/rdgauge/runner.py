@@ -78,11 +78,16 @@ class JobOutcome:
 
 
 def resolve_binary(name: str, bin_dir: Optional[Union[str, Path]] = None) -> str:
-    """Locate a tool, preferring the configured binary directory."""
+    """Locate a tool, preferring the configured binary directory.
+
+    Only a regular file that may be executed counts, in the directory as
+    on PATH (``shutil.which``), so an unusable tool fails the plan before
+    its first job rather than every job at its start.
+    """
     bin_dir = bin_dir or os.environ.get(ENV_BIN_DIR)
     if bin_dir:
         candidate = Path(bin_dir) / name
-        if candidate.exists():
+        if candidate.is_file() and os.access(candidate, os.X_OK):
             return str(candidate)
     found = shutil.which(name)
     if not found:

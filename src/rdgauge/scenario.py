@@ -57,6 +57,10 @@ class ScenarioSpec:
             raise ValueError("overshoot threshold must be positive")
         if self.objective == OBJECTIVE_BUDGETED and self.time_budget_hours is None:
             raise ValueError(f"scenario {self.id}: budgeted objective needs a budget")
+        if self.time_budget_hours is not None and not self.time_budget_hours > 0:
+            raise ValueError("time budget must be positive")
+        if not self.coverage_slack_points >= 0:
+            raise ValueError("coverage slack must be >= 0")
 
 
 def make_scenario(sid: str, **overrides) -> ScenarioSpec:

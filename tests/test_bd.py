@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_records
@@ -1042,8 +1042,9 @@ def _reference_aggregate_points(records, metric_kind=bd.METRIC_VMAF,
         return bd.RDPoint(rate=_reference_harmonic_mean(rates),
                           quality=_reference_harmonic_mean(quals))
     if method == "arithmetic":
-        return bd.RDPoint(rate=float(np.mean(rates)),
-                          quality=float(np.mean(quals)))
+        with np.errstate(all="ignore"):  # +inf and -inf give NaN
+            return bd.RDPoint(rate=float(np.mean(rates)),
+                              quality=float(np.mean(quals)))
     raise AggregationError(f"unknown aggregation method {method!r}")
 
 
@@ -1163,6 +1164,14 @@ def test_columnar_curves_equal_per_record_loop(records, metric):
        metric=st.sampled_from([bd.METRIC_VMAF, bd.METRIC_PSNR_Y]),
        method=st.sampled_from(["harmonic", "harmonic", "arithmetic",
                                "median"]))
+# Rungs of +inf and -inf qualities, with and without a null: their
+# arithmetic mean once warned (an error under pytest) on either side.
+@example(records=[MetricRecord("a", "x264", "medium", 1, 500.0, -1.0, vmaf=v)
+                  for v in (None, math.inf, -math.inf)],
+         ladder=[], metric=bd.METRIC_VMAF, method="arithmetic")
+@example(records=[MetricRecord("a", "x264", "medium", 1, 1000.0, 400.0, vmaf=v)
+                  for v in (math.inf, -math.inf)],
+         ladder=[1000.0, 500.0], metric=bd.METRIC_VMAF, method="arithmetic")
 def test_columnar_aggregate_equals_per_record_loop(records, ladder, metric,
                                                    method):
     got = _outcome_of(bd.aggregate_curve, records, ladder, metric, method,

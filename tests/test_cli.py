@@ -102,8 +102,16 @@ class TestPlan:
     ["encode", "--clips", "a", "--families", "svt-av1", "--store", "{store}",
      "--binary-dir", "{bin}", "--jobs", "-1"],
     ["plan", "--clips", "a", "--families", "x264", "--show", "-1"],
+    ["scenario", "--from-summaries", "s.csv", "--budget-hours", "-5"],
+    ["report", "--store", "{store}", "--out", "{out}", "--budget-hours", "0"],
+    ["scenario", "--from-summaries", "s.csv", "--slack-points", "-1"],
+    ["plan", "--clips", "a", "--families", "x264", "--maxrate-factor", "-1"],
+    ["encode", "--clips", "a", "--families", "svt-av1", "--store", "{store}",
+     "--binary-dir", "{bin}", "--maxrate-factor", "inf"],
+    ["plan", "--clips", "a", "--families", "x264", "--maxrate-factor", "nan"],
 ], ids=["threshold", "overshoot", "checkpoint", "report-threshold", "jobs",
-        "show"])
+        "show", "budget", "report-budget", "slack", "maxrate", "maxrate-inf",
+        "maxrate-nan"])
 def test_out_of_range_option_is_a_usage_error(tmp_path, capsys, argv):
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
@@ -608,6 +616,25 @@ class TestEnvironmentErrors:
                    "--store", str(tmp_path / "s.jsonl"),
                    "--work-dir", str(tmp_path / "w")])
         assert rc == 3
+
+    def test_encode_with_non_executable_binary_is_exit_3(self, tmp_path,
+                                                         monkeypatch, capsys):
+        header = make_header(8, 8)
+        clip = tmp_path / "c.y4m"
+        write_clip(header, synthetic_clip(header, 2), clip)
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        (bin_dir / "ffmpeg").write_text("#!/bin/sh\n")  # mode 644
+        monkeypatch.setenv("PATH", str(tmp_path / "nowhere"))
+        monkeypatch.delenv("RDGAUGE_BIN_DIR", raising=False)
+        rc = main(["encode", "--clips", str(clip), "--families", "x264",
+                   "--presets", "medium", "--passes", "1", "--ladder", "100",
+                   "--binary-dir", str(bin_dir),
+                   "--store", str(tmp_path / "s.jsonl"),
+                   "--work-dir", str(tmp_path / "w")])
+        assert rc == 3
+        assert "environment error" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_cli_import_does_not_load_scipy():

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -6,8 +7,8 @@ from rdgauge.encoders import (
     DEFAULT_LADDER,
     TOOLSWEEP_LADDER,
     EncodeJob,
-    build_command,
     build_commands,
+    get_spec,
     plan_matrix,
     plan_toolsweep,
 )
@@ -101,7 +102,7 @@ class TestPlanToolsweep:
     def test_toggle_lands_in_command(self):
         job = next(j for j in plan_toolsweep("clip", ["--enable-tf 0"])
                    if j.variant == "--enable-tf 0")
-        vec = build_command(job, 1)
+        vec = build_commands(job)[0]
         joined = " ".join(vec)
         assert "--enable-tf 0" in joined
 
@@ -110,7 +111,7 @@ class TestBuildCommand:
     def test_x264_default_maxrate_is_120_percent(self):
         job = EncodeJob(clip_id="c", family="x264", preset="veryslow", passes=1,
                         target_kbps=8000)
-        vec = build_command(job, 1)
+        vec = build_commands(job)[0]
         for token in ("-g", "131", "-keyint_min", "-b:v", "8000k",
                       "-maxrate", "9600k", "-bufsize", "16000k"):
             assert token in vec
@@ -119,7 +120,7 @@ class TestBuildCommand:
     def test_svt_two_pass_tokens(self):
         job = EncodeJob(clip_id="c", family="svt-av1", preset="6", passes=2,
                         target_kbps=4000)
-        vec = build_command(job, 1)
+        vec = build_commands(job)[0]
         joined = " ".join(vec)
         for piece in ("--keyint 131", "--tbr 4000", "--rc 1", "--passes 2",
                       "--preset 6", "-lp 1"):
@@ -128,7 +129,7 @@ class TestBuildCommand:
     def test_nvenc_two_pass_tokens(self):
         job = EncodeJob(clip_id="c", family="nvenc-av1", preset="P7", passes=2,
                         target_kbps=6000)
-        joined = " ".join(build_command(job, 1))
+        joined = " ".join(build_commands(job)[0])
         for piece in ("-rc vbr", "-multipass 2", "-no-scenecut 1"):
             assert piece in joined
 
@@ -150,13 +151,12 @@ class TestBuildCommand:
             # identical between the pass number and the sink tail
             assert first[pass_at + 2:-3] == second[pass_at + 2:-1]
 
-    def test_pass_index_bounds(self):
-        job = EncodeJob(clip_id="c", family="x264", preset="fast", passes=1,
-                        target_kbps=1000)
-        with pytest.raises(PlanError):
-            build_command(job, 2)
-        with pytest.raises(PlanError):
-            build_command(job, 0)
+    def test_one_pass_is_one_vector(self):
+        for family in ("x264", "x265", "svt-av1", "nvenc-av1"):
+            job = EncodeJob(clip_id="c", family=family,
+                            preset=get_spec(family).presets[0], passes=1,
+                            target_kbps=1000)
+            assert len(build_commands(job)) == 1
 
     def test_single_invocation_families_have_no_second_vector(self):
         svt = EncodeJob(clip_id="c", family="svt-av1", preset="2", passes=2,
@@ -165,15 +165,11 @@ class TestBuildCommand:
                           passes=2, target_kbps=1000)
         assert len(build_commands(svt)) == 1
         assert len(build_commands(nvenc)) == 1
-        with pytest.raises(PlanError):
-            build_command(svt, 2)
-        with pytest.raises(PlanError):
-            build_command(nvenc, 2)
 
     def test_threads_pinned_to_one(self):
         job = EncodeJob(clip_id="c", family="x264", preset="fast", passes=1,
                         target_kbps=1000)
-        vec = build_command(job, 1)
+        vec = build_commands(job)[0]
         assert vec[vec.index("-threads") + 1] == "1"
 
 
@@ -205,6 +201,15 @@ def test_maxrate_factor_flag_changes_only_maxrate():
                      target_kbps=8000)
     alt = EncodeJob(clip_id="c", family="x264", preset="fast", passes=1,
                     target_kbps=8000, maxrate_factor=1.5)
-    a, b = build_command(base, 1), build_command(alt, 1)
+    a, b = build_commands(base)[0], build_commands(alt)[0]
     diff = [(x, y) for x, y in zip(a, b) if x != y]
     assert diff == [("9600k", "12000k")]
+
+
+@pytest.mark.parametrize("factor", [0, -1.0, math.inf, math.nan])
+def test_maxrate_factor_must_be_positive_and_finite(factor):
+    with pytest.raises(PlanError, match="maxrate_factor"):
+        EncodeJob(clip_id="c", family="x264", preset="fast", passes=1,
+                  target_kbps=1000, maxrate_factor=factor)
+    with pytest.raises(PlanError, match="maxrate_factor"):
+        plan_matrix(["c"], ["svt-av1"], maxrate_factor=factor)

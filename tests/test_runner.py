@@ -342,6 +342,26 @@ class TestRunPlan:
         assert not (fake_bin / "calls.log").exists()
         assert not store_path.exists()
 
+    @pytest.mark.parametrize("unusable", ["not-executable", "directory"])
+    def test_unusable_encoder_fails_before_the_first_job(
+            self, fake_bin, small_clip, tmp_path, monkeypatch, unusable):
+        svt = fake_bin / "SvtAv1EncApp"
+        if unusable == "directory":
+            svt.unlink()
+            svt.mkdir()
+        else:
+            svt.chmod(0o644)
+        monkeypatch.setenv("PATH", str(tmp_path / "nowhere"))
+        monkeypatch.delenv("RDGAUGE_BIN_DIR", raising=False)
+        jobs = [_job(small_clip), _job(small_clip, family="svt-av1",
+                                       preset="10")]
+        store_path = tmp_path / "s.jsonl"
+        with pytest.raises(MissingBinaryError, match="'SvtAv1EncApp'"):
+            runner.run_plan(jobs, workers=1, work_dir=tmp_path / "w",
+                            bin_dir=fake_bin, store_path=store_path)
+        assert not (fake_bin / "calls.log").exists()
+        assert not store_path.exists()
+
     def test_missing_output_fails_only_its_job(self, fake_bin, small_clip,
                                                tmp_path):
         # SvtAv1EncApp exits 0 without writing; ffmpeg jobs still succeed.

@@ -97,6 +97,18 @@ class TestSummarize:
         assert summarize(scenario.group_by_config(records), spec) == baseline
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(time_budget_hours=0.0), dict(time_budget_hours=-5.0),
+    dict(time_budget_hours=math.nan), dict(coverage_slack_points=-1.0),
+    dict(coverage_slack_points=math.nan),
+], ids=["budget-zero", "budget-negative", "budget-nan", "slack-negative",
+        "slack-nan"])
+def test_out_of_range_budget_or_slack_is_rejected(overrides):
+    for sid in ("S2", "S3"):
+        with pytest.raises(ValueError):
+            make_scenario(sid, **overrides)
+
+
 class TestSelectPresets:
     def test_s1_ignores_complexity(self):
         a = _summary(preset="slowcfg", n=100, above=80, hours=100.0)
