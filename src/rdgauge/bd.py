@@ -13,12 +13,12 @@ one-sided endpoint rule, the scheme of MATLAB's pchip and scipy's
 PchipInterpolator, with closed-form Hermite segment integrals summed
 once per curve. There is one interpolant type, ``CurveStack``: the
 slopes, coefficients and running integrals of many curves as padded
-arrays, built row by row with the same arithmetic, so a single curve
-is a stack of one and stacking changes no bit. A curve builds its own
-one-row stacks lazily, once, so pairs that reuse a curve pay for it a
-single time. One kernel, ``_bd``, takes paired rows of two stacks and
-returns their overlaps and mean log ratios; every BD value comes from
-it.
+arrays, built row by row with the same arithmetic, so stacking changes
+no bit. One builder, ``_stack``, turns a list of ``RDCurve``s into one
+stack, a row per curve, and nothing is cached on a curve. One kernel,
+``_bd``, takes paired rows of two stacks and returns their overlaps and
+mean log ratios; every BD value comes from it. ``bd_rate`` and
+``bd_quality`` run it on rows 0 and 1 of one two-row stack per call.
 
 Two dataset reductions are provided: the conventional one (BD-Rate per
 clip, then arithmetic mean) and the aggregate-curve one (harmonic-mean
@@ -53,7 +53,6 @@ import csv
 import io
 import logging
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -89,32 +88,6 @@ class RDCurve:
     id: str
     metric_kind: str
     points: tuple[RDPoint, ...]
-
-    @property
-    def qualities(self) -> np.ndarray:
-        return np.array([p.quality for p in self.points])
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([p.rate for p in self.points])
-
-    @cached_property
-    def interpolant(self) -> CurveStack:
-        """quality -> log10(rate), built on first use by ``interpolate``."""
-        return interpolate(self)
-
-    @cached_property
-    def rate_interpolant(self) -> CurveStack:
-        """log10(rate) -> quality, built on first use.
-
-        Two rates a float ulp apart can share one log10; such a curve
-        has no interpolant over log-rate and raises DomainError.
-        """
-        x = np.log10(self.rates)
-        if not np.all(np.diff(x) > 0):
-            raise DomainError(
-                f"curve {self.id!r}: log10 rates must increase")
-        return _row(x, self.qualities)
 
 
 @dataclass(frozen=True)
@@ -343,14 +316,39 @@ class CurveStack:
         return p[len(lo):] - p[:len(lo)]
 
 
-def _row(x: np.ndarray, y: np.ndarray) -> CurveStack:
-    """The one-row stack of the PCHIP through knots (x, y)."""
-    return CurveStack(x[None, :], y[None, :], np.array([len(x)]))
+def _padded(curves: Sequence[RDCurve]) -> tuple:
+    """The knot counts, rates and qualities of curves, a row each, the
+    rates padded with 1 and the qualities with +inf."""
+    n = np.array([len(c.points) for c in curves], dtype=np.intp)
+    rates = np.ones((len(curves), int(n.max()) if len(curves) else 0))
+    qualities = np.full(rates.shape, np.inf)
+    for r, curve in enumerate(curves):
+        rates[r, :n[r]] = [p.rate for p in curve.points]
+        qualities[r, :n[r]] = [p.quality for p in curve.points]
+    return n, rates, qualities
+
+
+def _stack(curves: Sequence[RDCurve], over_rate: bool = False) -> CurveStack:
+    """The PCHIPs of curves, a row each: log10(rate) over quality, or
+    with ``over_rate`` quality over log10(rate).
+
+    Two rates a float ulp apart can share one log10, so over rate each
+    curve's log10 rates must strictly increase; the first curve that
+    fails raises DomainError.
+    """
+    n, rates, qualities = _padded(curves)
+    log_rates = np.log10(rates)
+    if not over_rate:
+        return CurveStack(qualities, log_rates, n)
+    for curve, x, knots in zip(curves, log_rates, n.tolist()):
+        if not np.all(np.diff(x[:knots]) > 0):
+            raise DomainError(f"curve {curve.id!r}: log10 rates must increase")
+    return CurveStack(log_rates, qualities, n)
 
 
 def interpolate(curve: RDCurve) -> CurveStack:
     """quality -> log10(rate) interpolant of a cleaned curve (one row)."""
-    return _row(curve.qualities, np.log10(curve.rates))
+    return _stack([curve])
 
 
 def _bd(a: CurveStack, a_rows: np.ndarray, t: CurveStack,
@@ -376,17 +374,16 @@ def _bd(a: CurveStack, a_rows: np.ndarray, t: CurveStack,
     return ok, a_rows, t_rows, lo, hi, delta
 
 
-_FIRST = np.zeros(1, dtype=np.intp)  # the row of a one-row stack
-
-
-def _one_pair(fa: CurveStack, ft: CurveStack,
-              what: str) -> tuple[float, float, float]:
-    """``_bd`` of two one-row stacks: lo, hi and the mean log ratio."""
-    ok, _, _, lo, hi, delta = _bd(fa, _FIRST, ft, _FIRST)
+def _one_pair(anchor: RDCurve, test: RDCurve, what: str,
+              over_rate: bool) -> tuple[float, float, float]:
+    """``_bd`` of rows 0 and 1 of the pair's one stack: lo, hi and the
+    mean of test - anchor."""
+    stack = _stack([anchor, test], over_rate)
+    ok, _, _, lo, hi, delta = _bd(stack, np.array([0]), stack, np.array([1]))
     if not ok[0]:
         raise OverlapError(
-            f"curves share no {what} interval "
-            f"([{fa.lo[0]:g}, {fa.hi[0]:g}] vs [{ft.lo[0]:g}, {ft.hi[0]:g}])"
+            f"curves share no {what} interval ([{stack.lo[0]:g}, "
+            f"{stack.hi[0]:g}] vs [{stack.lo[1]:g}, {stack.hi[1]:g}])"
         )
     return lo.item(), hi.item(), delta.item()
 
@@ -404,7 +401,7 @@ def _percents(deltas: Iterable[float]) -> list[float]:
 def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
     """Average percent bitrate difference of test vs anchor at equal quality."""
     _check_kinds(anchor.metric_kind, test.metric_kind)
-    lo, hi, delta = _one_pair(anchor.interpolant, test.interpolant, "quality")
+    lo, hi, delta = _one_pair(anchor, test, "quality", over_rate=False)
     return BDResult(
         value=_percents([delta])[0], kind="rate", overlap=(lo, hi),
         anchor_points_used=len(anchor.points),
@@ -416,8 +413,7 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
 def bd_quality(anchor: RDCurve, test: RDCurve) -> BDResult:
     """Average quality difference of test vs anchor at equal rate."""
     _check_kinds(anchor.metric_kind, test.metric_kind)
-    lo, hi, value = _one_pair(anchor.rate_interpolant, test.rate_interpolant,
-                              "log-rate")
+    lo, hi, value = _one_pair(anchor, test, "log-rate", over_rate=True)
     return BDResult(
         value=value, kind="quality", overlap=(lo, hi),
         anchor_points_used=len(anchor.points),
@@ -634,31 +630,18 @@ class ClipCurves(Mapping[str, RDCurve]):
     Row r = ``rows[clip_id]`` holds that clip's ``n[r]`` points in
     ``rates[r]`` and ``qualities[r]``, by increasing rate (padded), and
     its metric kind in ``kinds[r]``. An ``RDCurve`` is built when it is
-    first read; the classic BD functions stack the arrays themselves.
+    first read; the classic BD functions stack the arrays themselves,
+    and ``_clip_curves`` pads a plain mapping's curves into them.
     """
 
-    def __init__(self, curves: Mapping[str, RDCurve]):
-        ids = list(curves)
-        n, rates, qualities = _padded([curves[cid] for cid in ids])
-        kinds = np.array([curves[cid].metric_kind for cid in ids],
-                         dtype=object)
-        self._set(ids, kinds, n, rates, qualities)
-        self._curves = dict(curves)
-
-    @classmethod
-    def _of_arrays(cls, ids: list, kinds: np.ndarray, n: np.ndarray,
-                   rates: np.ndarray, qualities: np.ndarray) -> ClipCurves:
-        self = cls.__new__(cls)
-        self._set(ids, kinds, n, rates, qualities)
-        self._curves = {}
-        return self
-
-    def _set(self, ids, kinds, n, rates, qualities) -> None:
+    def __init__(self, ids: Sequence[str], kinds: np.ndarray, n: np.ndarray,
+                 rates: np.ndarray, qualities: np.ndarray):
         self.rows = {cid: r for r, cid in enumerate(ids)}
         self.kinds = kinds
         self.n = n
         self.rates = rates
         self.qualities = qualities
+        self._curves: dict[str, RDCurve] = {}
 
     def __getitem__(self, clip_id: str) -> RDCurve:
         curve = self._curves.get(clip_id)
@@ -680,18 +663,6 @@ class ClipCurves(Mapping[str, RDCurve]):
 
     def __repr__(self) -> str:
         return f"ClipCurves({dict(self)!r})"
-
-
-def _padded(curves: Sequence[RDCurve]) -> tuple:
-    """The knot counts, rates and qualities of curves, a row each, the
-    rates padded with 1 and the qualities with +inf."""
-    n = np.array([len(c.points) for c in curves], dtype=np.intp)
-    rates = np.ones((len(curves), int(n.max()) if len(curves) else 0))
-    qualities = np.full(rates.shape, np.inf)
-    for r, curve in enumerate(curves):
-        rates[r, :n[r]] = [p.rate for p in curve.points]
-        qualities[r, :n[r]] = [p.quality for p in curve.points]
-    return n, rates, qualities
 
 
 def curves_from_records(
@@ -767,7 +738,7 @@ def curves_by_group(
             row = rows[np.flatnonzero(null & (curve == stop))[0]]
             error = _missing(table, row, metric_kind)
         ok = first + np.flatnonzero(~dropped[first:end])
-        built.append((drops, error, ClipCurves._of_arrays(
+        built.append((drops, error, ClipCurves(
             [ids[c] for c in ok.tolist()],
             np.full(len(ok), metric_kind, dtype=object), n[ok], rates[ok],
             qualities[ok])))
@@ -917,7 +888,13 @@ def _classic(stack: CurveStack, kinds: np.ndarray, table: np.ndarray,
 
 
 def _clip_curves(curves: Mapping[str, RDCurve]) -> ClipCurves:
-    return curves if isinstance(curves, ClipCurves) else ClipCurves(curves)
+    """``curves`` as a ``ClipCurves``, padding a plain mapping's points."""
+    if isinstance(curves, ClipCurves):
+        return curves
+    ids = list(curves)
+    n, rates, qualities = _padded([curves[cid] for cid in ids])
+    kinds = np.array([curves[cid].metric_kind for cid in ids], dtype=object)
+    return ClipCurves(ids, kinds, n, rates, qualities)
 
 
 def bd_rate_matrix(
@@ -931,11 +908,10 @@ def bd_rate_matrix(
     integrated in one pass; each value equals ``bd_rate``'s to the bit.
     """
     built = [k for k, c in enumerate(curves) if c is not None]
-    n, rates, qualities = _padded([curves[k] for k in built])
     kinds = np.array([curves[k].metric_kind for k in built], dtype=object)
     pairs = (kinds[:, None] == kinds[None, :]) & ~np.eye(len(built), dtype=bool)
     i, j = np.nonzero(pairs)
-    stack = CurveStack(qualities, np.log10(rates), n)
+    stack = _stack([curves[k] for k in built])
     _, i, j, _, _, delta = _bd(stack, i, stack, j)
     cells: list[list[Optional[float]]] = [
         [0.0 if r == c else None for c in range(len(curves))]
@@ -945,24 +921,18 @@ def bd_rate_matrix(
     return cells
 
 
-def curve_csv_rows(curve: RDCurve) -> list[str]:
-    """CSV export rows (id, q, rate_kbps).
+def curves_csv(curves: Iterable[RDCurve]) -> str:
+    """CSV export (id, q, rate_kbps): one header, then a row per point.
 
-    Rows carry no line terminator. An id holding a comma, a quote or a
-    line break is quoted (the csv module's minimal quoting).
+    An id holding a comma, a quote or a line break is quoted (the csv
+    module's minimal quoting).
     """
-    fields = [("id", "q", "rate_kbps")]
-    fields += [(curve.id, f"{p.quality:.9g}", f"{p.rate:.9g}")
-               for p in curve.points]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    rows = []
-    for row in fields:
-        writer.writerow(row)
-        rows.append(buf.getvalue()[:-1])
-        buf.seek(0)
-        buf.truncate()
-    return rows
+    writer.writerow(("id", "q", "rate_kbps"))
+    writer.writerows((curve.id, f"{p.quality:.9g}", f"{p.rate:.9g}")
+                     for curve in curves for p in curve.points)
+    return buf.getvalue()
 
 
 def result_csv_row(anchor_id: str, test_id: str, metric_kind: str,

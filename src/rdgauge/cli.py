@@ -176,8 +176,8 @@ def _cmd_complexity(args) -> int:
             for rec in records:
                 f.write(rec.to_json_line() + "\n")
     if args.scatter_csv:
-        Path(args.scatter_csv).write_text(
-            "\n".join(cx_mod.scatter_csv_rows(records)) + "\n", encoding="utf-8")
+        Path(args.scatter_csv).write_text(cx_mod.scatter_csv(records),
+                                          encoding="utf-8")
     return EXIT_DATA if failed else EXIT_OK
 
 
@@ -204,16 +204,12 @@ def _cmd_curves(args) -> int:
         store.load(_require_store(args)), *config)
     ladder = _parse_ladder(args.ladder)
     if args.per_clip:
-        curves = bd_mod.curves_from_records(records, args.metric)
-        rows = ["id,q,rate_kbps"]
-        for curve in curves.values():
-            rows.extend(bd_mod.curve_csv_rows(curve)[1:])
+        curves = bd_mod.curves_from_records(records, args.metric).values()
     else:
-        curve = bd_mod.aggregate_curve(
+        curves = [bd_mod.aggregate_curve(
             records, ladder, args.metric, args.aggregate,
-            id=f"{config[0]}:{config[1]}:{config[2]}p")
-        rows = bd_mod.curve_csv_rows(curve)
-    text = "\n".join(rows) + "\n"
+            id=f"{config[0]}:{config[1]}:{config[2]}p")]
+    text = bd_mod.curves_csv(curves)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -404,9 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     metric_p = argparse.ArgumentParser(add_help=False)
     metric_p.add_argument("--metric", choices=["vmaf", "psnr_y"], default="vmaf")
-    metric_p.add_argument("--method", choices=["classic", "smart"],
-                          default="classic")
     metric_p.add_argument("--ladder")
+
+    # the commands that compute BD-Rate between configs
+    method_p = argparse.ArgumentParser(add_help=False)
+    method_p.add_argument("--method", choices=["classic", "smart"],
+                          default="classic")
 
     p = sub.add_parser("plan", parents=[clips_p, plan_p],
                        help="expand a benchmark plan")
@@ -432,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vmaf", help="measure quality of one encode")
     p.add_argument("--ref", required=True)
     p.add_argument("--dist", required=True)
-    p.add_argument("--expected-frames", type=int, default=None)
+    p.add_argument("--expected-frames", type=_positive_int, default=None)
     p.add_argument("--binary-dir", default=None)
     p.set_defaults(func=_cmd_vmaf)
 
@@ -463,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_curves)
 
-    p = sub.add_parser("bdrate", parents=[store_p, metric_p],
+    p = sub.add_parser("bdrate", parents=[store_p, metric_p, method_p],
                        help="BD-Rate between two configs")
     p.add_argument("--anchor", required=True, help="family:preset:passes")
     p.add_argument("--test", required=True, help="family:preset:passes")
@@ -473,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the result as a CSV row")
     p.set_defaults(func=_cmd_bdrate)
 
-    p = sub.add_parser("grid", parents=[store_p, metric_p],
+    p = sub.add_parser("grid", parents=[store_p, metric_p, method_p],
                        help="pairwise BD-Rate comparison grid")
     p.add_argument("--configs", required=True,
                    help="comma-separated family:preset:passes list")
@@ -496,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="summary CSV instead of a record store")
     p.set_defaults(func=_cmd_scenario)
 
-    p = sub.add_parser("report", parents=[store_p, metric_p],
+    p = sub.add_parser("report", parents=[store_p, metric_p, method_p],
                        help="full report: scenarios, grids, curves, plots")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scenarios", default="S1,S2,S3")

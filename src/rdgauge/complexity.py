@@ -194,21 +194,16 @@ def analyze_clips(
         pool.shutdown(cancel_futures=True)
 
 
-def scatter_csv_rows(records: Iterable[ComplexityRecord]) -> list[str]:
-    """CSV rows (clip_id, clip_se, clip_te) for SE/TE scatter plots.
+def scatter_csv(records: Iterable[ComplexityRecord]) -> str:
+    """CSV (clip_id, clip_se, clip_te) for SE/TE scatter plots: one
+    header, then a row per record.
 
-    Rows carry no line terminator. A clip id holding a comma, a quote or
-    a line break is quoted (the csv module's minimal quoting).
+    A clip id holding a comma, a quote or a line break is quoted (the
+    csv module's minimal quoting).
     """
-    fields = [("clip_id", "clip_se", "clip_te")]
-    fields += [(rec.clip_id, f"{rec.clip_se:.9g}", f"{rec.clip_te:.9g}")
-               for rec in records]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    rows = []
-    for row in fields:
-        writer.writerow(row)
-        rows.append(buf.getvalue()[:-1])
-        buf.seek(0)
-        buf.truncate()
-    return rows
+    writer.writerow(("clip_id", "clip_se", "clip_te"))
+    writer.writerows((rec.clip_id, f"{rec.clip_se:.9g}", f"{rec.clip_te:.9g}")
+                     for rec in records)
+    return buf.getvalue()

@@ -11,8 +11,7 @@ import os
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from . import svgplot
-from .bd import RDCurve, curve_csv_rows
+from . import bd, svgplot
 from .scenario import ComparisonGrid, ScenarioReport
 
 
@@ -28,7 +27,7 @@ def _grid_stem(grid: ComparisonGrid) -> str:
     return "grid-time"
 
 
-def _curve_chart(scenario_id: str, curves: Sequence[RDCurve]) -> str:
+def _curve_chart(scenario_id: str, curves: Sequence[bd.RDCurve]) -> str:
     series = [
         (c.id, [p.rate / 1000.0 for p in c.points],
          [p.quality for p in c.points])
@@ -100,7 +99,7 @@ def _scatter_chart(report: ScenarioReport) -> str:
 def emit_report(
     reports: Sequence[ScenarioReport],
     grids: Sequence[ComparisonGrid],
-    curves: Mapping[str, Sequence[RDCurve]],
+    curves: Mapping[str, Sequence[bd.RDCurve]],
     out_dir: Union[str, Path],
     *,
     curves_csv: bool = False,
@@ -132,11 +131,8 @@ def emit_report(
         _atomic_write(svg_path, _curve_chart(scenario_id, scenario_curves))
         manifest.append(svg_path)
         if curves_csv:
-            rows = ["id,q,rate_kbps"]
-            for curve in scenario_curves:
-                rows.extend(curve_csv_rows(curve)[1:])
             csv_path = out / f"rd-{scenario_id}.csv"
-            _atomic_write(csv_path, "\n".join(rows) + "\n")
+            _atomic_write(csv_path, bd.curves_csv(scenario_curves))
             manifest.append(csv_path)
 
     for grid in grids:

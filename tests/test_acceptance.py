@@ -172,7 +172,7 @@ def test_criterion_07_command_fidelity_golden():
             got = [" ".join(vec) for vec in build_commands(job, "out")]
             golden = (GOLDEN / f"{family}_{passes}p.txt").read_text().splitlines()
             assert got == golden, (family, passes)
-    _run(7, "build_command matches the 8 golden command templates", body)
+    _run(7, "build_commands matches the 8 golden command templates", body)
 
 
 def test_criterion_08_plan_cardinalities():

@@ -292,6 +292,34 @@ class TestBDQuality:
         with pytest.raises(DomainError, match="log10 rates must increase"):
             bd.bd_quality(_curve(FOUR_POINT), test)
 
+    def test_domain_error_names_the_anchor_first(self):
+        ulp = FOUR_POINT[:3] + [(19999.999999999996, 50.0), (20000.0, 51.0)]
+        with pytest.raises(DomainError, match=re.escape("curve 'a': log10")):
+            bd.bd_quality(_curve(ulp, "a"), _curve(ulp, "t"))
+        with pytest.raises(DomainError, match=re.escape("curve 't': log10")):
+            bd.bd_quality(_curve(FOUR_POINT, "a"), _curve(ulp, "t"))
+
+
+class TestOnePair:
+    """A single pair is one two-row stack, built per call and kept nowhere."""
+
+    def test_one_stack_per_call(self, monkeypatch):
+        anchor = _curve(FOUR_POINT, "a")
+        test = _curve([(r * 0.9, q + 1.0) for r, q in FOUR_POINT], "t")
+        built = []
+        original = bd.CurveStack
+
+        def counting(x, y, n):
+            built.append(len(n))
+            return original(x, y, n)
+
+        monkeypatch.setattr(bd, "CurveStack", counting)
+        results = [fn(anchor, test) for fn in (bd.bd_rate, bd.bd_quality,
+                                               bd.bd_rate, bd.bd_quality)]
+        assert built == [2, 2, 2, 2]
+        cell = bd.bd_rate_matrix([anchor, test])[0][1]
+        assert results[0].value.hex() == results[2].value.hex() == cell.hex()
+
 
 class TestRandomizedSuite:
     def test_matches_oracle_and_antisymmetry(self):
@@ -574,7 +602,8 @@ def _reference_bd(anchor, test, quality=False):
     if anchor.metric_kind != test.metric_kind:
         raise AnalysisError(
             f"metric kinds differ: {anchor.metric_kind} vs {test.metric_kind}")
-    axes = [(c.qualities, np.log10(c.rates)) for c in (anchor, test)]
+    axes = [(np.array([p.quality for p in c.points]),
+             np.log10([p.rate for p in c.points])) for c in (anchor, test)]
     if quality:
         axes = [(y, x) for x, y in axes]
         for c, (x, _) in zip((anchor, test), axes):
@@ -687,7 +716,8 @@ def test_batched_classic_equals_per_clip_loop(anchor, test, other_kind):
         test[other_kind] = bd.RDCurve(id=other_kind, metric_kind="psnr_y",
                                       points=test[other_kind].points)
     want = _exact(_reference_classic, anchor, test)
-    for a, t in ((anchor, test), (bd.ClipCurves(anchor), bd.ClipCurves(test))):
+    for a, t in ((anchor, test),
+                 (bd._clip_curves(anchor), bd._clip_curves(test))):
         assert _exact(bd.classic_bd_rate, a, t) == want
 
 
@@ -699,7 +729,7 @@ def test_pair_values_equal_scalar_reference(pair):
     anchor, test = pair
     assert (_exact(bd.bd_rate, anchor, test)
             == _exact(_reference_bd, anchor, test))
-    rising = all(np.all(np.diff(c.rates) > 0) for c in pair)
+    rising = all(np.all(np.diff([p.rate for p in c.points]) > 0) for c in pair)
     if rising:  # log-rate knots must increase
         assert (_exact(bd.bd_quality, anchor, test)
                 == _exact(_reference_bd, anchor, test, quality=True))
@@ -757,7 +787,7 @@ def test_classic_matrix_equals_classic_bd_rate_per_pair(sets, twice,
         sets.append(sets[0])  # a config listed twice
     want = _classic_per_pair(sets)
     assert _hex_cells(bd.classic_bd_rate_matrix(sets)) == want
-    curves = [bd.ClipCurves(c) for c in sets]
+    curves = [bd._clip_curves(c) for c in sets]
     assert _hex_cells(bd.classic_bd_rate_matrix(curves)) == want
 
 
@@ -850,9 +880,15 @@ def test_classic_mixes_knot_counts_and_clamped_ends():
 
 def test_csv_helpers():
     curve = _curve(FOUR_POINT, "cfg")
-    rows = bd.curve_csv_rows(curve)
+    rows = bd.curves_csv([curve]).split("\n")
     assert rows[0] == "id,q,rate_kbps"
     assert rows[1] == "cfg,30,1000"
+    assert rows[-1] == "" and len(rows) == 2 + len(FOUR_POINT)
+    # one header for every curve; an id with a comma is quoted
+    other = _curve(FOUR_POINT[:2], "x,y")
+    assert bd.curves_csv([curve, other]) == (
+        bd.curves_csv([curve]) + '"x,y",30,1000\n"x,y",35,2000\n')
+    assert bd.curves_csv([]) == "id,q,rate_kbps\n"
     result = bd.bd_rate(curve, curve)
     row = bd.result_csv_row("a", "b", "vmaf", result)
     assert row.startswith("a,b,vmaf,0.000000,30,45,4,4")

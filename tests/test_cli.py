@@ -109,9 +109,11 @@ class TestPlan:
     ["encode", "--clips", "a", "--families", "svt-av1", "--store", "{store}",
      "--binary-dir", "{bin}", "--maxrate-factor", "inf"],
     ["plan", "--clips", "a", "--families", "x264", "--maxrate-factor", "nan"],
+    ["vmaf", "--ref", "r.y4m", "--dist", "d.mp4", "--expected-frames", "0"],
+    ["vmaf", "--ref", "r.y4m", "--dist", "d.mp4", "--expected-frames", "-5"],
 ], ids=["threshold", "overshoot", "checkpoint", "report-threshold", "jobs",
         "show", "budget", "report-budget", "slack", "maxrate", "maxrate-inf",
-        "maxrate-nan"])
+        "maxrate-nan", "expected-frames-0", "expected-frames-negative"])
 def test_out_of_range_option_is_a_usage_error(tmp_path, capsys, argv):
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
@@ -125,6 +127,22 @@ def test_out_of_range_option_is_a_usage_error(tmp_path, capsys, argv):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {argv[-2]}: must be" in errors[0]
     assert out == ""
+
+
+def test_method_is_an_option_of_the_bd_commands_only(tmp_path, capsys):
+    """``--method`` picks how ``bdrate``, ``grid`` and ``report`` compute
+    BD-Rate; ``curves`` computes none, so it takes no ``--method``."""
+    store_path = tmp_path / "s.jsonl"
+    _fill_store(store_path)
+    common = ["--store", str(store_path), "--method", "smart"]
+    assert main(["curves", *common, "--config", "x264:medium:1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --method smart" in err
+    assert main(["bdrate", *common, "--anchor", "x264:medium:1",
+                 "--test", "svt-av1:6:1"]) == 0
+    assert main(["grid", *common, "--configs",
+                 "x264:medium:1,svt-av1:6:1"]) == 0
+    assert main(["report", *common, "--out", str(tmp_path / "r")]) == 0
 
 
 class TestImportAndScenario:

@@ -185,9 +185,10 @@ class TestAnalyzeClip:
 
     def test_scatter_rows(self):
         rec = complexity.ComplexityRecord("c1", (1.0, 3.0), (0.5,))
-        rows = complexity.scatter_csv_rows([rec])
+        rows = complexity.scatter_csv([rec, rec]).split("\n")
         assert rows[0] == "clip_id,clip_se,clip_te"
         assert rows[1].startswith("c1,2,0.5")
+        assert rows[2] == rows[1] and rows[3] == "" and len(rows) == 4
 
 
 class TestAnalyzeClips:
