@@ -936,8 +936,9 @@ def curves_csv(curves: Iterable[RDCurve]) -> str:
 
 
 def result_csv_row(anchor_id: str, test_id: str, metric_kind: str,
-                   result: BDResult) -> str:
-    """CSV export row (anchor, test, metric, bd_percent, q_low, q_high, ...)."""
-    return (f"{anchor_id},{test_id},{metric_kind},{result.value:.6f},"
-            f"{result.overlap[0]:.9g},{result.overlap[1]:.9g},"
-            f"{result.anchor_points_used},{result.test_points_used}")
+                   result: BDResult) -> tuple:
+    """The fields of a CSV export row (anchor, test, metric, bd_percent,
+    q_low, q_high, n_anchor, n_test), for a ``csv.writer``."""
+    return (anchor_id, test_id, metric_kind, f"{result.value:.6f}",
+            f"{result.overlap[0]:.9g}", f"{result.overlap[1]:.9g}",
+            result.anchor_points_used, result.test_points_used)

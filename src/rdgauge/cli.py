@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 environment error
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
@@ -49,18 +50,6 @@ _positive_finite_float = _checked(float, "a positive finite number",
 _non_negative_float = _checked(float, "a number >= 0", lambda v: v >= 0)
 _positive_int = _checked(int, "a positive integer", lambda v: v > 0)
 _count = _checked(int, "an integer >= 0", lambda v: v >= 0)
-
-
-def _parse_config(text: str) -> tuple[str, str, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise PlanError(f"config must be family:preset:passes, got {text!r}")
-    family, preset, passes = parts
-    passes = passes.rstrip("p")
-    try:
-        return family, preset, int(passes)
-    except ValueError:
-        raise PlanError(f"bad pass count in config {text!r}") from None
 
 
 def _parse_ladder(text: Optional[str]) -> tuple[int, ...]:
@@ -136,7 +125,7 @@ def _cmd_encode(args) -> int:
     jobs = _build_plan(args)
     store_path = _require_store(args)
     outcomes = runner.run_plan(
-        jobs, workers=args.jobs, timing_strict=args.timing_strict,
+        jobs, workers=1 if args.timing_strict else args.jobs,
         work_dir=args.work_dir, bin_dir=args.binary_dir,
         store_path=store_path, force=args.force, with_vmaf=args.with_vmaf)
     counts = {"ok": 0, "failed": 0, "skipped": 0}
@@ -182,10 +171,9 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    import csv as csv_lib
     store_path = _require_store(args)
     with open(args.csv, newline="", encoding="utf-8") as f:
-        reader = csv_lib.DictReader(f)
+        reader = csv.DictReader(f)
         for name in ("label", "kbps", "vmaf", "psnr_y"):
             if reader.fieldnames is not None and name not in reader.fieldnames:
                 raise StoreImportError(f"{args.csv}: no {name!r} column")
@@ -198,17 +186,20 @@ def _cmd_import(args) -> int:
     return EXIT_OK
 
 
+def _groups(args) -> scenario.ConfigGroups:
+    return scenario.group_by_config(store.load(_require_store(args)))
+
+
 def _cmd_curves(args) -> int:
-    config = _parse_config(args.config)
-    records = scenario.records_for_config(
-        store.load(_require_store(args)), *config)
+    config = scenario.parse_config(args.config)
+    records = scenario.records_for_config(_groups(args), config)
     ladder = _parse_ladder(args.ladder)
     if args.per_clip:
         curves = bd_mod.curves_from_records(records, args.metric).values()
     else:
         curves = [bd_mod.aggregate_curve(
             records, ladder, args.metric, args.aggregate,
-            id=f"{config[0]}:{config[1]}:{config[2]}p")]
+            id=scenario.label(config))]
     text = bd_mod.curves_csv(curves)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -218,11 +209,11 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_bdrate(args) -> int:
-    anchor_cfg = _parse_config(args.anchor)
-    test_cfg = _parse_config(args.test)
-    records = store.load(_require_store(args))
-    anchor_records = scenario.records_for_config(records, *anchor_cfg)
-    test_records = scenario.records_for_config(records, *test_cfg)
+    anchor_cfg = scenario.parse_config(args.anchor)
+    test_cfg = scenario.parse_config(args.test)
+    groups = _groups(args)
+    anchor_records = scenario.records_for_config(groups, anchor_cfg)
+    test_records = scenario.records_for_config(groups, test_cfg)
     ladder = _parse_ladder(args.ladder)
     if args.method == "smart":
         result = bd_mod.smart_bd_rate(anchor_records, test_records, ladder,
@@ -236,20 +227,21 @@ def _cmd_bdrate(args) -> int:
     print(f"  {result.overlap_label} [{result.overlap[0]:.4g}, "
           f"{result.overlap[1]:.4g}], {result.method_note}")
     if args.csv:
-        bounds = ("q_low,q_high" if args.method == "smart"
-                  else "span_q_low,span_q_high")
-        header = f"anchor,test,metric,bd_percent,{bounds},n_anchor,n_test"
-        row = bd_mod.result_csv_row(args.anchor, args.test, args.metric, result)
-        Path(args.csv).write_text(header + "\n" + row + "\n", encoding="utf-8")
+        bounds = (("q_low", "q_high") if args.method == "smart"
+                  else ("span_q_low", "span_q_high"))
+        with open(args.csv, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(("anchor", "test", "metric", "bd_percent", *bounds,
+                             "n_anchor", "n_test"))
+            writer.writerow(bd_mod.result_csv_row(args.anchor, args.test,
+                                                  args.metric, result))
     return EXIT_OK
 
 
 def _cmd_grid(args) -> int:
-    configs = [_parse_config(c) for c in args.configs.split(",")]
-    records = store.load(_require_store(args))
-    ladder = _parse_ladder(args.ladder)
-    grid = scenario.bd_grid(configs, records, ladder, args.method, args.metric)
-    text = "\n".join(grid.csv_rows()) + "\n"
+    configs = [scenario.parse_config(c) for c in args.configs.split(",")]
+    grid = scenario.bd_grid(configs, _groups(args), _parse_ladder(args.ladder),
+                            args.method, args.metric)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -257,23 +249,24 @@ def _cmd_grid(args) -> int:
         for path in manifest:
             print(path)
     else:
-        print(text, end="")
+        print(grid.csv(), end="")
     return EXIT_OK
 
 
-def _scenario_spec(args) -> scenario.ScenarioSpec:
-    overrides = {}
-    if args.threshold is not None:
-        overrides["vmaf_threshold"] = args.threshold
-    if args.checkpoint is not None:
-        overrides["checkpoint_kbps"] = args.checkpoint
-    if args.overshoot is not None:
-        overrides["overshoot_threshold"] = args.overshoot
-    if args.budget_hours is not None:
-        overrides["time_budget_hours"] = args.budget_hours
-    if args.slack_points is not None:
-        overrides["coverage_slack_points"] = args.slack_points
-    return scenario.make_scenario(args.id, **overrides)
+# Each scenario option's ScenarioSpec field; a command has some of them.
+_SPEC_OPTIONS = {"threshold": "vmaf_threshold",
+                 "checkpoint": "checkpoint_kbps",
+                 "overshoot": "overshoot_threshold",
+                 "budget_hours": "time_budget_hours",
+                 "slack_points": "coverage_slack_points"}
+
+
+def _scenario_spec(args, sid: str) -> scenario.ScenarioSpec:
+    """Scenario ``sid`` with the options the command was given."""
+    overrides = {field: getattr(args, option)
+                 for option, field in _SPEC_OPTIONS.items()
+                 if getattr(args, option, None) is not None}
+    return scenario.make_scenario(sid, **overrides)
 
 
 def _print_scenario_report(rep: scenario.ScenarioReport) -> None:
@@ -288,67 +281,51 @@ def _print_scenario_report(rep: scenario.ScenarioReport) -> None:
 
 
 def _cmd_scenario(args) -> int:
-    spec = _scenario_spec(args)
+    spec = _scenario_spec(args, args.id)
     if args.from_summaries:
         summaries = scenario.summaries_from_csv(
             Path(args.from_summaries).read_text(encoding="utf-8"))
     else:
-        records = store.load(_require_store(args))
-        summaries = scenario.summarize(records, spec)
+        summaries = scenario.summarize(_groups(args), spec)
     rep = scenario.select_presets(summaries, spec)
     _print_scenario_report(rep)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    groups = scenario.group_by_config(store.load(_require_store(args)))
+    groups = _groups(args)
     ladder = _parse_ladder(args.ladder)
-    scenario_ids = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-
-    base_overrides = {}
-    if args.threshold is not None:
-        base_overrides["vmaf_threshold"] = args.threshold
+    specs = [_scenario_spec(args, sid.strip())
+             for sid in args.scenarios.split(",") if sid.strip()]
 
     # summarize reads only the VMAF bar, the checkpoint and the
-    # overshoot gate, and this command sets those alike for every
-    # scenario (S3's hour budget is not a gate it counts), so one call
-    # serves them all.
-    summaries = []
-    if scenario_ids:
-        summaries = scenario.summarize(
-            groups, scenario.make_scenario(scenario_ids[0], **base_overrides))
-    summaries_by_label = {s.label: s for s in summaries}
+    # overshoot gate, which this command sets alike for every scenario,
+    # so one call serves them all.
+    summaries = scenario.summarize(groups, specs[0]) if specs else []
 
     reports = []
-    picks: list[list[tuple[str, str, int]]] = []  # per scenario
-    picked: list[tuple[str, str, int]] = []
-    for sid in scenario_ids:
-        overrides = dict(base_overrides)
-        if args.budget_hours is not None and sid == "S3":
-            overrides["time_budget_hours"] = args.budget_hours
-        spec = scenario.make_scenario(sid, **overrides)
+    picks: list[list[scenario.Config]] = []  # per scenario
+    picked: list[scenario.Config] = []
+    for spec in specs:
         rep = scenario.select_presets(summaries, spec)
         reports.append(rep)
-        configs = []
-        for family in sorted(rep.selections):
-            pick = rep.selections[family]
-            if pick is not None:
-                configs.append((pick.family, pick.preset, pick.passes))
+        configs = [rep.selections[family].config
+                   for family in sorted(rep.selections)
+                   if rep.selections[family] is not None]
         picks.append(configs)
         picked += [config for config in configs if config not in picked]
 
     aggregates = scenario.aggregate_curves(picked, groups, ladder, args.metric)
     by_config = dict(zip(picked, aggregates))
-    curves = {sid: [by_config[c] for c in configs
-                    if by_config[c] is not None]
-              for sid, configs in zip(scenario_ids, picks)}
+    curves = {spec.id: [by_config[c] for c in configs
+                        if by_config[c] is not None]
+              for spec, configs in zip(specs, picks)}
     grids = []
     if len(picked) > 1:
         grids.append(scenario.bd_grid(picked, groups, ladder, args.method,
                                       args.metric, aggregates))
-        picked_summaries = [summaries_by_label[f"{f}:{p}:{n}p"]
-                            for (f, p, n) in picked]
-        grids.append(scenario.time_grid(picked_summaries))
+        summary_of = {s.config: s for s in summaries}
+        grids.append(scenario.time_grid([summary_of[c] for c in picked]))
 
     manifest = report.emit_report(reports, grids, curves, args.out,
                                   curves_csv=args.curves_csv,

@@ -147,14 +147,9 @@ def plan_matrix(
     return jobs
 
 
-def plan_toolsweep(
-    clip,
-    toggles: Sequence[str],
-    ladder: Sequence[int] = TOOLSWEEP_LADDER,
-    preset: str = TOOLSWEEP_PRESET,
-    passes: int = 1,
-) -> list[EncodeJob]:
-    """Default config plus one job set per disabled tool, on the 9-rung ladder."""
+def plan_toolsweep(clip, toggles: Sequence[str]) -> list[EncodeJob]:
+    """Default config plus one job set per disabled tool: 1-pass SVT-AV1
+    at ``TOOLSWEEP_PRESET`` on the 9-rung ``TOOLSWEEP_LADDER``."""
     toggles = list(toggles)
     if len(set(toggles)) != len(toggles):
         raise PlanError("duplicate toggle strings make the sweep ambiguous")
@@ -162,10 +157,10 @@ def plan_toolsweep(
     jobs = []
     variants = [("", ())] + [(t, tuple(t.split())) for t in toggles]
     for variant, extra in variants:
-        for tbr in ladder:
+        for tbr in TOOLSWEEP_LADDER:
             jobs.append(EncodeJob(
-                clip_id=clip_id, family="svt-av1", preset=preset, passes=passes,
-                target_kbps=int(tbr), extra_params=extra, input_path=path,
+                clip_id=clip_id, family="svt-av1", preset=TOOLSWEEP_PRESET,
+                passes=1, target_kbps=tbr, extra_params=extra, input_path=path,
                 variant=variant or "default",
             ))
     return jobs

@@ -23,7 +23,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _grid_stem(grid: ComparisonGrid) -> str:
     if grid.kind == "bd":
-        return f"grid-bd-{grid.method or 'classic'}"
+        return f"grid-bd-{grid.method}"
     return "grid-time"
 
 
@@ -138,7 +138,7 @@ def emit_report(
     for grid in grids:
         stem = _grid_stem(grid)
         csv_path = out / f"{stem}.csv"
-        _atomic_write(csv_path, "\n".join(grid.csv_rows()) + "\n")
+        _atomic_write(csv_path, grid.csv())
         manifest.append(csv_path)
         svg_path = out / f"{stem}.svg"
         _atomic_write(svg_path, _grid_chart(grid))

@@ -252,7 +252,6 @@ def run_plan(
     jobs: Sequence[EncodeJob],
     *,
     workers: Optional[int] = None,
-    timing_strict: bool = False,
     work_dir: Optional[Union[str, Path]] = None,
     bin_dir: Optional[Union[str, Path]] = None,
     store_path: Optional[Union[str, Path]] = None,
@@ -265,18 +264,16 @@ def run_plan(
     plus ffmpeg with ``with_vmaf``) is resolved, so a missing one raises
     MissingBinaryError with nothing run; then the store is read once for
     its completed keys, which every job is checked against (no job reads
-    the store), and each distinct clip is probed once. Timing-strict
-    mode serialises everything so wall-clock comparisons stay meaningful;
-    otherwise jobs run on a worker pool, by default of one worker per CPU
-    the process may run on.
+    the store), and each distinct clip is probed once. With one worker
+    the jobs run one after another in this thread, so wall-clock
+    numbers stay comparable; otherwise they run on a worker pool, by
+    default of one worker per CPU the process may run on.
     """
     tools = [get_spec(job.family).binary for job in jobs]
     if with_vmaf:
         tools.append("ffmpeg")
     for tool in dict.fromkeys(tools):
         resolve_binary(tool, bin_dir)
-    if timing_strict:
-        workers = 1
     workers = workers or available_cpus()
     known_keys = ({rec.key() for rec in store_mod.load(store_path)}
                   if store_path else None)

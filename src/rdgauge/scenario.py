@@ -1,5 +1,10 @@
 """Scenario gating, preset selection, and comparison grids.
 
+The analysis functions take a record table split once by
+``group_by_config`` (a ``ConfigGroups``), and name a config by its
+``(family, preset, passes)`` tuple; ``label`` and ``parse_config`` are
+the one place that writes a config as text and reads it back.
+
 Three built-in scenarios mirror common 4K streaming tiers:
 
 * S1 -- premium quality, complexity-agnostic: maximise the number of
@@ -19,12 +24,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import bd as bd_mod
-from .errors import AnalysisError, RdgaugeError
+from .errors import AnalysisError, PlanError, RdgaugeError
 from .store import MetricRecord
 from .table import RecordTable
 
@@ -33,8 +38,26 @@ OBJECTIVE_BUDGETED = "max_coverage_within_budget"
 OBJECTIVE_FASTEST_WITHIN_SLACK = "fastest_within_coverage_slack"
 
 Config = tuple[str, str, int]  # (family, preset, passes)
-# Records as a flat sequence, or already split by ``group_by_config``.
-Records = Union[Sequence[MetricRecord], "ConfigGroups"]
+
+
+def label(config: Config) -> str:
+    """A config as text, ``family:preset:Np``."""
+    family, preset, passes = config
+    return f"{family}:{preset}:{passes}p"
+
+
+def parse_config(text: str) -> Config:
+    """Read ``family:preset:passes``; the pass count may end in ``p``, so
+    the ``label`` of a config whose names hold no colon reads back."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise PlanError(f"config must be family:preset:passes, got {text!r}")
+    family, preset, passes = parts
+    passes = passes.rstrip("p")
+    try:
+        return family, preset, int(passes)
+    except ValueError:
+        raise PlanError(f"bad pass count in config {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -89,20 +112,23 @@ class ConfigSummary:
     total_hours: Optional[float]  # None when no timing data exists
 
     @property
+    def config(self) -> Config:
+        return self.family, self.preset, self.passes
+
+    @property
     def label(self) -> str:
-        return f"{self.family}:{self.preset}:{self.passes}p"
+        return label(self.config)
 
     @property
     def coverage_fraction(self) -> float:
         return self.n_above / self.n_records if self.n_records else 0.0
 
 
-class ConfigGroups(Mapping[Config, RecordTable]):
+class ConfigGroups:
     """A record table's rows split by (family, preset, passes).
 
     ``group[k]`` numbers the config of row k of ``table``, and
-    ``configs`` lists the configs in order of first appearance. Each
-    config's rows are a table in input order, taken on first use.
+    ``configs`` lists the configs in order of first appearance.
     """
 
     def __init__(self, table: RecordTable):
@@ -122,29 +148,11 @@ class ConfigGroups(Mapping[Config, RecordTable]):
              tables["passes"][cols["passes"][k]])
             for k in first[by_first].tolist()]
         self._number = {cfg: g for g, cfg in enumerate(self.configs)}
-        self._tables: dict[Config, RecordTable] = {}
 
     def numbers(self, configs: Iterable[Config]) -> list[int]:
         """Each config's number in ``group``; a config with no records
         gets one that numbers no row."""
         return [self._number.get(cfg, len(self.configs)) for cfg in configs]
-
-    def __getitem__(self, config: Config) -> RecordTable:
-        view = self._tables.get(config)
-        if view is None:
-            g = self._number[config]
-            view = self._tables[config] = self.table.take(
-                np.flatnonzero(self.group == g))
-        return view
-
-    def __iter__(self):
-        return iter(self.configs)
-
-    def __len__(self) -> int:
-        return len(self.configs)
-
-    def __contains__(self, config) -> bool:
-        return config in self._number
 
 
 def group_by_config(records: Iterable[MetricRecord]) -> ConfigGroups:
@@ -152,20 +160,14 @@ def group_by_config(records: Iterable[MetricRecord]) -> ConfigGroups:
     return ConfigGroups(RecordTable.of(records))
 
 
-def _grouped(records: Records) -> ConfigGroups:
-    return (records if isinstance(records, ConfigGroups)
-            else group_by_config(records))
-
-
-def summarize(records: Records, spec: ScenarioSpec) -> list[ConfigSummary]:
+def summarize(groups: ConfigGroups, spec: ScenarioSpec) -> list[ConfigSummary]:
     """Per-config gate counts over deduped records, order-independent.
 
     Every gate is counted on the table's columns for all configs at
     once; each config's hours are summed left to right over its rows.
     """
-    groups = _grouped(records)
     cols, nulls = groups.table.columns, groups.table.nulls
-    group, n = groups.group, len(groups)
+    group, n = groups.group, len(groups.configs)
 
     def count(mask):
         return np.bincount(group[mask], minlength=n).tolist()
@@ -307,43 +309,43 @@ class ComparisonGrid:
     kind: str  # "bd" | "time"
     method: str = ""  # "classic" | "smart" for bd grids
 
-    def csv_rows(self) -> list[str]:
-        rows = ["anchor\\test," + ",".join(self.labels)]
-        for label, row in zip(self.labels, self.cells):
-            cells = ",".join("" if c is None else f"{c:.4f}" for c in row)
-            rows.append(f"{label},{cells}")
-        return rows
+    def csv(self) -> str:
+        """A header row of labels, then one row per anchor; a label
+        holding a comma or a quote is quoted."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["anchor\\test", *self.labels])
+        writer.writerows(
+            [name, *("" if c is None else f"{c:.4f}" for c in row)]
+            for name, row in zip(self.labels, self.cells))
+        return buf.getvalue()
 
 
-def records_for_config(records: Records, family: str, preset: str,
-                       passes: int) -> RecordTable:
-    """The records of one config, in input order."""
-    groups = _grouped(records)
-    config = (family, preset, passes)
-    if config in groups:
-        return groups[config]
-    return groups.table.take(np.zeros(0, dtype=np.intp))
+def records_for_config(groups: ConfigGroups, config: Config) -> RecordTable:
+    """The records of one config, in input order; none for a config
+    the store does not hold."""
+    g, = groups.numbers([config])
+    return groups.table.take(np.flatnonzero(groups.group == g))
 
 
 def aggregate_curves(
     configs: Sequence[Config],
-    records: Records,
+    groups: ConfigGroups,
     ladder: Sequence[float],
     metric_kind: str = bd_mod.METRIC_VMAF,
 ) -> list[Optional[bd_mod.RDCurve]]:
     """Each config's harmonic aggregate curve, labelled like a grid row,
     or None where it cannot be built; one ``bd.aggregate_curves`` pass."""
-    groups = _grouped(records)
-    labels = [f"{f}:{p}:{n}p" for (f, p, n) in configs]
     built = bd_mod.aggregate_curves(groups.table, groups.group,
-                                    groups.numbers(configs), labels, ladder,
+                                    groups.numbers(configs),
+                                    [label(c) for c in configs], ladder,
                                     metric_kind)
     return [None if isinstance(c, AnalysisError) else c for c in built]
 
 
 def bd_grid(
     configs: Sequence[Config],
-    records: Records,
+    groups: ConfigGroups,
     ladder: Sequence[float],
     method: str = "classic",
     metric_kind: str = bd_mod.METRIC_VMAF,
@@ -362,8 +364,6 @@ def bd_grid(
     """
     if method not in ("classic", "smart"):
         raise ValueError(f"unknown grid method {method!r}")
-    groups = _grouped(records)
-    labels = [f"{f}:{p}:{n}p" for (f, p, n) in configs]
     if method == "classic":
         cells = bd_mod.classic_bd_rate_matrix(bd_mod.curves_by_group(
             groups.table, groups.group, groups.numbers(configs), metric_kind))
@@ -371,7 +371,8 @@ def bd_grid(
         if aggregates is None:
             aggregates = aggregate_curves(configs, groups, ladder, metric_kind)
         cells = bd_mod.bd_rate_matrix(aggregates)
-    return ComparisonGrid(labels=labels, cells=cells, kind="bd", method=method)
+    return ComparisonGrid(labels=[label(c) for c in configs], cells=cells,
+                          kind="bd", method=method)
 
 
 def time_grid(summaries: Sequence[ConfigSummary]) -> ComparisonGrid:

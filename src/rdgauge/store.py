@@ -335,7 +335,6 @@ def import_table(
     passes: int,
     target_kbps: float,
     clip_prefix: str = "",
-    tool_version: str = "imported",
 ) -> int:
     """Append externally produced rows (label, kbps, vmaf, psnr[, enc_s]).
 
@@ -360,7 +359,7 @@ def import_table(
                 vmaf=float(vmaf),
                 psnr_y=float(psnr),
                 encode_seconds=None if enc_s in (None, "") else float(enc_s),
-                tool_version=tool_version,
+                tool_version="imported",
             )
         except (TypeError, ValueError) as exc:
             raise StoreImportError(f"bad row {row!r}: {exc}") from exc

@@ -38,10 +38,9 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Polyline chart with markers; series are (name, xs, ys)."""
+    width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -123,7 +122,6 @@ def heatmap(
     cells: Sequence[Sequence[Optional[float]]],
     *,
     title: str,
-    unit: str = "%",
 ) -> str:
     """Annotated square heat map; None cells render as grey n/a."""
     n = len(labels)
@@ -156,7 +154,7 @@ def heatmap(
             x, y = ml + j * cell, mt + i * cell
             out.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                        f'fill="{_cell_color(value, scale)}" stroke="#999"/>')
-            text = "n/a" if value is None else f"{value:+.1f}{unit}"
+            text = "n/a" if value is None else f"{value:+.1f}%"
             out.append(f'<text x="{x + cell / 2:.1f}" y="{y + cell / 2 + 4:.1f}" '
                        f'text-anchor="middle" {_FONT} font-size="11">{text}</text>')
     out.append("</svg>")
@@ -169,10 +167,7 @@ def scatter_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Labelled scatter (e.g. coverage vs encode time)."""
     series = [(name, [x], [y]) for name, x, y in points]
-    return line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel,
-                      width=width, height=height)
+    return line_chart(series, title=title, xlabel=xlabel, ylabel=ylabel)

@@ -54,17 +54,11 @@ class VideoHeader:
     fps_num: int
     fps_den: int
     chroma: str = "C420"
-    bit_depth: int = 0  # 0 means "derive from chroma"
     interlacing: str = "p"
     pixel_aspect: tuple[int, int] = (1, 1)
     extra_tags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.bit_depth == 0:
-            object.__setattr__(self, "bit_depth", _chroma_depth(self.chroma))
-        self.validate()
-
-    def validate(self) -> None:
         if self.width < 1 or self.height < 1:
             raise Y4MValidationError(
                 f"frame size must be positive, got {self.width}x{self.height}"
@@ -81,11 +75,11 @@ class VideoHeader:
             raise Y4MUnsupportedError(
                 f"only progressive streams are supported (I{self.interlacing})"
             )
-        depth = _chroma_depth(self.chroma)
-        if self.bit_depth != depth:
-            raise Y4MValidationError(
-                f"bit depth {self.bit_depth} contradicts chroma tag {self.chroma}"
-            )
+        _chroma_depth(self.chroma)  # a bad chroma tag fails here
+
+    @property
+    def bit_depth(self) -> int:
+        return _chroma_depth(self.chroma)
 
     @property
     def chroma_width(self) -> int:

@@ -803,11 +803,11 @@ def test_classic_matrix_planted_cases():
     # no clip in common with the others
     records += make_records(["d0", "d1"], "svt-av1", "6", 1, ladder)
     groups = scenario.group_by_config(records)
-    curves = [bd.curves_from_records(groups[c]) for c in groups.configs]
+    slices = [scenario.records_for_config(groups, c) for c in groups.configs]
+    curves = [bd.curves_from_records(s) for s in slices]
     assert [len(c) for c in curves] == [3, 3, 3, 0, 2]
     # the same clips as x264:medium, measured in PSNR: mixed kinds
-    curves.append(bd.curves_from_records(groups[groups.configs[0]],
-                                         bd.METRIC_PSNR_Y))
+    curves.append(bd.curves_from_records(slices[0], bd.METRIC_PSNR_Y))
     curves.append(curves[1])  # x264:fast listed twice
     cells = bd.classic_bd_rate_matrix(curves)
     assert _hex_cells(cells) == _classic_per_pair(curves)
@@ -891,7 +891,7 @@ def test_csv_helpers():
     assert bd.curves_csv([]) == "id,q,rate_kbps\n"
     result = bd.bd_rate(curve, curve)
     row = bd.result_csv_row("a", "b", "vmaf", result)
-    assert row.startswith("a,b,vmaf,0.000000,30,45,4,4")
+    assert row == ("a", "b", "vmaf", "0.000000", "30", "45", 4, 4)
 
 
 class TestGridBuildsOnce:
@@ -927,7 +927,9 @@ class TestGridBuildsOnce:
         monkeypatch.setattr(bd, "CurveStack", counting)
         monkeypatch.setattr(bd, "_bd", counting_bd)
         monkeypatch.setattr(bd, "interpolate", built.append)
-        grid = scenario.bd_grid(self.CONFIGS, self._records(), self.LADDER)
+        grid = scenario.bd_grid(self.CONFIGS,
+                                scenario.group_by_config(self._records()),
+                                self.LADDER)
         # one stack holding every config's clips, one BD pass over every
         # shared clip of every cell
         assert [len(n) for n in stacked] == [len(self.CONFIGS) * self.N_CLIPS]
@@ -963,16 +965,17 @@ class TestGridBuildsOnce:
             stacked.append(len(n))
             return original_stack(x, y, n)
 
+        groups = scenario.group_by_config(records)
         monkeypatch.setattr(bd, "aggregate_curves", counting)
         monkeypatch.setattr(bd, "CurveStack", stacking)
-        grid = scenario.bd_grid(configs, records, self.LADDER, method="smart")
+        grid = scenario.bd_grid(configs, groups, self.LADDER, method="smart")
         # one batched build, covering each listed config once
         assert [[(r.family, r.preset, r.passes) for r in first]
                 for first in calls] == [configs]
         assert stacked == [len(configs) - 1]  # one stack, x265:fast left out
         monkeypatch.undo()
 
-        slices = [scenario.records_for_config(records, *c) for c in configs]
+        slices = [scenario.records_for_config(groups, c) for c in configs]
         failed = 0
         for i in range(len(configs)):
             for j in range(len(configs)):
@@ -1296,7 +1299,7 @@ def test_batched_builders_equal_per_config_calls(store, metric, ladder,
                                                  method):
     records, picks = store
     groups = scenario.group_by_config(records)
-    slices = [scenario.records_for_config(groups, *cfg) for cfg in picks]
+    slices = [scenario.records_for_config(groups, cfg) for cfg in picks]
     numbers = groups.numbers(picks)
 
     def per_config():  # as a grid built them: stop at the first error
@@ -1308,7 +1311,7 @@ def test_batched_builders_equal_per_config_calls(store, metric, ladder,
 
     assert _logged(batched) == _logged(per_config)
 
-    labels = [f"{f}:{p}:{n}p" for f, p, n in picks]
+    labels = [scenario.label(cfg) for cfg in picks]
     want = [_outcome_of(bd.aggregate_curve, s, ladder, metric, method, id=label)
             for s, label in zip(slices, labels)]
     got = bd.aggregate_curves(groups.table, groups.group, numbers, labels,

@@ -609,11 +609,120 @@ class TestReportCommand:
         # the grid reads as one built on its own from the store
         text = (out_dir / f"grid-bd-{method}.csv").read_text()
         labels = text.splitlines()[0].split(",")[1:]
-        configs = [(f, p, int(n[:-1])) for f, p, n in
-                   (label.split(":") for label in labels)]
-        grid = scenario.bd_grid(configs, store.load(store_path),
-                                tuple(map(int, LADDER.split(","))), method)
-        assert text == "\n".join(grid.csv_rows()) + "\n"
+        configs = [scenario.parse_config(label) for label in labels]
+        grid = scenario.bd_grid(
+            configs, scenario.group_by_config(store.load(store_path)),
+            tuple(map(int, LADDER.split(","))), method)
+        assert text == grid.csv()
+
+    def test_configs_with_one_label_keep_their_own_hours(self, tmp_path,
+                                                         capsys):
+        # ("x:y", "z", 1) and ("x", "y:z", 1) both print as x:y:z:1p
+        store_path = tmp_path / "s.jsonl"
+        _import(tmp_path, store_path, "x:y", "z", hours=100.0)
+        _import(tmp_path, store_path, "x", "y:z", hours=300.0)
+        out_dir = tmp_path / "out"
+        assert main(["report", "--store", str(store_path), "--out",
+                     str(out_dir), "--scenarios", "S1"]) == 0
+        rows = _csv_rows(out_dir / "grid-time.csv")
+        assert rows[0] == ["anchor\\test", "x:y:z:1p", "x:y:z:1p"]
+        # the picks run in family order: x (300 h), then x:y (100 h)
+        assert rows[1] == ["x:y:z:1p", "0.0000", "-66.6667"]
+        assert rows[2] == ["x:y:z:1p", "200.0000", "0.0000"]
+
+    def test_grid_csv_quotes_a_label_with_a_comma(self, tmp_path, capsys):
+        store_path = tmp_path / "s.jsonl"
+        _fill_store(store_path)
+        _import(tmp_path, store_path, "aws-av1", "QVBR,10", hours=10.0)
+        out_dir = tmp_path / "out"
+        assert main(["report", "--store", str(store_path), "--out",
+                     str(out_dir), "--scenarios", "S1", "--ladder",
+                     LADDER]) == 0
+        for name in ("grid-time.csv", "grid-bd-classic.csv"):
+            rows = _csv_rows(out_dir / name)
+            assert [len(row) for row in rows] == [4] * 4, name
+            assert rows[1][0] == rows[0][1] == "aws-av1:QVBR,10:1p", name
+
+
+def _csv_rows(path):
+    return list(csv.reader(path.read_text().splitlines()))
+
+
+def _import(tmp_path, store_path, family, preset, hours, tbrs=(1000, 4000)):
+    """Import three clips of one config at each target rate, with
+    ``hours`` of encode time in all."""
+    table = tmp_path / "t.csv"
+    seconds = hours * 3600 / (3 * len(tbrs))
+    for k, tbr in enumerate(tbrs):
+        table.write_text("label,kbps,vmaf,psnr_y,enc_s\n" + "".join(
+            f"c{i},{tbr * (1 + 0.01 * i)},{60 + 10 * k + i},{35 + k},"
+            f"{seconds}\n" for i in range(3)))
+        assert main(["import", "--csv", str(table), "--store",
+                     str(store_path), "--family", family, "--preset", preset,
+                     "--passes", "1", "--tbr", str(tbr)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", "--config", "x264:medium:1", "--ladder", LADDER],
+    ["bdrate", "--anchor", "x264:medium:1", "--test", "svt-av1:6:1",
+     "--ladder", LADDER],
+    ["grid", "--configs", "x264:medium:1,svt-av1:6:1", "--ladder", LADDER],
+    ["scenario", "--id", "S1"],
+    ["report", "--out", "{out}", "--ladder", LADDER],
+], ids=lambda argv: argv[0])
+def test_each_analysis_command_groups_the_store_once(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    from rdgauge import scenario
+
+    store_path = tmp_path / "s.jsonl"
+    _fill_store(store_path)
+    built = []
+    original = scenario.ConfigGroups.__init__
+
+    def counting(self, table):
+        built.append(len(table))
+        original(self, table)
+
+    monkeypatch.setattr(scenario.ConfigGroups, "__init__", counting)
+    argv = [a.format(out=tmp_path / "out") for a in argv]
+    assert main([*argv, "--store", str(store_path)]) == 0
+    assert built == [30]  # the 30 records of the store, grouped once
+
+
+def test_bdrate_csv_quotes_a_config_with_a_comma(tmp_path, capsys):
+    store_path = tmp_path / "s.jsonl"
+    _fill_store(store_path)
+    _import(tmp_path, store_path, "aws-av1", "QVBR,10", hours=10.0)
+    out = tmp_path / "result.csv"
+    assert main(["bdrate", "--store", str(store_path), "--anchor",
+                 "aws-av1:QVBR,10:1", "--test", "x264:medium:1", "--ladder",
+                 LADDER, "--csv", str(out)]) == 0
+    rows = _csv_rows(out)
+    assert [len(row) for row in rows] == [8, 8]
+    assert rows[1][:3] == ["aws-av1:QVBR,10:1", "x264:medium:1", "vmaf"]
+
+
+@pytest.mark.parametrize("options, workers", [
+    (["--jobs", "8", "--timing-strict"], 1),
+    (["--jobs", "8"], 8),
+    (["--timing-strict"], 1),
+    ([], None),
+], ids=["jobs-8-timing-strict", "jobs-8", "timing-strict", "default"])
+def test_timing_strict_runs_one_worker(tmp_path, capsys, monkeypatch,
+                                       options, workers):
+    from rdgauge import runner
+
+    seen = []
+
+    def run_plan(jobs, **kwargs):
+        seen.append(kwargs["workers"])
+        return []
+
+    monkeypatch.setattr(runner, "run_plan", run_plan)
+    assert main(["encode", "--clips", "a", "--families", "x264",
+                 "--presets", "medium", "--passes", "1", "--ladder", "100",
+                 "--store", str(tmp_path / "s.jsonl"), *options]) == 0
+    assert seen == [workers]
 
 
 class TestEnvironmentErrors:

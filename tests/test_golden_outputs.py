@@ -172,23 +172,30 @@ def _outputs(work: Path) -> dict:
             for name, data in texts.items()}
 
 
+def _config_rows(records) -> dict:
+    """Each configuration's records, by (family, preset, passes)."""
+    groups = scenario.group_by_config(records)
+    return {cfg: scenario.records_for_config(groups, cfg)
+            for cfg in groups.configs}
+
+
 def _exact_values(records) -> bytes:
     """Every classic and smart BD result between two configurations, with
     each float in hex, so a change in the last bit shows."""
-    groups = scenario.group_by_config(records)
+    rows = _config_rows(records)
     lines = []
-    for anchor in sorted(groups):
-        for test in sorted(groups):
+    for anchor in sorted(rows):
+        for test in sorted(rows):
             if anchor == test:
                 continue
             for method in ("classic", "smart"):
                 try:
                     if method == "classic":
                         result = bd.classic_bd_rate(
-                            bd.curves_from_records(groups[anchor]),
-                            bd.curves_from_records(groups[test]))
+                            bd.curves_from_records(rows[anchor]),
+                            bd.curves_from_records(rows[test]))
                     else:
-                        result = bd.smart_bd_rate(groups[anchor], groups[test],
+                        result = bd.smart_bd_rate(rows[anchor], rows[test],
                                                   LADDER)
                 except AnalysisError as exc:
                     lines.append(f"{anchor} {test} {method} {exc}")
@@ -204,8 +211,8 @@ def _exact_values(records) -> bytes:
 def _exact_quality_values(records) -> bytes:
     """``bd_quality`` between every two configurations, on each clip they
     share and on their aggregate curves, with each float in hex."""
-    groups = scenario.group_by_config(records)
-    clips = {cfg: bd.curves_from_records(groups[cfg]) for cfg in groups}
+    rows = _config_rows(records)
+    clips = {cfg: bd.curves_from_records(rows[cfg]) for cfg in rows}
     lines = []
 
     def line(anchor, test, what, pair):
@@ -219,16 +226,16 @@ def _exact_quality_values(records) -> bytes:
             result.overlap[1].hex(), result.anchor_points_used,
             result.test_points_used, result.method_note))))
 
-    for anchor in sorted(groups):
-        for test in sorted(groups):
+    for anchor in sorted(rows):
+        for test in sorted(rows):
             if anchor == test:
                 continue
             a, t = clips[anchor], clips[test]
             for clip in sorted(a.keys() & t.keys()):
                 line(anchor, test, clip, lambda: (a[clip], t[clip]))
             line(anchor, test, "aggregate", lambda: (
-                bd.aggregate_curve(groups[anchor], LADDER),
-                bd.aggregate_curve(groups[test], LADDER)))
+                bd.aggregate_curve(rows[anchor], LADDER),
+                bd.aggregate_curve(rows[test], LADDER)))
     return "\n".join(lines).encode()
 
 

@@ -36,7 +36,8 @@ def inputs():
     grids = [
         scenario.bd_grid(
             [("x264", "medium", 1)],
-            make_records(["c1"], "x264", "medium", 1, LADDER), LADDER),
+            scenario.group_by_config(
+                make_records(["c1"], "x264", "medium", 1, LADDER)), LADDER),
         scenario.time_grid(summaries),
     ]
     curves = {sid: [_curve("cfg-a"), _curve("cfg-b", 0.8)]

@@ -257,13 +257,6 @@ class TestRunPlan:
         assert [o.status for o in outcomes] == ["ok"] * 3
         assert len(store.load(store_path)) == 3
 
-    def test_timing_strict_serialises(self, fake_bin, small_clip, tmp_path):
-        jobs = [_job(small_clip, target_kbps=tbr) for tbr in (100, 200)]
-        outcomes = runner.run_plan(
-            jobs, workers=8, timing_strict=True, work_dir=tmp_path / "w",
-            bin_dir=fake_bin)
-        assert all(o.status == "ok" for o in outcomes)
-
     def test_resumed_plan_skips_completed_jobs(self, fake_bin, small_clip,
                                                tmp_path):
         jobs = [_job(small_clip, target_kbps=tbr) for tbr in (100, 200, 300)]

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 from pathlib import Path
@@ -11,13 +13,14 @@ from rdgauge import scenario
 from rdgauge.scenario import (
     ConfigSummary,
     bd_grid,
+    group_by_config,
     make_scenario,
     select_presets,
     summaries_from_csv,
     summarize,
     time_grid,
 )
-from rdgauge.errors import RdgaugeError
+from rdgauge.errors import PlanError, RdgaugeError
 from rdgauge.store import MetricRecord
 
 DATA = Path(__file__).parent / "data"
@@ -44,7 +47,7 @@ class TestSummarize:
         spec = make_scenario("S1")
         records = [_rec(vmaf=90.0, clip="a"), _rec(vmaf=87.0, clip="b"),
                    _rec(vmaf=88.01, clip="c"), _rec(vmaf=88.0, clip="d")]
-        (summary,) = summarize(records, spec)
+        (summary,) = summarize(group_by_config(records), spec)
         assert summary.n_above == 2  # 88.0 itself does not count
         assert summary.n_records == 4
 
@@ -55,7 +58,7 @@ class TestSummarize:
             _rec(measured=4600.0, clip="b"),  # exactly 15% -> not "exceed"
             _rec(measured=4599.0, clip="c"),
         ]
-        (summary,) = summarize(records, spec)
+        (summary,) = summarize(group_by_config(records), spec)
         assert summary.overshoot_count == 1
 
     def test_checkpoint_restriction(self):
@@ -63,7 +66,7 @@ class TestSummarize:
         records = [_rec(vmaf=95.0, target=4000.0, clip="a"),
                    _rec(vmaf=95.0, target=8000.0, clip="a"),
                    _rec(vmaf=60.0, target=4000.0, clip="b")]
-        (summary,) = summarize(records, spec)
+        (summary,) = summarize(group_by_config(records), spec)
         assert summary.n_checkpoint_records == 2
         assert summary.n_checkpoint_above == 1
         assert summary.n_above == 2
@@ -72,29 +75,28 @@ class TestSummarize:
     def test_hours_sum(self):
         spec = make_scenario("S1")
         records = [_rec(enc_s=1800.0, clip="a"), _rec(enc_s=5400.0, clip="b")]
-        (summary,) = summarize(records, spec)
+        (summary,) = summarize(group_by_config(records), spec)
         assert summary.total_hours == pytest.approx(2.0)
 
     def test_missing_timings_give_none(self):
         spec = make_scenario("S1")
         records = [_rec(enc_s=None, clip="a")]
-        (summary,) = summarize(records, spec)
+        (summary,) = summarize(group_by_config(records), spec)
         assert summary.total_hours is None
 
     def test_pending_vmaf_counts_as_below(self):
         spec = make_scenario("S1")
         records = [_rec(vmaf=None, clip="a"), _rec(vmaf=99.0, clip="b")]
-        (summary,) = summarize(records, spec)
+        (summary,) = summarize(group_by_config(records), spec)
         assert summary.n_above == 1
 
     def test_permutation_invariant(self):
         spec = make_scenario("S1")
         records = [_rec(vmaf=v, clip=f"c{i}", measured=4000.0 + 100 * i)
                    for i, v in enumerate((70, 85, 92, 99))]
-        baseline = summarize(records, spec)
+        baseline = summarize(group_by_config(records), spec)
         for perm in itertools.permutations(records):
-            assert summarize(list(perm), spec) == baseline
-        assert summarize(scenario.group_by_config(records), spec) == baseline
+            assert summarize(group_by_config(perm), spec) == baseline
 
 
 @pytest.mark.parametrize("overrides", [
@@ -152,7 +154,7 @@ class TestSelectPresets:
     def test_custom_scenario_threshold(self):
         spec = make_scenario("custom", vmaf_threshold=92.0)
         records = [_rec(vmaf=93.0, clip="a"), _rec(vmaf=91.0, clip="b")]
-        (summary,) = summarize(records, spec)
+        (summary,) = summarize(group_by_config(records), spec)
         assert summary.n_above == 1
 
 
@@ -240,21 +242,19 @@ class TestBDGrid:
 
     def test_single_config_grid(self):
         records = make_records(["c"], "x264", "medium", 1, self.LADDER)
-        grid = bd_grid([("x264", "medium", 1)], records, self.LADDER)
+        grid = bd_grid([("x264", "medium", 1)], group_by_config(records),
+                       self.LADDER)
         assert grid.cells == [[0.0]]
 
     def test_antisymmetry_and_diagonal(self):
         configs = [("x264", "medium", 1), ("svt-av1", "6", 1)]
-        records = self._store_records()
+        groups = group_by_config(self._store_records())
         for method in ("classic", "smart"):
-            grid = bd_grid(configs, records, self.LADDER, method=method)
+            grid = bd_grid(configs, groups, self.LADDER, method=method)
             assert grid.cells[0][0] == 0.0 and grid.cells[1][1] == 0.0
             c01, c10 = grid.cells[0][1], grid.cells[1][0]
             assert (1 + c01 / 100) * (1 + c10 / 100) == pytest.approx(1.0, abs=1e-4)
             assert c01 == pytest.approx(-30.0, abs=1e-6)
-            grouped = bd_grid(configs, scenario.group_by_config(records),
-                              self.LADDER, method=method)
-            assert grouped.cells == grid.cells
 
     def test_overlap_failure_renders_na(self):
         configs = [("x264", "medium", 1), ("x264", "fast", 1)]
@@ -263,7 +263,7 @@ class TestBDGrid:
         # fast config lives at far lower quality: no overlap
         records += make_records(["c"], "x264", "fast", 1, self.LADDER,
                                 scale_base=90000.0)
-        grid = bd_grid(configs, records, self.LADDER)
+        grid = bd_grid(configs, group_by_config(records), self.LADDER)
         assert grid.cells[0][1] is None
         assert grid.cells[0][0] == 0.0
 
@@ -282,7 +282,7 @@ class TestBDGrid:
             records += make_records(clips, family, preset, passes, ladder,
                                     rate_factor=1.0 - 0.02 * k, seed=k,
                                     rate_jitter=0.01)
-        groups = scenario.group_by_config(records)
+        groups = group_by_config(records)
         del records
         tracemalloc.start()
         try:
@@ -291,7 +291,8 @@ class TestBDGrid:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * 2 ** 20, peak / 2 ** 20
-        curves = {k: bd.curves_from_records(groups[configs[k]])
+        curves = {k: bd.curves_from_records(
+                      scenario.records_for_config(groups, configs[k]))
                   for k in (0, 7, 19)}
         for i, j in ((0, 7), (7, 0), (19, 0), (7, 19)):
             want = bd.classic_bd_rate(curves[i], curves[j]).value
@@ -300,9 +301,18 @@ class TestBDGrid:
     def test_csv_rows(self):
         grid = time_grid([_summary(preset="a", hours=100.0),
                           _summary(preset="b", hours=None)])
-        rows = grid.csv_rows()
-        assert rows[0].startswith("anchor\\test,")
-        assert rows[1].endswith(",0.0000,")  # n/a renders empty
+        rows = grid.csv().split("\n")
+        assert rows[0] == "anchor\\test,x264:a:1p,x264:b:1p"
+        assert rows[1] == "x264:a:1p,0.0000,"  # n/a renders empty
+        assert rows[3:] == [""]
+
+    def test_csv_quotes_a_label_with_a_comma(self):
+        grid = time_grid([_summary(preset="QVBR,10", hours=100.0),
+                          _summary(preset="medium", hours=300.0)])
+        rows = list(csv.reader(io.StringIO(grid.csv())))
+        assert [len(row) for row in rows] == [3, 3, 3]
+        assert rows[0][1] == rows[1][0] == "x264:QVBR,10:1p"
+        assert rows[1][2] == "200.0000"
 
 
 class TestSummaryCsvReader:
@@ -370,20 +380,39 @@ _SUMMARY_RECORD = st.builds(
 def test_column_summaries_equal_per_record_counts(records, sid, threshold):
     spec = make_scenario(sid, vmaf_threshold=threshold)
     want = repr(_reference_summarize(records, spec))  # repr: every bit
-    assert repr(summarize(records, spec)) == want
-    assert repr(summarize(scenario.group_by_config(records), spec)) == want
+    assert repr(summarize(group_by_config(records), spec)) == want
 
 
 def test_records_for_config_is_a_view_in_input_order():
     records = [_rec(clip=c, preset=p) for c, p in
                (("b", "medium"), ("a", "slow"), ("a", "medium"))]
-    got = scenario.records_for_config(records, "x264", "medium", 1)
+    groups = group_by_config(records)
+    got = scenario.records_for_config(groups, ("x264", "medium", 1))
     assert list(got) == [records[0], records[2]]
-    assert list(scenario.records_for_config(records, "x264", "fast", 1)) == []
-    groups = scenario.group_by_config(records)
-    assert list(groups) == [("x264", "medium", 1), ("x264", "slow", 1)]
-    assert ("x264", "fast", 1) not in groups
-    assert groups.get(("x264", "fast", 1), []) == []
+    assert groups.configs == [("x264", "medium", 1), ("x264", "slow", 1)]
+
+
+def test_records_for_config_of_an_absent_config_is_empty():
+    groups = group_by_config([_rec(clip="a"), _rec(clip="b", preset="slow")])
+    got = scenario.records_for_config(groups, ("x264", "fast", 1))
+    assert len(got) == 0 and list(got) == []
+    assert set(got.columns) == set(groups.table.columns)
+
+
+@pytest.mark.parametrize("config", [("x264", "medium", 2),
+                                    ("aws-av1", "QVBR,10", 1)])
+def test_label_reads_back(config):
+    assert scenario.parse_config(scenario.label(config)) == config
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x264:medium", "config must be family:preset:passes"),
+    ("x:y:z:1", "config must be family:preset:passes"),
+    ("x264:medium:twop", "bad pass count"),
+])
+def test_parse_config_errors(text, error):
+    with pytest.raises(PlanError, match=error):
+        scenario.parse_config(text)
 
 
 class TestSummaryCsvErrors:
@@ -432,5 +461,5 @@ def test_hours_sum_left_to_right(seconds):
     # terms on, so one config with many records tells the two apart
     records = [_rec(clip=f"c{i}", enc_s=s) for i, s in enumerate(seconds)]
     spec = make_scenario("S1")
-    assert (repr(summarize(records, spec))
+    assert (repr(summarize(group_by_config(records), spec))
             == repr(_reference_summarize(records, spec)))
