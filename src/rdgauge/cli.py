@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 environment error
-(missing binaries).
+(a tool missing or unable to start).
 """
 
 from __future__ import annotations
@@ -172,6 +172,9 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_import(args) -> int:
     store_path = _require_store(args)
+    config = (args.family, args.preset, args.passes)
+    if scenario.parse_config(scenario.label(config)) != config:
+        raise PlanError(f"no command can name {scenario.label(config)!r}")
     with open(args.csv, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         for name in ("label", "kbps", "vmaf", "psnr_y"):
@@ -239,7 +242,11 @@ def _cmd_bdrate(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    configs = [scenario.parse_config(c) for c in args.configs.split(",")]
+    try:  # one CSV row, so a quoted config may hold a comma
+        texts = next(csv.reader([args.configs]), [""])
+    except csv.Error as exc:
+        raise PlanError(f"bad config list {args.configs!r}: {exc}") from None
+    configs = [scenario.parse_config(c) for c in texts]
     grid = scenario.bd_grid(configs, _groups(args), _parse_ladder(args.ladder),
                             args.method, args.metric)
     if args.out:
@@ -452,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", parents=[store_p, metric_p, method_p],
                        help="pairwise BD-Rate comparison grid")
     p.add_argument("--configs", required=True,
-                   help="comma-separated family:preset:passes list")
+                   help="comma-separated family:preset:passes list; quote "
+                        "a config holding a comma as in CSV")
     p.add_argument("--out", help="directory for CSV + SVG output")
     p.set_defaults(func=_cmd_grid)
 

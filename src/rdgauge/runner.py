@@ -19,6 +19,8 @@ prober, and a disagreement of more than 2% is logged as a warning.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import glob
 import json
 import logging
@@ -48,15 +50,14 @@ log = logging.getLogger(__name__)
 ENV_BIN_DIR = "RDGAUGE_BIN_DIR"
 ENV_WORK_DIR = "RDGAUGE_WORK_DIR"
 
-_STDERR_TAIL = 2000
+_OUTPUT_TAIL = 2000  # characters of a tool's output kept
+_OUTPUT_READ = 64 * 1024  # bytes of a tool's output read back
 _IVF_HEADER = 32  # bytes of the IVF file header
 
 # Store appends are funnelled through a single writer.
 _store_lock = threading.Lock()
 # Single-GPU assumption: NVENC jobs never overlap each other.
 _nvenc_lock = threading.Lock()
-
-_version_cache: dict[str, str] = {}
 
 
 @dataclass
@@ -71,10 +72,6 @@ class JobOutcome:
     output_path: str = ""
     stderr_tail: str = ""
     reason: str = ""  # why a failed job failed
-
-    @property
-    def total_seconds(self) -> float:
-        return float(sum(self.wall_seconds))
 
 
 def resolve_binary(name: str, bin_dir: Optional[Union[str, Path]] = None) -> str:
@@ -98,23 +95,39 @@ def resolve_binary(name: str, bin_dir: Optional[Union[str, Path]] = None) -> str
     return found
 
 
+def _run(argv: Sequence[str],
+         timeout: Optional[float] = None) -> tuple[int, float, str]:
+    """Run one external tool: (exit status, wall seconds, output).
+
+    The only place that starts a process. Its stdin is /dev/null; the
+    last 64 KiB of its stdout and stderr, spooled to one anonymous file,
+    come back as UTF-8 with undecodable bytes replaced. MissingBinaryError
+    if it cannot start; TimeoutExpired, once killed, past ``timeout``.
+    """
+    with tempfile.TemporaryFile() as spool:
+        start = time.monotonic()
+        try:
+            proc = subprocess.run(argv, stdin=subprocess.DEVNULL, stdout=spool,
+                                  stderr=subprocess.STDOUT, timeout=timeout)
+        except OSError as exc:
+            raise MissingBinaryError(f"cannot run {argv[0]!r}: {exc}") from exc
+        wall = time.monotonic() - start
+        spool.seek(max(0, os.fstat(spool.fileno()).st_size - _OUTPUT_READ))
+        output = spool.read().decode("utf-8", errors="replace")
+    return proc.returncode, wall, output
+
+
+@functools.cache
 def tool_version(binary: str) -> str:
     """First line of `tool --version`/-version, cached per binary path."""
-    if binary in _version_cache:
-        return _version_cache[binary]
-    version = ""
     for flag in ("--version", "-version"):
         try:
-            proc = subprocess.run(
-                [binary, flag], capture_output=True, text=True, timeout=15)
-        except (OSError, subprocess.TimeoutExpired):
+            text = _run([binary, flag], timeout=15)[2].strip()
+        except (MissingBinaryError, subprocess.TimeoutExpired):
             continue
-        text = (proc.stdout or proc.stderr).strip()
         if text:
-            version = text.splitlines()[0][:120]
-            break
-    _version_cache[binary] = version
-    return version
+            return text.splitlines()[0][:120]
+    return ""
 
 
 def probe_duration(path: str) -> tuple[float, int, str]:
@@ -175,29 +188,24 @@ def execute(
 
     output_path, passlog = job_paths(job, work_dir)
 
-    hw_lock = _nvenc_lock if job.family == "nvenc-av1" else None
-    if hw_lock:
-        hw_lock.acquire()
     walls: list[float] = []
-    try:
-        for vec in commands:
-            start = time.monotonic()
-            try:
-                proc = subprocess.run(vec, capture_output=True, text=True)
-            except FileNotFoundError as exc:
-                raise MissingBinaryError(f"cannot run {vec[0]!r}: {exc}") from exc
-            walls.append(time.monotonic() - start)
-            if proc.returncode != 0:
-                return JobOutcome(
-                    job=job, status="failed", wall_seconds=tuple(walls),
-                    output_path=output_path,
-                    stderr_tail=(proc.stderr or "")[-_STDERR_TAIL:],
-                    reason=f"{Path(vec[0]).name} exited with status "
-                           f"{proc.returncode}",
-                )
-    finally:
-        if hw_lock:
-            hw_lock.release()
+    with (_nvenc_lock if job.family == "nvenc-av1"
+          else contextlib.nullcontext()):
+        try:
+            for vec in commands:
+                status, wall, output = _run(vec)
+                walls.append(wall)
+                if status != 0:
+                    return JobOutcome(
+                        job=job, status="failed", wall_seconds=tuple(walls),
+                        output_path=output_path,
+                        stderr_tail=output[-_OUTPUT_TAIL:],
+                        reason=f"{Path(vec[0]).name} exited with status "
+                               f"{status}",
+                    )
+        finally:
+            for leftover in glob.glob(glob.escape(passlog) + "*"):
+                os.remove(leftover)
 
     try:
         output_bytes = os.path.getsize(output_path)
@@ -214,8 +222,6 @@ def execute(
         log.warning(
             "%s: measured %.1f kb/s disagrees with container-reported "
             "%.1f kb/s by more than 2%%", job.slug(), measured_kbps, reported)
-    for leftover in glob.glob(passlog + "*"):
-        os.remove(leftover)
 
     outcome = JobOutcome(
         job=job, status="ok", wall_seconds=tuple(walls),
@@ -238,7 +244,7 @@ def execute(
             clip_id=job.record_clip_id, family=job.family, preset=job.preset,
             passes=job.passes, target_kbps=float(job.target_kbps),
             measured_kbps=measured_kbps, vmaf=vmaf, psnr_y=psnr,
-            encode_seconds=outcome.total_seconds, output_bytes=output_bytes,
+            encode_seconds=sum(walls), output_bytes=output_bytes,
             tool_version=tool_version(binary),
         )
         with _store_lock:
@@ -332,9 +338,9 @@ def measure_quality(
                 ":feature=name=psnr")
         vec = [binary, "-y", "-i", str(encoded), "-i", str(source),
                "-lavfi", filt, "-f", "null", "-"]
-        proc = subprocess.run(vec, capture_output=True, text=True)
-        if proc.returncode != 0:
-            tail = (proc.stderr or "").strip()[-_STDERR_TAIL:]
+        status, _, output = _run(vec)
+        if status != 0:
+            tail = output.strip()[-_OUTPUT_TAIL:]
             raise MetricError(f"metric tool failed: {tail}")
         vmaf, psnr, n_frames = parse_vmaf_log(Path(log_path).read_text())
     finally:

@@ -109,10 +109,6 @@ class VideoHeader:
     def frame_payload_bytes(self) -> int:
         return self.frame_samples * self.bytes_per_sample
 
-    @property
-    def fps(self) -> float:
-        return self.fps_num / self.fps_den
-
 
 @dataclass(frozen=True)
 class Frame:

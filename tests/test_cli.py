@@ -191,6 +191,17 @@ class TestImportAndScenario:
         assert "no 'psnr_y' column" in capsys.readouterr().err
         assert not (tmp_path / "s.jsonl").exists()
 
+    @pytest.mark.parametrize("family,preset", [("x:y", "z"), ("x", "y:z")])
+    def test_import_refuses_a_config_no_command_can_name(
+            self, tmp_path, capsys, family, preset):
+        store_path = tmp_path / "s.jsonl"
+        rc = main(["import", "--csv", str(DATA / "toolsweep_table.csv"),
+                   "--store", str(store_path), "--family", family,
+                   "--preset", preset, "--passes", "1", "--tbr", "4000"])
+        assert rc == 2
+        assert "'x:y:z:1p'" in capsys.readouterr().err
+        assert not store_path.exists()
+
     @pytest.mark.parametrize("edit,message", [
         (lambda t: t.replace("n_above,", ""),
          "summary line 2: no 'n_above' column"),
@@ -619,8 +630,8 @@ class TestReportCommand:
                                                          capsys):
         # ("x:y", "z", 1) and ("x", "y:z", 1) both print as x:y:z:1p
         store_path = tmp_path / "s.jsonl"
-        _import(tmp_path, store_path, "x:y", "z", hours=100.0)
-        _import(tmp_path, store_path, "x", "y:z", hours=300.0)
+        _import(store_path, "x:y", "z", hours=100.0)
+        _import(store_path, "x", "y:z", hours=300.0)
         out_dir = tmp_path / "out"
         assert main(["report", "--store", str(store_path), "--out",
                      str(out_dir), "--scenarios", "S1"]) == 0
@@ -633,7 +644,7 @@ class TestReportCommand:
     def test_grid_csv_quotes_a_label_with_a_comma(self, tmp_path, capsys):
         store_path = tmp_path / "s.jsonl"
         _fill_store(store_path)
-        _import(tmp_path, store_path, "aws-av1", "QVBR,10", hours=10.0)
+        _import(store_path, "aws-av1", "QVBR,10", hours=10.0)
         out_dir = tmp_path / "out"
         assert main(["report", "--store", str(store_path), "--out",
                      str(out_dir), "--scenarios", "S1", "--ladder",
@@ -648,18 +659,17 @@ def _csv_rows(path):
     return list(csv.reader(path.read_text().splitlines()))
 
 
-def _import(tmp_path, store_path, family, preset, hours, tbrs=(1000, 4000)):
+def _import(store_path, family, preset, hours, tbrs=(1000, 4000)):
     """Import three clips of one config at each target rate, with
-    ``hours`` of encode time in all."""
-    table = tmp_path / "t.csv"
+    ``hours`` of encode time in all. ``store.import_table`` takes a
+    family or preset holding a colon, which ``rdgauge import`` refuses."""
     seconds = hours * 3600 / (3 * len(tbrs))
     for k, tbr in enumerate(tbrs):
-        table.write_text("label,kbps,vmaf,psnr_y,enc_s\n" + "".join(
-            f"c{i},{tbr * (1 + 0.01 * i)},{60 + 10 * k + i},{35 + k},"
-            f"{seconds}\n" for i in range(3)))
-        assert main(["import", "--csv", str(table), "--store",
-                     str(store_path), "--family", family, "--preset", preset,
-                     "--passes", "1", "--tbr", str(tbr)]) == 0
+        rows = [(f"c{i}", tbr * (1 + 0.01 * i), 60 + 10 * k + i, 35 + k,
+                 seconds) for i in range(3)]
+        assert store.import_table(store_path, rows, family=family,
+                                  preset=preset, passes=1,
+                                  target_kbps=tbr) == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -689,10 +699,25 @@ def test_each_analysis_command_groups_the_store_once(tmp_path, capsys,
     assert built == [30]  # the 30 records of the store, grouped once
 
 
+def test_grid_configs_is_one_csv_row(tmp_path, capsys):
+    store_path = tmp_path / "s.jsonl"
+    _fill_store(store_path)
+    _import(store_path, "aws-av1", "QVBR,10", hours=10.0)
+    argv = ["grid", "--store", str(store_path), "--ladder", LADDER,
+            "--configs"]
+    assert main([*argv, '"aws-av1:QVBR,10:1",x264:medium:1']) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["anchor\\test", "aws-av1:QVBR,10:1p",
+                       "x264:medium:1p"]
+    assert main([*argv, "x264:medium:1\nsvt-av1:6:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config list") and "Traceback" not in err
+
+
 def test_bdrate_csv_quotes_a_config_with_a_comma(tmp_path, capsys):
     store_path = tmp_path / "s.jsonl"
     _fill_store(store_path)
-    _import(tmp_path, store_path, "aws-av1", "QVBR,10", hours=10.0)
+    _import(store_path, "aws-av1", "QVBR,10", hours=10.0)
     out = tmp_path / "result.csv"
     assert main(["bdrate", "--store", str(store_path), "--anchor",
                  "aws-av1:QVBR,10:1", "--test", "x264:medium:1", "--ladder",

@@ -2,8 +2,10 @@ import json
 import os
 import stat
 import struct
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,8 @@ from rdgauge.cli import main
 from rdgauge.encoders import EncodeJob
 from rdgauge.errors import MetricError, MetricParseError, MissingBinaryError
 
-# Logs every call but the version probe. A libvmaf call writes
+# Logs every call but the version probe, and copies the file named
+# stderr, when there is one, to stderr. A libvmaf call writes
 # vmaf.json to its log_path, or fails when its arguments contain the
 # text in vmaf_fail. An encode writes the bytes of the file named
 # output when there is one, else 10000 zero bytes.
@@ -21,6 +24,7 @@ FAKE_FFMPEG = """#!/bin/sh
 dir="$(dirname "$0")"
 [ $# -le 1 ] && exit 0  # version probe, write nothing
 echo "$@" >> "$dir/calls.log"
+[ -e "$dir/stderr" ] && cat "$dir/stderr" >&2
 log=""
 for last; do
   case "$last" in
@@ -657,3 +661,115 @@ def test_missing_metric_tool_fails_before_any_encode(fake_bin, small_clip,
     assert rc == 3
     assert not calls.exists()
     assert not (tmp_path / "s.jsonl").exists()
+
+
+# ffmpeg's banner names its input; a Latin-1 file name is not UTF-8
+LATIN1_BANNER = b"Input #0, from caf\xe9.y4m\n"
+
+
+def test_non_utf8_output_of_a_finished_encode_is_stored(
+        fake_bin, small_clip, tmp_path, capsys):
+    (fake_bin / "stderr").write_bytes(LATIN1_BANNER)
+    rc = _encode(["--families", "x264", "--presets", "medium",
+                  "--passes", "1", "--ladder", "100,200", "--with-vmaf"],
+                 small_clip, fake_bin, tmp_path)
+    assert rc == 0
+    assert "encoded: 2 ok, 0 failed, 0 skipped" in capsys.readouterr().out
+    assert len(store.load(tmp_path / "s.jsonl")) == 2
+
+
+def test_non_utf8_output_of_a_failed_encode_is_reported(
+        fake_bin, small_clip, tmp_path, capsys):
+    (fake_bin / "stderr").write_bytes(LATIN1_BANNER)
+    (fake_bin / "fail_marker").touch()
+    rc = _encode(["--families", "x264", "--presets", "medium",
+                  "--passes", "1", "--ladder", "100"],
+                 small_clip, fake_bin, tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "FAILED clip_x264_medium_1p_100k: ffmpeg exited with status 1: "
+        "Input #0, from caf\ufffd.y4m\nsimulated encoder failure\n")
+
+
+def test_non_utf8_output_of_the_metric_tool(fake_bin, tmp_path):
+    (fake_bin / "stderr").write_bytes(LATIN1_BANNER)
+    vmaf, _ = runner.measure_quality("ref.y4m", "dist.mp4", bin_dir=fake_bin)
+    assert vmaf == pytest.approx(91.495)
+    (fake_bin / "vmaf_fail").write_text("dist.mp4\n")
+    with pytest.raises(MetricError, match="caf\ufffd.y4m"):
+        runner.measure_quality("ref.y4m", "dist.mp4", bin_dir=fake_bin)
+
+
+def test_tool_version_is_the_first_line_of_its_output(tmp_path):
+    tool = tmp_path / "x264"
+    tool.write_bytes(b"#!/bin/sh\nprintf 'x264 caf\\351\\nbuilt on\\n' >&2\n")
+    tool.chmod(tool.stat().st_mode | stat.S_IEXEC)
+    assert runner.tool_version(str(tool)) == "x264 caf\ufffd"
+
+
+def test_encoder_that_is_not_a_program_is_an_environment_error(
+        fake_bin, small_clip, tmp_path, capsys):
+    (fake_bin / "ffmpeg").write_text("not a program\n")
+    rc = _encode(["--families", "x264", "--presets", "medium",
+                  "--passes", "1", "--ladder", "100"],
+                 small_clip, fake_bin, tmp_path)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("environment error: cannot run ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_tools_read_dev_null(fake_bin, small_clip, tmp_path):
+    stdin_log = fake_bin / "stdin.log"
+    (fake_bin / "ffmpeg").write_text(
+        f'#!/bin/sh\nreadlink /proc/self/fd/0 >> "{stdin_log}"\n'
+        '[ $# -le 1 ] && exit 0\n'
+        'for last; do :; done\nhead -c 10000 /dev/zero > "$last"\n')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdgauge.cli", "encode", "--clips",
+         str(small_clip), "--families", "x264", "--presets", "medium",
+         "--passes", "2", "--ladder", "100", "--store",
+         str(tmp_path / "s.jsonl"), "--work-dir", str(tmp_path / "w"),
+         "--binary-dir", str(fake_bin)],
+        stdin=subprocess.PIPE, capture_output=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # two passes, then the version probes
+    reads = stdin_log.read_text().splitlines()
+    assert len(reads) >= 3 and set(reads) == {"/dev/null"}
+
+
+# Pass 1 writes x264's pass logs; the pass named in fail_pass exits 1.
+PASSLOG_FFMPEG = """#!/bin/sh
+[ $# -le 1 ] && exit 0
+prev=""
+for last; do
+  case "$prev" in
+    -pass) pass="$last" ;;
+    -passlogfile) log="$last" ;;
+  esac
+  prev="$last"
+done
+[ "$pass" = 1 ] && : > "$log-0.log" && : > "$log-0.log.mbtree"
+read -r fail < "${0%/*}/fail_pass"
+[ "$pass" = "$fail" ] && exit 1
+head -c 10000 /dev/zero > "$last"
+"""
+
+
+@pytest.mark.parametrize("fail_pass,clip_id", [
+    (1, "clip"), (2, "clip"), (0, "clip"), (0, "clip[1]")],
+    ids=["pass-1", "pass-2", "none", "glob-characters"])
+def test_passlog_removed_whether_the_passes_succeed_or_fail(
+        fake_bin, small_clip, tmp_path, fail_pass, clip_id):
+    (fake_bin / "ffmpeg").write_text(PASSLOG_FFMPEG)
+    (fake_bin / "fail_pass").write_text(f"{fail_pass}\n")
+    work = tmp_path / "w"
+    outcome = runner.execute(_job(small_clip, passes=2, clip_id=clip_id),
+                             work_dir=work, bin_dir=fake_bin)
+    assert outcome.status == ("ok" if fail_pass == 0 else "failed")
+    assert len(outcome.wall_seconds) == (fail_pass or 2)
+    assert not list(work.glob("*.log*"))
