@@ -14,11 +14,11 @@ PchipInterpolator, with closed-form Hermite segment integrals summed
 once per curve. There is one interpolant type, ``CurveStack``: the
 slopes, coefficients and running integrals of many curves as padded
 arrays, built row by row with the same arithmetic, so stacking changes
-no bit. One builder, ``_stack``, turns a list of ``RDCurve``s into one
-stack, a row per curve, and nothing is cached on a curve. One kernel,
-``_bd``, takes paired rows of two stacks and returns their overlaps and
-mean log ratios; every BD value comes from it. ``bd_rate`` and
-``bd_quality`` run it on rows 0 and 1 of one two-row stack per call.
+no bit. One builder, ``_stacked``, turns a list of clip id -> curve
+mappings into one stack, a row per clip curve, and nothing is cached on
+a curve. One kernel, ``_bd``, takes paired rows of two stacks and
+returns their overlaps and mean log ratios; every BD value comes from
+it. ``bd_rate`` and ``bd_quality`` run it on one two-row stack per call.
 
 Two dataset reductions are provided: the conventional one (BD-Rate per
 clip, then arithmetic mean) and the aggregate-curve one (harmonic-mean
@@ -28,10 +28,9 @@ padded points of a configuration's clip curves.
 ``classic_bd_rate_matrix`` stacks every configuration's clip curves of
 a grid once and integrates the shared clips of its pairs in passes of
 bounded size; ``classic_bd_rate`` is its one-pair case, so each cell
-equals the ``classic_bd_rate`` of its pair to the bit.
-``bd_rate_matrix`` stacks a grid's aggregate curves once and integrates
-every pair of them in one pass; each value equals a ``bd_rate`` of its
-pair to the bit.
+equals the ``classic_bd_rate`` of its pair to the bit. A grid of
+aggregate curves is its one-clip case, each config mapping one id to
+its curve, so each cell equals the ``bd_rate`` of its pair to the bit.
 
 Both reductions read a ``RecordTable``'s columns, and each has a
 batched builder for a grid: ``curves_by_group`` and
@@ -316,39 +315,9 @@ class CurveStack:
         return p[len(lo):] - p[:len(lo)]
 
 
-def _padded(curves: Sequence[RDCurve]) -> tuple:
-    """The knot counts, rates and qualities of curves, a row each, the
-    rates padded with 1 and the qualities with +inf."""
-    n = np.array([len(c.points) for c in curves], dtype=np.intp)
-    rates = np.ones((len(curves), int(n.max()) if len(curves) else 0))
-    qualities = np.full(rates.shape, np.inf)
-    for r, curve in enumerate(curves):
-        rates[r, :n[r]] = [p.rate for p in curve.points]
-        qualities[r, :n[r]] = [p.quality for p in curve.points]
-    return n, rates, qualities
-
-
-def _stack(curves: Sequence[RDCurve], over_rate: bool = False) -> CurveStack:
-    """The PCHIPs of curves, a row each: log10(rate) over quality, or
-    with ``over_rate`` quality over log10(rate).
-
-    Two rates a float ulp apart can share one log10, so over rate each
-    curve's log10 rates must strictly increase; the first curve that
-    fails raises DomainError.
-    """
-    n, rates, qualities = _padded(curves)
-    log_rates = np.log10(rates)
-    if not over_rate:
-        return CurveStack(qualities, log_rates, n)
-    for curve, x, knots in zip(curves, log_rates, n.tolist()):
-        if not np.all(np.diff(x[:knots]) > 0):
-            raise DomainError(f"curve {curve.id!r}: log10 rates must increase")
-    return CurveStack(log_rates, qualities, n)
-
-
 def interpolate(curve: RDCurve) -> CurveStack:
     """quality -> log10(rate) interpolant of a cleaned curve (one row)."""
-    return _stack([curve])
+    return _stacked([_clip_curves({curve.id: curve})])[0]
 
 
 def _bd(a: CurveStack, a_rows: np.ndarray, t: CurveStack,
@@ -378,7 +347,8 @@ def _one_pair(anchor: RDCurve, test: RDCurve, what: str,
               over_rate: bool) -> tuple[float, float, float]:
     """``_bd`` of rows 0 and 1 of the pair's one stack: lo, hi and the
     mean of test - anchor."""
-    stack = _stack([anchor, test], over_rate)
+    stack = _stacked([_clip_curves({anchor.id: anchor}),
+                      _clip_curves({test.id: test})], over_rate)[0]
     ok, _, _, lo, hi, delta = _bd(stack, np.array([0]), stack, np.array([1]))
     if not ok[0]:
         raise OverlapError(
@@ -629,8 +599,8 @@ class ClipCurves(Mapping[str, RDCurve]):
 
     Row r = ``rows[clip_id]`` holds that clip's ``n[r]`` points in
     ``rates[r]`` and ``qualities[r]``, by increasing rate (padded), and
-    its metric kind in ``kinds[r]``. An ``RDCurve`` is built when it is
-    first read; the classic BD functions stack the arrays themselves,
+    its metric kind in ``kinds[r]``. An ``RDCurve`` is built on each
+    read and not kept; the BD functions stack the arrays themselves,
     and ``_clip_curves`` pads a plain mapping's curves into them.
     """
 
@@ -641,16 +611,11 @@ class ClipCurves(Mapping[str, RDCurve]):
         self.n = n
         self.rates = rates
         self.qualities = qualities
-        self._curves: dict[str, RDCurve] = {}
 
     def __getitem__(self, clip_id: str) -> RDCurve:
-        curve = self._curves.get(clip_id)
-        if curve is None:
-            r = self.rows[clip_id]
-            curve = self._curves[clip_id] = _curve(
-                clip_id, self.kinds[r], self.rates[r, :self.n[r]],
-                self.qualities[r, :self.n[r]])
-        return curve
+        r = self.rows[clip_id]
+        return _curve(clip_id, self.kinds[r], self.rates[r, :self.n[r]],
+                      self.qualities[r, :self.n[r]])
 
     def __iter__(self):
         return iter(self.rows)
@@ -828,11 +793,14 @@ def classic_bd_rate_matrix(
 _CHUNK = 4096
 
 
-def _stacked(curves: Sequence[ClipCurves]) -> tuple:
-    """Every config's clip curves in one ``CurveStack``, their metric
-    kinds by stack row, and a configs x clips table of stack rows (-1
-    where a config lacks the clip), the clip ids numbered once, in
-    sorted order."""
+def _stacked(curves: Sequence[ClipCurves], over_rate: bool = False) -> tuple:
+    """Every config's clip curves in one ``CurveStack``, a row each:
+    log10(rate) over quality, or with ``over_rate`` quality over
+    log10(rate), which must then strictly increase on each row (two
+    rates a float ulp apart can share one log10; the first row that
+    fails raises DomainError). Also their metric kinds by stack row, and
+    a configs x clips table of stack rows (-1 where a config lacks the
+    clip), the clip ids numbered once, in sorted order."""
     starts = np.cumsum([0] + [len(c) for c in curves]).tolist()
     rates = np.ones((starts[-1], max(c.rates.shape[1] for c in curves)))
     qualities = np.full(rates.shape, np.inf)
@@ -847,7 +815,14 @@ def _stacked(curves: Sequence[ClipCurves]) -> tuple:
                                                          starts[k + 1])
     n = np.concatenate([c.n for c in curves])
     kinds = np.concatenate([c.kinds for c in curves])
-    return CurveStack(qualities, np.log10(rates), n), kinds, table
+    log_rates = np.log10(rates)
+    if not over_rate:
+        return CurveStack(qualities, log_rates, n), kinds, table
+    row_ids = [cid for c in curves for cid in c]
+    for cid, x, knots in zip(row_ids, log_rates, n.tolist()):
+        if not np.all(np.diff(x[:knots]) > 0):
+            raise DomainError(f"curve {cid!r}: log10 rates must increase")
+    return CurveStack(log_rates, qualities, n), kinds, table
 
 
 def _classic(stack: CurveStack, kinds: np.ndarray, table: np.ndarray,
@@ -892,33 +867,15 @@ def _clip_curves(curves: Mapping[str, RDCurve]) -> ClipCurves:
     if isinstance(curves, ClipCurves):
         return curves
     ids = list(curves)
-    n, rates, qualities = _padded([curves[cid] for cid in ids])
-    kinds = np.array([curves[cid].metric_kind for cid in ids], dtype=object)
+    picked = [curves[cid] for cid in ids]
+    n = np.array([len(c.points) for c in picked], dtype=np.intp)
+    rates = np.ones((len(ids), int(n.max()) if len(ids) else 0))
+    qualities = np.full(rates.shape, np.inf)
+    for r, curve in enumerate(picked):
+        rates[r, :n[r]] = [p.rate for p in curve.points]
+        qualities[r, :n[r]] = [p.quality for p in curve.points]
+    kinds = np.array([c.metric_kind for c in picked], dtype=object)
     return ClipCurves(ids, kinds, n, rates, qualities)
-
-
-def bd_rate_matrix(
-    curves: Sequence[Optional[RDCurve]],
-) -> list[list[Optional[float]]]:
-    """``bd_rate(curves[i], curves[j]).value`` in cell (i, j), for a grid.
-
-    The diagonal is 0.0. A cell is None where either curve is None or
-    ``bd_rate`` would raise (different metric kinds, no shared quality
-    interval). The curves are stacked once and every other pair is
-    integrated in one pass; each value equals ``bd_rate``'s to the bit.
-    """
-    built = [k for k, c in enumerate(curves) if c is not None]
-    kinds = np.array([curves[k].metric_kind for k in built], dtype=object)
-    pairs = (kinds[:, None] == kinds[None, :]) & ~np.eye(len(built), dtype=bool)
-    i, j = np.nonzero(pairs)
-    stack = _stack([curves[k] for k in built])
-    _, i, j, _, _, delta = _bd(stack, i, stack, j)
-    cells: list[list[Optional[float]]] = [
-        [0.0 if r == c else None for c in range(len(curves))]
-        for r in range(len(curves))]
-    for a, t, v in zip(i.tolist(), j.tolist(), _percents(delta.tolist())):
-        cells[built[a]][built[t]] = v
-    return cells
 
 
 def curves_csv(curves: Iterable[RDCurve]) -> str:

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -52,13 +53,15 @@ _positive_int = _checked(int, "a positive integer", lambda v: v > 0)
 _count = _checked(int, "an integer >= 0", lambda v: v >= 0)
 
 
-def _parse_ladder(text: Optional[str]) -> tuple[int, ...]:
-    if not text:
-        return encoders.DEFAULT_LADDER
+def _int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise PlanError(f"bad ladder {text!r}") from None
+        raise PlanError(f"bad {what} {text!r}") from None
+
+
+def _parse_ladder(text: Optional[str]) -> tuple[int, ...]:
+    return _int_list(text, "ladder") if text else encoders.DEFAULT_LADDER
 
 
 def _clip_list(args) -> list:
@@ -100,7 +103,7 @@ def _build_plan(args) -> list[encoders.EncodeJob]:
         for fam, plist in presets.items():
             if not plist:
                 raise PlanError(f"none of {wanted} are {fam} presets")
-    pass_modes = tuple(int(p) for p in args.passes.split(","))
+    pass_modes = _int_list(args.passes, "pass list")
     return encoders.plan_matrix(
         _clip_list(args), families, ladder=_parse_ladder(args.ladder),
         pass_modes=pass_modes, presets=presets,
@@ -132,7 +135,9 @@ def _cmd_encode(args) -> int:
     for outcome in outcomes:
         counts[outcome.status] += 1
         if outcome.status == "failed":
-            tail = outcome.stderr_tail.strip()[-200:]
+            # one line per failure, whatever line breaks the tool wrote
+            tail = re.sub(r"[\r\n]+", " | ",
+                          outcome.stderr_tail.strip()[-200:])
             print(f"FAILED {outcome.job.slug()}: {outcome.reason}"
                   + (f": {tail}" if tail else ""), file=sys.stderr)
     print(f"encoded: {counts['ok']} ok, {counts['failed']} failed, "

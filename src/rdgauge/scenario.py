@@ -37,6 +37,8 @@ OBJECTIVE_MAX_COVERAGE = "max_coverage"
 OBJECTIVE_BUDGETED = "max_coverage_within_budget"
 OBJECTIVE_FASTEST_WITHIN_SLACK = "fastest_within_coverage_slack"
 
+BUDGET_TOLERANCE = 0.01  # S3: fractional slack on the hour budget
+
 Config = tuple[str, str, int]  # (family, preset, passes)
 
 
@@ -71,7 +73,6 @@ class ScenarioSpec:
     time_budget_hours: Optional[float] = None
     objective: str = OBJECTIVE_MAX_COVERAGE
     coverage_slack_points: float = 5.0  # S2: allowed coverage loss vs S1, in points
-    budget_tolerance: float = 0.01  # S3: fractional slack on the hour budget
 
     def __post_init__(self):
         if self.vmaf_threshold <= 0 or self.checkpoint_kbps <= 0:
@@ -244,7 +245,7 @@ def select_presets(summaries: Sequence[ConfigSummary],
                 f"{spec.checkpoint_kbps:g} kb/s"
             )
         elif spec.objective == OBJECTIVE_BUDGETED:
-            budget = spec.time_budget_hours * (1.0 + spec.budget_tolerance)
+            budget = spec.time_budget_hours * (1.0 + BUDGET_TOLERANCE)
             feasible = [s for s in group
                         if s.total_hours is not None and s.total_hours <= budget]
             if not feasible:
@@ -254,7 +255,7 @@ def select_presets(summaries: Sequence[ConfigSummary],
                 selections[family] = None
                 rationale[family] = (
                     f"infeasible: no config within {spec.time_budget_hours:g} h "
-                    f"(+{100 * spec.budget_tolerance:g}% tolerance)"
+                    f"(+{100 * BUDGET_TOLERANCE:g}% tolerance)"
                     + (f"; closest is {closest.label} at {closest.total_hours:.2f} h"
                        if closest else "")
                 )
@@ -356,22 +357,24 @@ def bd_grid(
     Each config's curves (per clip for classic, one aggregate for smart)
     are built once, every config's in one ``bd.curves_by_group`` or
     ``aggregate_curves`` pass, and shared by every cell in its row and
-    column; a config whose aggregate curve cannot be built is N/A
-    against all. ``aggregates``, when given, are the configs'
+    column. ``aggregates``, when given, are the configs'
     ``aggregate_curves``, which the smart method then does not build
-    again. The cells come from one ``classic_bd_rate_matrix`` or
-    ``bd_rate_matrix`` call.
+    again. A smart grid is the one-clip case of the classic one: each
+    config maps one id to its aggregate curve, or to nothing when that
+    curve cannot be built, so it is N/A against all. The cells come
+    from one ``classic_bd_rate_matrix`` call.
     """
     if method not in ("classic", "smart"):
         raise ValueError(f"unknown grid method {method!r}")
     if method == "classic":
-        cells = bd_mod.classic_bd_rate_matrix(bd_mod.curves_by_group(
-            groups.table, groups.group, groups.numbers(configs), metric_kind))
+        curves = bd_mod.curves_by_group(groups.table, groups.group,
+                                        groups.numbers(configs), metric_kind)
     else:
         if aggregates is None:
             aggregates = aggregate_curves(configs, groups, ladder, metric_kind)
-        cells = bd_mod.bd_rate_matrix(aggregates)
-    return ComparisonGrid(labels=[label(c) for c in configs], cells=cells,
+        curves = [{} if c is None else {"aggregate": c} for c in aggregates]
+    return ComparisonGrid(labels=[label(c) for c in configs],
+                          cells=bd_mod.classic_bd_rate_matrix(curves),
                           kind="bd", method=method)
 
 

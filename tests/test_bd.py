@@ -317,7 +317,8 @@ class TestOnePair:
         results = [fn(anchor, test) for fn in (bd.bd_rate, bd.bd_quality,
                                                bd.bd_rate, bd.bd_quality)]
         assert built == [2, 2, 2, 2]
-        cell = bd.bd_rate_matrix([anchor, test])[0][1]
+        # a grid of one-clip mappings holds the pair's bd_rate
+        cell = bd.classic_bd_rate_matrix([{"c": anchor}, {"c": test}])[0][1]
         assert results[0].value.hex() == results[2].value.hex() == cell.hex()
 
 
@@ -741,7 +742,9 @@ def test_pair_values_equal_scalar_reference(pair):
 def test_rate_matrix_equals_bd_rate_per_pair(curves):
     if len(curves) > 1 and curves[-1] is not None:
         curves.append(curves[-1])  # a curve listed twice
-    cells = bd.bd_rate_matrix(curves)
+    # the smart grid's mappings: one clip per curve, none for a None
+    cells = bd.classic_bd_rate_matrix(
+        [{} if c is None else {"aggregate": c} for c in curves])
     assert [len(row) for row in cells] == [len(curves)] * len(curves)
     for i, a in enumerate(curves):
         for j, t in enumerate(curves):
@@ -1334,8 +1337,8 @@ def test_per_clip_curves_are_built_when_read(monkeypatch):
     assert list(curves) == ["c0", "c1"] and built == []
     bd.classic_bd_rate(curves, curves)
     assert built == []
-    assert curves["c1"] is curves["c1"]
-    assert built == ["c1"]
+    assert curves["c1"] == curves["c1"]
+    assert built == ["c1", "c1"]  # built on each read, none kept
     assert curves["c1"] == _reference_curves_from_records(records)["c1"]
 
 

@@ -87,6 +87,19 @@ class TestPlan:
         assert main(argv + ["--work-dir", str(tmp_path / "flag")]) == 0
         assert f" {tmp_path / 'flag'}/" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["plan", "encode"])
+    @pytest.mark.parametrize("passes", ["x", "1,,2", ""])
+    def test_bad_pass_list_is_a_data_error(self, tmp_path, capsys, command,
+                                           passes):
+        store_path = tmp_path / "s.jsonl"
+        argv = [command, "--clips", "a", "--families", "x264", "--passes",
+                passes]
+        if command == "encode":
+            argv += ["--store", str(store_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: bad pass list {passes!r}\n"
+        assert not store_path.exists()
+
     def test_valid_call_after_usage_error(self, capsys):
         assert main(["plan", "--show", "x"]) == 1
         assert main(["plan", "--clips", "a", "--families", "x264",

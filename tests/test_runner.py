@@ -178,12 +178,6 @@ class TestExecute:
                        bin_dir=fake_bin, store_path=store_path)
         assert store.load(store_path) == []
 
-    def test_passlog_cleaned_on_success(self, fake_bin, small_clip, tmp_path):
-        work = tmp_path / "w"
-        runner.execute(_job(small_clip, passes=2), work_dir=work,
-                       bin_dir=fake_bin)
-        assert not list(work.glob("*.log*"))
-
     def test_missing_binary_is_environment_error(self, small_clip, tmp_path):
         empty_bin = tmp_path / "nobin"
         empty_bin.mkdir()
@@ -688,7 +682,20 @@ def test_non_utf8_output_of_a_failed_encode_is_reported(
     assert rc == 2
     assert capsys.readouterr().err == (
         "FAILED clip_x264_medium_1p_100k: ffmpeg exited with status 1: "
-        "Input #0, from caf\ufffd.y4m\nsimulated encoder failure\n")
+        "Input #0, from caf\ufffd.y4m | simulated encoder failure\n")
+
+
+def test_failed_encode_with_crlf_output_is_one_line(fake_bin, small_clip,
+                                                     tmp_path, capsys):
+    (fake_bin / "stderr").write_bytes(b"frame 1\r\rframe 2\r\n\r\nerror\r\n")
+    (fake_bin / "fail_marker").touch()
+    rc = _encode(["--families", "x264", "--presets", "medium",
+                  "--passes", "1", "--ladder", "100"],
+                 small_clip, fake_bin, tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "FAILED clip_x264_medium_1p_100k: ffmpeg exited with status 1: "
+        "frame 1 | frame 2 | error | simulated encoder failure\n")
 
 
 def test_non_utf8_output_of_the_metric_tool(fake_bin, tmp_path):

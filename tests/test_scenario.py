@@ -125,7 +125,7 @@ class TestSelectPresets:
         assert report.selections["x264"].preset == "fastcfg"
         spec = make_scenario("S3")
         assert report.selections["x264"].total_hours <= (
-            spec.time_budget_hours * (1.0 + spec.budget_tolerance))
+            spec.time_budget_hours * (1.0 + scenario.BUDGET_TOLERANCE))
 
     def test_s3_infeasible_family_reported(self):
         a = _summary(preset="slowcfg", hours=100.0)
@@ -178,11 +178,13 @@ class TestPaperFixtures:
         # 40.38 h sits within the 1% tolerance on the 40 h budget
         assert picks["x265"] == ("ultrafast", 1)
 
-    def test_s3_strict_budget_marks_x265_infeasible(self):
+    def test_s3_strict_budget_marks_x265_infeasible(self, monkeypatch):
         summaries = summaries_from_csv((DATA / "summary_s3.csv").read_text())
-        report = select_presets(
-            summaries, make_scenario("S3", budget_tolerance=0.0))
+        monkeypatch.setattr(scenario, "BUDGET_TOLERANCE", 0.0)
+        report = select_presets(summaries, make_scenario("S3"))
         assert report.selections["x265"] is None
+        assert report.rationale["x265"].startswith(
+            "infeasible: no config within 40 h (+0% tolerance)")
 
     def test_s2_over_s1_plus_s2_tables_matches_published_picks(self):
         summaries = (summaries_from_csv((DATA / "summary_s1.csv").read_text())
