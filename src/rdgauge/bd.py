@@ -44,6 +44,9 @@ point is reduced only inside ``aggregate_curves``, every rung of every
 group in one ``_aggregate`` call; its means sum each rung's reciprocals
 with ``np.bincount``, left to right in record order, so they equal a
 Python loop's to the bit.
+
+numpy is imported inside the functions that use it, so that importing
+this module (as ``rdgauge.cli`` does for every command) does not load it.
 """
 
 from __future__ import annotations
@@ -52,9 +55,7 @@ import csv
 import io
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     AggregationError,
@@ -65,6 +66,9 @@ from .errors import (
 )
 from .store import MetricRecord
 from .table import RecordTable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -113,6 +117,7 @@ def clean_curve(
     quality at no more rate; among equal qualities the lowest rate
     survives. The survivors are strictly increasing in both axes.
     """
+    import numpy as np
     pts = [(p.rate, p.quality) if isinstance(p, RDPoint)
            else (float(p[0]), float(p[1])) for p in points]
     rate = np.array([r for r, _ in pts], dtype=float)
@@ -144,6 +149,7 @@ def _clean(group: np.ndarray, groups: int, rate: np.ndarray,
     the quality of a lower rate, never is, so the first of equal points
     in input order is the one kept.
     """
+    import numpy as np
     order = np.argsort(group, kind="stable")
     g = group[order]
     count = np.bincount(group, minlength=groups)
@@ -199,19 +205,21 @@ def _curve(id: str, metric_kind: str, rates: np.ndarray,
 def _end_slopes(h0: np.ndarray, h1: np.ndarray, m0: np.ndarray,
                 m1: np.ndarray) -> np.ndarray:
     """Moler's one-sided three-point end slopes, kept shape-preserving."""
+    import numpy as np
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     sign = np.sign(m0)
     clamp = (sign != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
     return np.where(np.sign(d) != sign, 0.0, np.where(clamp, 3.0 * m0, d))
 
 
-_ENDS = np.array([0, -1])  # a row's first and last segment
-_NEXT = np.array([1, -2])  # the segment next to each of them
+_ENDS = [0, -1]  # a row's first and last segment
+_NEXT = [1, -2]  # the segment next to each of them
 
 
 def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Knot slopes of each row from its segment widths ``h`` and secant
     slopes ``m`` (rows x segments)."""
+    import numpy as np
     if m.shape[1] == 1:
         return np.concatenate([m, m], axis=1)
     w1 = 2.0 * h[:, 1:] + h[:, :-1]
@@ -243,6 +251,7 @@ def _pchip_tables(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     knot to each of its knots (rows x knots). Every element sees the same
     arithmetic as a row built alone, so stacking changes no bit.
     """
+    import numpy as np
     h = np.diff(x, axis=1)
     m = np.diff(y, axis=1) / h
     d = _pchip_slopes(h, m)
@@ -280,6 +289,7 @@ class CurveStack:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, n: np.ndarray):
+        import numpy as np
         self.n = n
         width = int(n.max()) if len(n) else 2
         self.x = np.full((len(n), width), np.inf)
@@ -301,6 +311,7 @@ class CurveStack:
                   hi: np.ndarray) -> np.ndarray:
         """Integral over [lo[k], hi[k]] of row ``rows[k]``, for bounds
         inside that row's knot span."""
+        import numpy as np
         rows = np.concatenate([rows, rows])
         v = np.concatenate([lo, hi])
         # each bound's segment: the count of its row's knots after the
@@ -330,6 +341,7 @@ def _bd(a: CurveStack, a_rows: np.ndarray, t: CurveStack,
     ``t``, their lo and hi, and the mean of t - a over [lo, hi]: the
     difference of the two integrals over the width.
     """
+    import numpy as np
     a_lo, a_hi = a.lo[a_rows], a.hi[a_rows]
     t_lo, t_hi = t.lo[t_rows], t.hi[t_rows]
     # a tie keeps the anchor's bound, so of 0.0 and -0.0 its sign wins
@@ -347,6 +359,7 @@ def _one_pair(anchor: RDCurve, test: RDCurve, what: str,
               over_rate: bool) -> tuple[float, float, float]:
     """``_bd`` of rows 0 and 1 of the pair's one stack: lo, hi and the
     mean of test - anchor."""
+    import numpy as np
     stack = _stacked([_clip_curves({anchor.id: anchor}),
                       _clip_curves({test.id: test})], over_rate)[0]
     ok, _, _, lo, hi, delta = _bd(stack, np.array([0]), stack, np.array([1]))
@@ -419,6 +432,7 @@ def _aggregate(table: RecordTable, rows: np.ndarray, group: np.ndarray,
     to right over the group's rows (``np.bincount``), as a Python loop's
     does.
     """
+    import numpy as np
     cols = table.columns
     rate = cols["kbps"][rows]
     quality, null = (c[rows] for c in _metric_column(table, metric_kind))
@@ -491,6 +505,7 @@ def aggregate_curve(
 
     This is the one-group case of ``aggregate_curves``.
     """
+    import numpy as np
     table = RecordTable.of(records)
     curve = aggregate_curves(table, np.zeros(len(table), dtype=np.intp), [0],
                              [id], ladder, metric_kind, method)[0]
@@ -520,6 +535,7 @@ def aggregate_curves(
     call; each cell's rows keep their table order, so each curve equals
     that of an ``aggregate_curve`` call on its group's rows to the bit.
     """
+    import numpy as np
     rungs, at = np.unique(np.array(ladder, dtype=float), return_inverse=True)
     wanted, slot = _slots(group, picks)
     target = table.columns["tbr_kbps"]
@@ -571,6 +587,7 @@ def aggregate_curves(
 def _slots(group: np.ndarray, picks: Sequence[int]) -> tuple:
     """The distinct picked groups, sorted, and the position among them of
     every group number (-1 for one not picked), indexed by group number."""
+    import numpy as np
     wanted = sorted(set(picks))
     size = max([int(group.max()) if len(group) else -1, *wanted]) + 1
     slot = np.full(size, -1, dtype=np.intp)
@@ -642,6 +659,7 @@ def curves_from_records(
     drops of the clips before it. This is the one-group case of
     ``curves_by_group``.
     """
+    import numpy as np
     table = RecordTable.of(records)
     return curves_by_group(table, np.zeros(len(table), dtype=np.intp), [0],
                            metric_kind)[0]
@@ -666,6 +684,7 @@ def curves_by_group(
     ``curves_from_records`` call per pick, and each curve equals its
     points to the bit.
     """
+    import numpy as np
     wanted, slot = _slots(group, picks)
     rows = np.flatnonzero(slot[group] >= 0)
     codes, names = table.columns["clip"][rows], table.tables["clip"]
@@ -734,6 +753,7 @@ def classic_bd_rate(
     per-clip value, the mean over clips in clip-id order and the union
     equal those of a ``bd_rate`` per clip.
     """
+    import numpy as np
     a = _clip_curves(anchor_curves)
     t = _clip_curves(test_curves)
     shared, mixed, values, lo, hi, a_n, t_n = _classic(
@@ -771,6 +791,7 @@ def classic_bd_rate_matrix(
     takes one pass), so memory stays bounded as the grid grows. Each
     value equals ``classic_bd_rate``'s to the bit.
     """
+    import numpy as np
     curves = [_clip_curves(c) for c in curves]
     i, j = np.nonzero(~np.eye(len(curves), dtype=bool))
     cells: list[list[Optional[float]]] = [
@@ -801,6 +822,7 @@ def _stacked(curves: Sequence[ClipCurves], over_rate: bool = False) -> tuple:
     fails raises DomainError). Also their metric kinds by stack row, and
     a configs x clips table of stack rows (-1 where a config lacks the
     clip), the clip ids numbered once, in sorted order."""
+    import numpy as np
     starts = np.cumsum([0] + [len(c) for c in curves]).tolist()
     rates = np.ones((starts[-1], max(c.rates.shape[1] for c in curves)))
     qualities = np.full(rates.shape, np.inf)
@@ -841,6 +863,7 @@ def _classic(stack: CurveStack, kinds: np.ndarray, table: np.ndarray,
     pair, pair by pair: their overlaps' lo and hi and their anchor's and
     test's knot counts.
     """
+    import numpy as np
     p, col = np.nonzero((table[i] >= 0) & (table[j] >= 0))
     shared = np.bincount(p, minlength=len(i))
     a_rows, t_rows = table[i[p], col], table[j[p], col]
@@ -864,6 +887,7 @@ def _classic(stack: CurveStack, kinds: np.ndarray, table: np.ndarray,
 
 def _clip_curves(curves: Mapping[str, RDCurve]) -> ClipCurves:
     """``curves`` as a ``ClipCurves``, padding a plain mapping's points."""
+    import numpy as np
     if isinstance(curves, ClipCurves):
         return curves
     ids = list(curves)

@@ -38,14 +38,15 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from . import kernels
 from .cpus import available_cpus
 from .errors import RdgaugeError, Y4MValidationError
 from .y4m import Y4MReader
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK = kernels.BLOCK
 
@@ -56,6 +57,7 @@ def _frame_energy(luma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The plane is padded to BLOCK multiples by edge replication in its
     own dtype; the grid is normalised by block area but not bit depth.
     """
+    import numpy as np
     h, w = luma.shape
     padded = np.pad(luma, ((0, (-h) % BLOCK), (0, (-w) % BLOCK)), mode="edge")
     return padded, kernels.block_energies(padded) / float(BLOCK * BLOCK)
@@ -68,6 +70,7 @@ def _change_energy(
 
     The planes hold integer samples.
     """
+    import numpy as np
     (plane, grid), (prev_plane, prev_grid) = cur, prev
     texture = np.abs(grid - prev_grid).mean()
     # max - min is |a - b| without unsigned wrap-around. A row sum
@@ -93,6 +96,7 @@ class ComplexityRecord:
 
     @property
     def clip_se(self) -> float:
+        import numpy as np
         return float(np.mean(self.frame_se))
 
     @property

@@ -12,11 +12,16 @@ samples. That exact comparison runs only on the few candidate blocks
 whose computed energy is small enough for them to be flat, not on every
 sample of the frame.
 ``python3 perfbench/run.py --workload complexity --trace 1`` times it.
+numpy is imported, and the DCT basis built, on first use.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK = 32
 # Block rows per strip: two float64 buffers of 32 * STRIP_ROWS * width
@@ -37,6 +42,7 @@ FLAT_SLACK_REL = 1e-9
 
 def dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II basis matrix (D @ D.T == I)."""
+    import numpy as np
     k = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     mat = np.cos(np.pi * (2 * j + 1) * k / (2 * n))
@@ -45,9 +51,16 @@ def dct_matrix(n: int) -> np.ndarray:
     return np.ascontiguousarray(mat)
 
 
-_DCT = dct_matrix(BLOCK)
-_DCT_T = np.ascontiguousarray(_DCT.T)
-_ONES = np.ones(BLOCK)
+@functools.cache
+def _basis() -> tuple:
+    """``(D, D.T, ones)`` for BLOCK: the DCT basis, its transpose as a
+    contiguous matrix and a vector of BLOCK ones, built on first use."""
+    import numpy as np
+    dct = dct_matrix(BLOCK)
+    arrays = dct, np.ascontiguousarray(dct.T), np.ones(BLOCK)
+    for a in arrays:  # shared by every caller
+        a.flags.writeable = False
+    return arrays
 
 
 def _column_chunks(m: np.ndarray) -> np.ndarray:
@@ -90,6 +103,8 @@ def block_energies(plane: np.ndarray) -> np.ndarray:
     Every coefficient is still one 32-term dot product in the same
     order, so the output is bit-identical to one GEMM per product.
     """
+    import numpy as np
+    dct, dct_t, ones = _basis()
     height, width = plane.shape
     nby, nbx = height // BLOCK, width // BLOCK
     out = np.empty((nby, nbx))
@@ -106,20 +121,20 @@ def block_energies(plane: np.ndarray) -> np.ndarray:
         xm, y = x.reshape(BLOCK, cols), y_buf[:n].reshape(BLOCK, cols)
         full = cols - cols % CHUNK
         if full:  # all full (BLOCK, CHUNK) column chunks in one call
-            np.matmul(_DCT, _column_chunks(xm[:, :full]),
+            np.matmul(dct, _column_chunks(xm[:, :full]),
                       out=_column_chunks(y[:, :full]))
         if full < cols:
-            np.matmul(_DCT, xm[:, full:], out=y[:, full:])
+            np.matmul(dct, xm[:, full:], out=y[:, full:])
         # coeffs[(k, block row, block col), l] is coefficient (k, l);
         # y and coeffs as (cols, BLOCK) matrices split at the same row
         yr, coeffs = y.reshape(-1, BLOCK), x_buf[:n].reshape(-1, BLOCK)
         if full:  # all full (CHUNK, BLOCK) row chunks in one call
-            np.matmul(yr[:full].reshape(-1, CHUNK, BLOCK), _DCT_T,
+            np.matmul(yr[:full].reshape(-1, CHUNK, BLOCK), dct_t,
                       out=coeffs[:full].reshape(-1, CHUNK, BLOCK))
         if full < cols:
-            np.matmul(yr[full:], _DCT_T, out=coeffs[full:])
+            np.matmul(yr[full:], dct_t, out=coeffs[full:])
         np.abs(coeffs, out=coeffs)
-        total = (coeffs @ _ONES).reshape(BLOCK, rows * nbx).sum(axis=0)
+        total = (coeffs @ ones).reshape(BLOCK, rows * nbx).sum(axis=0)
         dc = coeffs.reshape(BLOCK, rows * nbx, BLOCK)[0, :, 0]
         energy = (total - dc).reshape(rows, nbx)
         # ~(energy > bound) keeps NaN energies as candidates

@@ -187,6 +187,8 @@ def execute(
         vec[0] = binary
 
     output_path, passlog = job_paths(job, work_dir)
+    # only ffmpeg 2-pass commands are given the pass-log prefix
+    writes_passlog = any(passlog in vec for vec in commands)
 
     walls: list[float] = []
     with (_nvenc_lock if job.family == "nvenc-av1"
@@ -204,8 +206,9 @@ def execute(
                                f"{status}",
                     )
         finally:
-            for leftover in glob.glob(glob.escape(passlog) + "*"):
-                os.remove(leftover)
+            if writes_passlog:
+                for leftover in glob.glob(glob.escape(passlog) + "*"):
+                    os.remove(leftover)
 
     try:
         output_bytes = os.path.getsize(output_path)

@@ -26,8 +26,6 @@ import io
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import bd as bd_mod
 from .errors import AnalysisError, PlanError, RdgaugeError
 from .store import MetricRecord
@@ -133,6 +131,7 @@ class ConfigGroups:
     """
 
     def __init__(self, table: RecordTable):
+        import numpy as np
         cols, tables = table.columns, table.tables
         code = ((cols["family"].astype(np.int64) * len(tables["preset"])
                  + cols["preset"]) * len(tables["passes"]) + cols["passes"])
@@ -167,6 +166,7 @@ def summarize(groups: ConfigGroups, spec: ScenarioSpec) -> list[ConfigSummary]:
     Every gate is counted on the table's columns for all configs at
     once; each config's hours are summed left to right over its rows.
     """
+    import numpy as np
     cols, nulls = groups.table.columns, groups.table.nulls
     group, n = groups.group, len(groups.configs)
 
@@ -325,6 +325,7 @@ class ComparisonGrid:
 def records_for_config(groups: ConfigGroups, config: Config) -> RecordTable:
     """The records of one config, in input order; none for a config
     the store does not hold."""
+    import numpy as np
     g, = groups.numbers([config])
     return groups.table.take(np.flatnonzero(groups.group == g))
 

@@ -10,11 +10,12 @@ that builds each record only when one is read.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .store import FIELDS, MetricRecord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Columns by kind: integer codes into value lists, float64 numbers, and
 # the int64 byte count. The nullable ones carry a null mask.
@@ -65,6 +66,7 @@ class RecordTable(Sequence):
 
     def values(self, name: str) -> list:
         """Column ``name`` as Python values, None where null."""
+        import numpy as np
         column = self.columns[name].tolist()
         if name in self.tables:
             table = self.tables[name]
@@ -120,6 +122,7 @@ class RecordTable(Sequence):
 
 def from_rows(rows: Sequence[tuple]) -> RecordTable:
     """The table of MetricRecord field tuples, in their order."""
+    import numpy as np
     fields = list(zip(*rows)) if rows else [()] * len(FIELDS)
     columns, tables, nulls = {}, {}, {}
     for name in CODED:
@@ -140,6 +143,7 @@ def from_rows(rows: Sequence[tuple]) -> RecordTable:
 
 def from_buffers(buffers: tuple) -> RecordTable:
     """The table that ``RecordTable.buffers`` gave, over those bytes."""
+    import numpy as np
     tables, columns, nulls = buffers
     return RecordTable(
         {name: np.frombuffer(raw, _DTYPES[name])

@@ -3,8 +3,10 @@
 Only progressive 4:2:0 at 8 or 10 bit is supported, which covers the
 benchmark corpus. Frames are planar numpy arrays; 10-bit samples travel
 as little-endian 16-bit words. Reading is streaming, one frame at a
-time, so multi-GB 4K clips never get buffered whole. rdgauge writes no
-Y4M: its clips come from elsewhere and the encoders read them directly.
+time, so multi-GB 4K clips never get buffered whole. numpy is imported
+when a frame is read: parsing a header or probing a clip never loads
+it. rdgauge writes no Y4M: its clips come from elsewhere and the
+encoders read them directly.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import os
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Optional, Union
 
 from .errors import (
     IncompleteFrameError,
@@ -24,6 +24,9 @@ from .errors import (
     Y4MUnsupportedError,
     Y4MValidationError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +98,7 @@ class VideoHeader:
 
     @property
     def dtype(self) -> np.dtype:
+        import numpy as np
         return np.dtype("u1") if self.bit_depth == 8 else np.dtype("<u2")
 
     @property
@@ -252,6 +256,7 @@ def read_frame(stream: BinaryIO, header: VideoHeader) -> Optional[Frame]:
         raise IncompleteFrameError(
             f"frame payload truncated: {len(payload)} of {size} bytes")
 
+    import numpy as np
     samples = np.frombuffer(payload, dtype=header.dtype)
     ny = header.width * header.height
     nc = header.chroma_width * header.chroma_height

@@ -548,6 +548,41 @@ class TestComplexityCommand:
         assert re.fullmatch(r"c2: error: frame payload truncated: .*\n", err)
         assert len(rows.splitlines()) == 4
 
+    def test_fresh_process_matches_in_process(self, tmp_path, monkeypatch,
+                                              capsys):
+        """A one-shot ``rdgauge complexity`` imports numpy for the first
+        time on the clip pool's two threads; its output bytes are those
+        of a run in this process, where numpy is loaded already."""
+        clips_dir = tmp_path / "clips"
+        clips_dir.mkdir()
+        for n, size in enumerate([(64, 32), (96, 64)]):
+            header = make_header(*size)
+            write_clip(header, synthetic_clip(header, 3, seed=n),
+                       clips_dir / f"c{n}.y4m")
+        expected = self._run_with_cpus(monkeypatch, capsys, clips_dir,
+                                       tmp_path / "here", 2)
+        work = tmp_path / "fresh"
+        work.mkdir()
+        rows, scatter = work / "cx.jsonl", work / "scatter.csv"
+        script = """
+import sys
+from rdgauge import cli, complexity
+assert "numpy" not in sys.modules
+complexity.available_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "complexity", "--clips-dir",
+             str(clips_dir), "--out", str(rows), "--scatter-csv",
+             str(scatter)], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr, rows.read_bytes(),
+                scatter.read_bytes()) == expected
+        assert expected[0] == 0 and len(expected[3].splitlines()) == 2
+
     def test_unexpected_error_cancels_clips_not_started(self, tmp_path,
                                                         monkeypatch, capsys):
         names = [f"c{n}" for n in range(1, 7)]
@@ -802,13 +837,44 @@ class TestEnvironmentErrors:
         assert not (tmp_path / "s.jsonl").exists()
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(tmp_path):
+    """The start-up contract: ``import rdgauge.cli`` and the array-free
+    commands (``plan``, ``import``, ``--help``, a usage error) load
+    neither numpy nor scipy, and no rdgauge module imported alone loads
+    numpy; the array modules import it on first use."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    subprocess.run(
-        [sys.executable, "-c",
-         "import rdgauge.cli, sys; assert 'scipy' not in sys.modules"],
-        env={**os.environ, "PYTHONPATH": path}, check=True)
+    script = f"""
+import importlib, pkgutil, sys
+
+def check(what):
+    loaded = [m for m in ("numpy", "scipy") if m in sys.modules]
+    assert not loaded, f"{{what}} loaded {{loaded}}"
+
+import rdgauge.cli
+check("import rdgauge.cli")
+from rdgauge.cli import main
+assert main(["plan", "--clips", "a", "--show", "1"]) == 0
+check("plan")
+assert main(["import", "--csv", {str(DATA / "toolsweep_table.csv")!r},
+             "--store", {str(tmp_path / "s.jsonl")!r}, "--family",
+             "svt-av1", "--preset", "10", "--passes", "1",
+             "--tbr", "4000"]) == 0
+check("import")
+for argv, code in ((["--help"], 0), (["grid"], 1)):
+    assert main(argv) == code, argv
+    check(" ".join(argv))
+import rdgauge
+for info in pkgutil.iter_modules(rdgauge.__path__):
+    for name in [n for n in sys.modules if n.startswith("rdgauge.")]:
+        del sys.modules[name]
+    importlib.import_module("rdgauge." + info.name)
+    check("import rdgauge." + info.name)
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_grid_and_curves_do_not_load_numpy_ma(tmp_path):

@@ -61,6 +61,7 @@ def _reference_block_energies(plane):
     GEMM over the whole strip, then an exact comparison of every sample
     with its block's first one.
     """
+    dct, dct_t, ones = kernels._basis()
     height, width = plane.shape
     nby, nbx = height // 32, width // 32
     out = np.empty((nby, nbx))
@@ -70,11 +71,11 @@ def _reference_block_energies(plane):
         x = np.empty((32, rows, width))
         np.copyto(x, strip.reshape(rows, 32, width).transpose(1, 0, 2))
         y = np.empty((32, rows * width))
-        np.matmul(kernels._DCT, x.reshape(32, rows * width), out=y)
+        np.matmul(dct, x.reshape(32, rows * width), out=y)
         coeffs = x.reshape(-1, 32)
-        np.matmul(y.reshape(-1, 32), kernels._DCT_T, out=coeffs)
+        np.matmul(y.reshape(-1, 32), dct_t, out=coeffs)
         np.abs(coeffs, out=coeffs)
-        total = (coeffs @ kernels._ONES).reshape(32, rows * nbx).sum(axis=0)
+        total = (coeffs @ ones).reshape(32, rows * nbx).sum(axis=0)
         dc = coeffs.reshape(32, rows * nbx, 32)[0, :, 0]
         energy = (total - dc).reshape(rows, nbx)
         blocks = strip.reshape(rows, 32, nbx, 32)

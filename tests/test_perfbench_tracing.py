@@ -1,32 +1,47 @@
 """The traced benchmark wraps rdgauge functions by name, so each of its
 targets must still exist where it looks for it."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-import rdgauge.cli  # noqa: F401  (imports every module the tracer wraps)
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+def test_tracer_wraps_every_target():
+    """In a fresh interpreter, in the benchmark worker's order: import
+    ``rdgauge.cli``, run one ``plan``, then install the tracer. Every
+    module the tracer wraps must be loaded by then, so a module that
+    ``cli`` stops importing at module level fails here."""
+    script = f"""
+import sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+from rdgauge import cli
+import tracing
+assert cli.main(["plan", "--clips", "a", "--show", "1"]) == 0
 
-def test_tracer_wraps_every_target(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import tracing
-    assert Path(tracing.__file__).parent == PERFBENCH
+def current(target):
+    module, name = target
+    return getattr(sys.modules[f"rdgauge.{{module}}"], name)
 
-    def current(target):
-        module, name = target
-        return getattr(sys.modules[f"rdgauge.{module}"], name)
-
-    originals = {target: current(target) for target in tracing.TARGETS}
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        for target, original in originals.items():
-            assert current(target).__wrapped__ is original, target
-    finally:
-        tracer.uninstall()
-    assert all(current(t) is original for t, original in originals.items())
+originals = {{target: current(target) for target in tracing.TARGETS}}
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    for target, original in originals.items():
+        assert current(target).__wrapped__ is original, target
+finally:
+    tracer.uninstall()
+assert all(current(t) is original for t, original in originals.items())
+"""
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_traced_analysis_commands_fill_every_hook(monkeypatch, tmp_path,

@@ -780,3 +780,30 @@ def test_passlog_removed_whether_the_passes_succeed_or_fail(
     assert outcome.status == ("ok" if fail_pass == 0 else "failed")
     assert len(outcome.wall_seconds) == (fail_pass or 2)
     assert not list(work.glob("*.log*"))
+
+
+@pytest.mark.parametrize("family,passes", [
+    ("x264", 1), ("svt-av1", 1), ("svt-av1", 2)])
+def test_jobs_without_a_pass_log_do_not_list_the_work_dir(
+        fake_bin, small_clip, tmp_path, monkeypatch, family, passes):
+    """Only a command given the pass-log prefix can leave pass logs, so
+    no other job lists the work directory to clean them up."""
+    work = tmp_path / "w"
+    listed = []
+    scandir, listdir = os.scandir, os.listdir
+
+    def spy(real):
+        def wrapper(path=".", *args):
+            listed.append(Path(os.fsdecode(path)).resolve())
+            return real(path, *args)
+        return wrapper
+
+    monkeypatch.setattr(os, "scandir", spy(scandir))
+    monkeypatch.setattr(os, "listdir", spy(listdir))
+    outcome = runner.execute(
+        _job(small_clip, family=family, preset="8" if family == "svt-av1"
+             else "ultrafast", passes=passes),
+        work_dir=work, bin_dir=fake_bin)
+    monkeypatch.undo()
+    assert outcome.status == "ok", outcome.reason
+    assert work.resolve() not in listed
