@@ -24,6 +24,7 @@ import functools
 import glob
 import json
 import logging
+import math
 import os
 import shutil
 import struct
@@ -298,27 +299,48 @@ def run_plan(
 
 
 def parse_vmaf_log(text: str) -> tuple[float, float, int]:
-    """Pooled mean VMAF, mean PSNR-Y and frame count from a JSON metric log."""
+    """Pooled mean VMAF, mean PSNR-Y and frame count from a JSON metric log.
+
+    Raises MetricParseError when the log is not a JSON object, a mean is
+    missing or not a finite number, or ``frames`` is not a list.
+    """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise MetricParseError(f"metric log is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MetricParseError("metric log is not a JSON object")
     pooled = data.get("pooled_metrics")
     if not isinstance(pooled, dict):
         raise MetricParseError("metric log is missing the pooled_metrics section")
-    try:
-        vmaf = float(pooled["vmaf"]["mean"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MetricParseError("pooled vmaf mean missing") from exc
-    psnr = None
-    for key in ("psnr_y", "psnr"):
-        if key in pooled and isinstance(pooled[key], dict) and "mean" in pooled[key]:
-            psnr = float(pooled[key]["mean"])
-            break
+    vmaf = _pooled_mean(pooled, "vmaf")
+    if vmaf is None:
+        raise MetricParseError("pooled vmaf mean missing")
+    psnr = _pooled_mean(pooled, "psnr_y")
+    if psnr is None:
+        psnr = _pooled_mean(pooled, "psnr")
     if psnr is None:
         raise MetricParseError("pooled psnr_y mean missing")
-    n_frames = len(data.get("frames", []))
-    return vmaf, psnr, n_frames
+    frames = data.get("frames", [])
+    if not isinstance(frames, list):
+        raise MetricParseError("metric log's frames is not a list")
+    return vmaf, psnr, len(frames)
+
+
+def _pooled_mean(pooled: dict, name: str) -> Optional[float]:
+    """The pooled mean of metric ``name``, or None when the log has none."""
+    entry = pooled.get(name)
+    if not isinstance(entry, dict) or "mean" not in entry:
+        return None
+    mean = entry["mean"]
+    try:
+        value = float(mean) if type(mean) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise MetricParseError(
+            f"pooled {name} mean is not a finite number: {json.dumps(mean)}")
+    return value
 
 
 def measure_quality(
@@ -351,6 +373,8 @@ def measure_quality(
             os.remove(log_path)
         except OSError:
             pass
+    if not 0.0 <= vmaf <= 100.0:
+        raise MetricError(f"VMAF {vmaf} is outside [0, 100]")
     if expected_frames is not None and not n_frames:
         log.warning("metric log for %s lists no frames; frame count not "
                     "verified against the source's %d", encoded,

@@ -12,7 +12,7 @@ record (re-runs supersede).
 repeat load parses only the lines appended since. The index holds the
 keep-latest state of the store's first n bytes as the table's columns,
 in load order, with n, their line count and a sha256 digest of them
-(index format 3). It is a cache and is never trusted over the JSONL:
+(index format 4). It is a cache and is never trusted over the JSONL:
 when the store was rewritten, truncated or replaced, or the index is
 missing, corrupt or from another index format or marshal version,
 ``load`` parses the whole store and returns the same records it would
@@ -22,6 +22,26 @@ advances only when a load parsed every such line and the store ends in
 a newline (and holds no lone CR), so after a crashed append each load
 parses the lines since the last good index until the line is
 completed or fails as a malformed line.
+
+A load that verified the whole store, and found it settled, also
+records the store's fingerprint in the index: its device, inode, size,
+mtime and ctime, from ``fstat`` on the descriptor it read, taken before
+the read. A store is settled when its ctime is at least
+``_SETTLE_NS`` (2 s, FAT's timestamp granularity) older than the clock
+read before that ``fstat``, so no later write can land in the same
+timestamp tick. A load whose ``stat`` of the store matches the
+fingerprint exactly returns the indexed table without reading or
+hashing the store; it still checks the index's own digest. Any other
+load reads the store and hashes the covered prefix, and a load that so
+finds the whole store covered and settled, without a matching
+fingerprint, rewrites the index once to record it. Creating, writing,
+truncating, renaming, ``chmod`` and ``utime`` each set a file's ctime
+to the current clock, and no system call sets it to a chosen value, so
+any change to the store, or a file renamed over it, makes the next load
+hash again. The one change this misses is an edit of the same size made
+after the clock was stepped back so far that the edit's ctime equals
+the recorded one to the nanosecond.
+
 ``load`` writes the index to a temporary file in the same directory and
 renames it over the old one, so no reader sees half of it; a failed
 write is logged and changes no result. ``load`` never writes the
@@ -40,6 +60,7 @@ import os
 import stat
 import struct
 import tempfile
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -60,8 +81,10 @@ FIELDS = ("clip", "family", "preset", "passes", "tbr_kbps", "kbps", "vmaf",
 
 _INDEX_HEADER = struct.Struct("<4sHH")  # magic, index format, marshal version
 _INDEX_MAGIC = b"RDGI"
-_INDEX_FORMAT = 3
+_INDEX_FORMAT = 4
 _DIGEST_SIZE = 32
+# A store whose ctime is this much older than the clock is settled.
+_SETTLE_NS = 2_000_000_000
 
 # Errors that make a line malformed rather than the store unreadable.
 _LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError,
@@ -98,6 +121,11 @@ class MetricRecord:
             raise StoreValidationError("clip, family and preset must be non-empty")
         if self.passes not in (1, 2):
             raise StoreValidationError(f"passes must be 1 or 2, got {self.passes}")
+        for name in ("target_kbps", "measured_kbps", "encode_seconds"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise StoreValidationError(
+                    f"{name} must be finite, got {value}")
         if not (self.target_kbps > 0):
             raise StoreValidationError(f"target_kbps must be > 0, got {self.target_kbps}")
         if not (self.measured_kbps > 0):
@@ -144,6 +172,8 @@ def _fields(row: dict) -> tuple:
         value = fields[k]
         if type(value) not in types:
             raise TypeError(f"{name} must be {what}, got {json.dumps(value)}")
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {json.dumps(value)}")
         if type(value) is int and not -_INT_LIMIT <= value < _INT_LIMIT:
             raise ValueError(f"{name} out of range, got {value}")
     return fields
@@ -183,36 +213,68 @@ def load(path: Union[str, Path]) -> RecordTable:
 
     A malformed trailing line is assumed to be a crashed write and is
     skipped with a warning; a malformed line anywhere else is an error.
-    Lines already covered by the store's index are not parsed again
-    (see the module docstring).
+    Lines already covered by the store's index are not parsed again,
+    and a settled store that has not changed since its index recorded
+    its fingerprint is not read at all (see the module docstring).
     """
+    from .table import from_buffers
+
     path = Path(path)
-    if not path.exists():
+    try:
+        seen = _fingerprint(os.stat(path))
+    except FileNotFoundError:
         return _state({})
-    data = path.read_bytes()
-    size, lines, table = _read_index(path, data)
+    size, digest, lines, recorded, packed = _read_index(path)
+    if recorded == seen:
+        return from_buffers(packed)
+    now = time.time_ns()
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        data = f.read()
+    settled = (len(data) == st.st_size
+               and now - st.st_ctime_ns >= _SETTLE_NS)
+    fingerprint = _fingerprint(st) if settled else None
+    if packed is not None and (
+            size > len(data) or _digest(memoryview(data)[:size]) != digest):
+        log.info("%s changed within its first %d bytes; parsing it in full",
+                 path, size)
+        packed = None
+    if packed is None:
+        size, lines, table = 0, 0, _state({})
+    else:
+        table = from_buffers(packed)
     if size < len(data):
-        table = _load_tail(path, data, size, lines, table)
+        return _load_tail(path, data, size, lines, table, fingerprint)
+    if data and fingerprint is not None and recorded != fingerprint:
+        _write_index(path, data, lines, table, fingerprint)
     return table
 
 
+def _fingerprint(st: os.stat_result) -> tuple:
+    """What identifies a file's content, as the kernel keeps it."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
 def _load_tail(path: Path, data: bytes, start: int, first: int,
-               table: "RecordTable") -> "RecordTable":
+               table: "RecordTable",
+               fingerprint: Optional[tuple]) -> "RecordTable":
     """Fold the lines from byte ``start``, the first of them line
     ``first``, into the keep-latest ``table`` of the lines before.
 
-    Each line is parsed on its own. A malformed line is an error, except
-    a malformed last line, which a crashed append leaves and which is
-    skipped with a warning. The index is rewritten only when every line
-    parsed, the data ends in a newline and no line ends in a lone CR.
+    Each line is decoded and parsed on its own. A malformed line, one
+    that is not UTF-8 included, is an error, except a malformed last
+    line, which a crashed append leaves and which is skipped with a
+    warning. The index is rewritten, with ``fingerprint``, only when
+    every line parsed, the data ends in a newline and no line ends in a
+    lone CR.
     """
-    text = data[start:].decode("utf-8")
+    chunk = data[start:]
     lone_cr = False
-    if "\r" in text:  # universal newlines, as a text-mode read gives
-        lone_cr = text.count("\r") != text.count("\r\n")
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
+    if b"\r" in chunk:  # universal newlines, as a text-mode read gives
+        lone_cr = chunk.count(b"\r") != chunk.count(b"\r\n")
+        chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = chunk.split(b"\n")
+    if lines[-1] == b"":
         lines.pop()
 
     # Every line here follows every line of the table, so a tie on
@@ -222,7 +284,7 @@ def _load_tail(path: Path, data: bytes, start: int, first: int,
     for k, line in enumerate(lines):
         i = first + k
         try:
-            row = _fields(json.loads(line))
+            row = _fields(json.loads(line.decode("utf-8")))
         except _LINE_ERRORS as exc:
             if k < len(lines) - 1:
                 raise StoreLoadError(
@@ -237,7 +299,7 @@ def _load_tail(path: Path, data: bytes, start: int, first: int,
 
     table = _state(latest)
     if whole and data.endswith(b"\n") and not lone_cr:
-        _write_index(path, data, first + len(lines), table)
+        _write_index(path, data, first + len(lines), table, fingerprint)
     return table
 
 
@@ -263,10 +325,11 @@ def _digest(data) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _read_index(path: Path, data: bytes) -> tuple[int, int, "RecordTable"]:
-    """(covered bytes, covered lines, table) from a valid index of
-    ``data``, else zeros and an empty table."""
-    nothing = (0, 0, _state({}))
+def _read_index(path: Path) -> tuple:
+    """(covered bytes, their digest, covered lines, store fingerprint or
+    None, table buffers) from a valid index of the store, else zeros and
+    Nones."""
+    nothing = (0, None, 0, None, None)
     idx = index_path(path)
     try:
         blob = idx.read_bytes()
@@ -289,22 +352,16 @@ def _read_index(path: Path, data: bytes) -> tuple[int, int, "RecordTable"]:
     if blob[head:head + _DIGEST_SIZE] != _digest(body):
         log.warning("ignoring store index %s: digest mismatch", idx)
         return nothing
-    size, digest, lines, packed = marshal.loads(body)
-    if size > len(data) or _digest(memoryview(data)[:size]) != digest:
-        log.info("%s changed within its first %d bytes; parsing it in full",
-                 path, size)
-        return nothing
-    from .table import from_buffers
-
-    return size, lines, from_buffers(packed)
+    return marshal.loads(body)
 
 
-def _write_index(path: Path, covered, lines: int,
-                 table: "RecordTable") -> None:
-    """Atomically replace the index with the table of the covered lines."""
+def _write_index(path: Path, covered, lines: int, table: "RecordTable",
+                 fingerprint: Optional[tuple] = None) -> None:
+    """Atomically replace the index with the table of the covered lines
+    and, when they are the whole settled store, its fingerprint."""
     # Marshal format 2 writes no back-references, which the column bytes
     # and value lists do not need.
-    body = marshal.dumps((len(covered), _digest(covered), lines,
+    body = marshal.dumps((len(covered), _digest(covered), lines, fingerprint,
                           table.buffers()), 2)
     blob = (_INDEX_HEADER.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version)
             + _digest(body) + body)
@@ -340,9 +397,10 @@ def import_table(
 
     Each row becomes a record under the synthetic clip id
     ``clip_prefix + label``. Encode time may be missing. Returns the
-    number of records appended.
+    number of records appended. A bad row raises StoreImportError
+    before any row is appended.
     """
-    count = 0
+    records = []
     for row in rows:
         if len(row) < 4:
             raise StoreImportError(f"row too short: {row!r}")
@@ -361,11 +419,10 @@ def import_table(
                 encode_seconds=None if enc_s in (None, "") else float(enc_s),
                 tool_version="imported",
             )
-        except (TypeError, ValueError) as exc:
+            rec.validate()
+        except (TypeError, ValueError, StoreValidationError) as exc:
             raise StoreImportError(f"bad row {row!r}: {exc}") from exc
-        try:
-            append(path, rec)
-        except StoreValidationError as exc:
-            raise StoreImportError(f"bad row {row!r}: {exc}") from exc
-        count += 1
-    return count
+        records.append(rec)
+    for rec in records:
+        append(path, rec)
+    return len(records)

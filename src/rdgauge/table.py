@@ -2,8 +2,8 @@
 
 ``store.load`` returns a ``RecordTable``. The string fields, and
 ``passes``, are int32 codes into value lists; the numbers are float64
-with a null mask (a null is not NaN: a NaN read from the store stays a
-NaN); ``bytes`` is int64. A table is also a ``Sequence[MetricRecord]``
+with a null mask (the store holds no NaN, and a null reads as NaN under
+its mask); ``bytes`` is int64. A table is also a ``Sequence[MetricRecord]``
 that builds each record only when one is read.
 """
 

@@ -204,6 +204,18 @@ class TestImportAndScenario:
         assert "no 'psnr_y' column" in capsys.readouterr().err
         assert not (tmp_path / "s.jsonl").exists()
 
+    @pytest.mark.parametrize("kbps", ["inf", "1e400", "nan"])
+    def test_import_refuses_a_non_finite_rate(self, tmp_path, capsys, kbps):
+        table = tmp_path / "t.csv"
+        table.write_text(f"label,kbps,vmaf,psnr_y\ncfg,1000,90,40\n"
+                         f"odd,{kbps},90,40\n")
+        rc = main(["import", "--csv", str(table), "--store",
+                   str(tmp_path / "s.jsonl"), "--family", "x264",
+                   "--preset", "medium", "--passes", "1", "--tbr", "4000"])
+        assert rc == 2
+        assert "measured_kbps must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
+
     @pytest.mark.parametrize("family,preset", [("x:y", "z"), ("x", "y:z")])
     def test_import_refuses_a_config_no_command_can_name(
             self, tmp_path, capsys, family, preset):
@@ -234,7 +246,8 @@ class TestImportAndScenario:
         ["scenario", "--id", "S1"],
         ["curves", "--config", "x264:medium:1", "--per-clip"],
         ["curves", "--config", "x264:medium:1"]])
-    @pytest.mark.parametrize("field,value", [("kbps", None), ("vmaf", "91.5")])
+    @pytest.mark.parametrize("field,value", [("kbps", None), ("vmaf", "91.5"),
+                                             ("kbps", float("inf"))])
     def test_wrong_typed_measurement_is_data_error(self, tmp_path, capsys,
                                                    command, field, value):
         store_path = tmp_path / "s.jsonl"
@@ -247,6 +260,19 @@ class TestImportAndScenario:
         rc = main([*command, "--store", str(store_path)])
         assert rc == 2
         assert (f"malformed line 2: {field} must be"
+                in capsys.readouterr().err)
+
+
+    def test_non_utf8_line_is_data_error(self, tmp_path, capsys):
+        store_path = tmp_path / "s.jsonl"
+        _fill_store(store_path)
+        lines = store_path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"x264', b'"x\xe9264', 1)
+        store_path.write_bytes(b"".join(lines))
+        rc = main(["curves", "--config", "x264:medium:1",
+                   "--store", str(store_path)])
+        assert rc == 2
+        assert ("malformed line 2: 'utf-8' codec can't decode byte 0xe9"
                 in capsys.readouterr().err)
 
 

@@ -18,8 +18,9 @@ from rdgauge.errors import MetricError, MetricParseError, MissingBinaryError
 # Logs every call but the version probe, and copies the file named
 # stderr, when there is one, to stderr. A libvmaf call writes
 # vmaf.json to its log_path, or fails when its arguments contain the
-# text in vmaf_fail. An encode writes the bytes of the file named
-# output when there is one, else 10000 zero bytes.
+# text in vmaf_fail; when they contain the first line of vmaf_odd, it
+# writes the rest of vmaf_odd instead. An encode writes the bytes of the
+# file named output when there is one, else 10000 zero bytes.
 FAKE_FFMPEG = """#!/bin/sh
 dir="$(dirname "$0")"
 [ $# -le 1 ] && exit 0  # version probe, write nothing
@@ -37,6 +38,14 @@ if [ -n "$log" ]; then
     case "$*" in
       *"$bad"*) echo "simulated libvmaf failure" >&2; exit 1 ;;
     esac
+  fi
+  if [ -e "$dir/vmaf_odd" ]; then
+    {
+      read -r odd
+      case "$*" in
+        *"$odd"*) cat > "$log"; exit 0 ;;
+      esac
+    } < "$dir/vmaf_odd"
   fi
   cat "$dir/vmaf.json" > "$log"
   exit 0
@@ -397,6 +406,18 @@ class TestParseVmafLog:
         with pytest.raises(MetricParseError):
             runner.parse_vmaf_log("VMAF score: 91.495")
 
+    @pytest.mark.parametrize("text,reason", [
+        ('{"pooled_metrics": {"vmaf": {"mean": 1%s}}}' % ("0" * 400),
+         "pooled vmaf mean is not a finite number: 1" + "0" * 400),
+        ('{"pooled_metrics": {"vmaf": {"mean": 1%s}}}' % ("0" * 5000),
+         "metric log is not valid JSON: Exceeds the limit"),
+        ('{"pooled_metrics": {"vmaf": {"mean": true}}}',
+         "pooled vmaf mean is not a finite number: true")],
+        ids=["beyond-float", "too-many-digits", "bool"])
+    def test_mean_that_is_no_finite_number(self, text, reason):
+        with pytest.raises(MetricParseError, match=f"^{reason}"):
+            runner.parse_vmaf_log(text)
+
     def test_missing_psnr(self):
         log = {"pooled_metrics": {"vmaf": {"mean": 90.0}}}
         with pytest.raises(MetricParseError):
@@ -613,6 +634,48 @@ def test_metric_failure_fails_only_its_job(fake_bin, small_clip, tmp_path,
     assert failed == [
         "FAILED clip_x264_medium_1p_200k: quality measurement failed: "
         "metric tool failed: simulated libvmaf failure"]
+    records = {r.target_kbps: r for r in store.load(tmp_path / "s.jsonl")}
+    assert sorted(records) == [100.0, 200.0, 300.0]
+    assert records[200.0].vmaf is None and records[200.0].psnr_y is None
+    assert records[200.0].measured_kbps == pytest.approx(40.0)
+    assert records[100.0].vmaf == records[300.0].vmaf == pytest.approx(91.495)
+
+
+def _log_with(pooled=None, **top):
+    """The fixture metric log, its pooled metrics updated by ``pooled``
+    and its top level by ``top``."""
+    return json.dumps({**VMAF_LOG, **top, "pooled_metrics": {
+        **VMAF_LOG["pooled_metrics"], **(pooled or {})}})
+
+
+@pytest.mark.parametrize("log,reason", [
+    ("[]", "metric log is not a JSON object"),
+    (_log_with({"vmaf": {"mean": "x"}}),
+     'pooled vmaf mean is not a finite number: "x"'),
+    (_log_with({"psnr_y": {"mean": "x"}}),
+     'pooled psnr_y mean is not a finite number: "x"'),
+    (_log_with({"vmaf": {"mean": float("nan")}}),
+     "pooled vmaf mean is not a finite number: NaN"),
+    (_log_with({"psnr_y": {"mean": float("inf")}}),
+     "pooled psnr_y mean is not a finite number: Infinity"),
+    (_log_with(frames=3), "metric log's frames is not a list"),
+    (_log_with({"vmaf": {"mean": 100.5}}), "VMAF 100.5 is outside [0, 100]"),
+    (_log_with({"vmaf": {"mean": -1}}), "VMAF -1.0 is outside [0, 100]")],
+    ids=["array", "vmaf-string", "psnr-string", "vmaf-nan", "psnr-inf",
+         "frames-number", "vmaf-above-100", "vmaf-below-0"])
+def test_bad_metric_log_fails_only_its_job(fake_bin, small_clip, tmp_path,
+                                            capsys, log, reason):
+    (fake_bin / "vmaf_odd").write_text(f"_200k.mp4\n{log}")
+    rc = _encode(["--families", "x264", "--presets", "medium",
+                  "--passes", "1", "--ladder", "100,200,300",
+                  "--jobs", "1", "--with-vmaf"], small_clip, fake_bin,
+                 tmp_path)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "encoded: 2 ok, 1 failed, 0 skipped" in captured.out
+    assert captured.err.splitlines() == [
+        f"FAILED clip_x264_medium_1p_200k: quality measurement failed: "
+        f"{reason}"]
     records = {r.target_kbps: r for r in store.load(tmp_path / "s.jsonl")}
     assert sorted(records) == [100.0, 200.0, 300.0]
     assert records[200.0].vmaf is None and records[200.0].psnr_y is None

@@ -5,8 +5,10 @@ import marshal
 import math
 import os
 import re
+import stat
 import struct
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -471,7 +473,7 @@ class TestIndex:
         assert got == _reference_load(tmp_store)
         assert [r.clip_id for r in got] == ["c0", "c1", "c2", "whole"]
         data = tmp_store.read_bytes()
-        assert store._read_index(tmp_store, data)[0] == len(data)
+        assert store._read_index(tmp_store)[0] == len(data)
 
     @pytest.mark.parametrize("layout", [
         "crlf", "lone-cr", "mixed-cr", "padded",
@@ -511,16 +513,20 @@ class TestIndex:
                                                                tmp_store)
 
 
-def _write_old_index(path, fmt, body):
-    """An index of format ``fmt`` over ``body``, with blake2b digests as
-    formats 1 and 2 kept them."""
+def _write_old_index(path, fmt, body, digest=None):
+    """An index of format ``fmt`` over ``body``, with the digest formats
+    1 and 2 kept (blake2b) unless ``digest`` is given."""
     store.index_path(path).write_bytes(
-        struct.pack("<4sHH", b"RDGI", fmt, marshal.version) + _blake2b(body)
-        + body)
+        struct.pack("<4sHH", b"RDGI", fmt, marshal.version)
+        + (digest or _blake2b)(body) + body)
 
 
 def _blake2b(data):
     return hashlib.blake2b(data, digest_size=32).digest()
+
+
+def _sha256(data):
+    return hashlib.sha256(data).digest()
 
 
 def _format_1_index(path):
@@ -545,6 +551,18 @@ def _format_2_index(path):
         (len(data), _blake2b(data), data.count(b"\n"), table.buffers()), 2))
 
 
+def _format_3_index(path):
+    """The index a format-3 loader wrote for ``path``: the table's column
+    buffers under sha256 digests, with no store fingerprint."""
+    from rdgauge.table import RecordTable
+
+    data = path.read_bytes()
+    table = RecordTable.from_records(_reference_load(path))
+    _write_old_index(path, 3, marshal.dumps(
+        (len(data), _sha256(data), data.count(b"\n"), table.buffers()), 2),
+        _sha256)
+
+
 def test_format_1_index_falls_back_and_is_rewritten(tmp_store, caplog):
     _fill(tmp_store, 4)
     _format_1_index(tmp_store)
@@ -557,15 +575,21 @@ def test_format_2_index_falls_back_and_is_rewritten(tmp_store, caplog):
     _check_old_index_is_rewritten(tmp_store, caplog, 2)
 
 
+def test_format_3_index_falls_back_and_is_rewritten(tmp_store, caplog):
+    _fill(tmp_store, 4)
+    _format_3_index(tmp_store)
+    _check_old_index_is_rewritten(tmp_store, caplog, 3)
+
+
 def _check_old_index_is_rewritten(tmp_store, caplog, fmt):
     with caplog.at_level("WARNING"):
         got = store.load(tmp_store)
     assert got == _reference_load(tmp_store)
     assert any("ignoring store index" in r.message
-               and f"format {fmt}" in r.message and "want 3" in r.message
+               and f"format {fmt}" in r.message and "want 4" in r.message
                for r in caplog.records)
     head = store.index_path(tmp_store).read_bytes()[:8]
-    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 3)
+    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 4)
     caplog.clear()
     with caplog.at_level("WARNING"):
         assert store.load(tmp_store) == got
@@ -609,6 +633,55 @@ def test_infinite_passes_is_a_malformed_line(tmp_store):
     with pytest.raises(StoreLoadError, match="malformed line 2: cannot "
                        "convert float infinity to integer"):
         store.load(tmp_store)
+
+
+@pytest.mark.parametrize("field", ["tbr_kbps", "kbps", "vmaf", "psnr_y",
+                                   "enc_s"])
+@pytest.mark.parametrize("text,shown", [
+    ("Infinity", "Infinity"), ("-Infinity", "-Infinity"), ("NaN", "NaN"),
+    ("1e400", "Infinity")])
+def test_non_finite_number_is_a_malformed_line(tmp_store, field, text, shown):
+    line = json.dumps({**_LINE, "clip": "b", field: 0.5}).replace(
+        f'"{field}": 0.5', f'"{field}": {text}')
+    tmp_store.write_text(json.dumps(_LINE) + "\n" + line + "\n"
+                         + json.dumps(_LINE) + "\n")
+    with pytest.raises(StoreLoadError, match=(
+            f"malformed line 2: {field} must be finite, got {shown}$")):
+        store.load(tmp_store)
+
+
+@pytest.mark.parametrize("field", ["target_kbps", "measured_kbps",
+                                   "encode_seconds"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_number_is_never_stored(tmp_store, field, value):
+    with pytest.raises(StoreValidationError, match=f"{field} must be finite"):
+        store.append(tmp_store, _record(**{field: value}))
+    assert not tmp_store.exists()
+
+
+def test_non_utf8_complete_line_is_a_malformed_line(tmp_store):
+    lines = [json.dumps(_LINE).encode(),
+             json.dumps({**_LINE, "clip": "caf\u00e9"},
+                        ensure_ascii=False).encode("latin-1"),
+             json.dumps(_LINE).encode()]
+    tmp_store.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(StoreLoadError, match=(
+            "malformed line 2: 'utf-8' codec can't decode byte 0xe9")):
+        store.load(tmp_store)
+
+
+def test_last_line_cut_inside_a_character_is_skipped(tmp_store, caplog):
+    line = json.dumps({**_LINE, "clip": "caf\u00e9"},
+                      ensure_ascii=False).encode()
+    cut = line.index(b"\xc3") + 1  # the first of the two bytes of the é
+    tmp_store.write_bytes(json.dumps(_LINE).encode() + b"\n" + line[:cut])
+    with caplog.at_level("WARNING"):
+        assert [r.clip_id for r in store.load(tmp_store)] == ["a"]
+    assert any("ignoring partial trailing line 2" in r.message
+               for r in caplog.records)
+    with open(tmp_store, "ab") as f:
+        f.write(line[cut:] + b"\n")
+    assert [r.clip_id for r in store.load(tmp_store)] == ["a", "caf\u00e9"]
 
 
 def test_nulls_and_integers_are_measurements(tmp_store):
@@ -670,3 +743,104 @@ def test_tail_line_wins_a_tie_with_an_indexed_row(tmp_store):
     store.append(tmp_store, _record(vmaf=2.0, created_at="t0"))
     assert store.load(tmp_store)[0].vmaf == 2.0
     assert store.load(tmp_store) == _full_parse(tmp_store)
+
+
+@pytest.fixture
+def settle(monkeypatch):
+    """A 50 ms settle margin, and a wait past it on the real clock."""
+    monkeypatch.setattr(store, "_SETTLE_NS", 50_000_000)
+    return lambda: time.sleep(0.1)
+
+
+def _recorded(path):
+    """The store fingerprint the index holds, or None."""
+    return store._read_index(path)[3]
+
+
+def _spy(monkeypatch, path):
+    """Record the length of every ``store._digest`` input and count the
+    opens of the store at ``path``."""
+    seen = {"digested": [], "opened": 0}
+    digest = store._digest
+
+    def counted_digest(data):
+        seen["digested"].append(len(data))
+        return digest(data)
+
+    def counted_open(file, *args, **kwargs):
+        seen["opened"] += Path(file) == path
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(store, "_digest", counted_digest)
+    monkeypatch.setattr(store, "open", counted_open, raising=False)
+    return seen
+
+
+def _settled(path, settle):
+    """Fill, index and settle the store, and record its fingerprint."""
+    _fill(path)
+    store.load(path)
+    assert _recorded(path) is None  # written just now: not settled
+    settle()
+    store.load(path)
+    assert _recorded(path) == store._fingerprint(os.stat(path))
+
+
+class TestFingerprint:
+    def test_settled_unchanged_store_is_not_read(self, tmp_store, settle,
+                                                 monkeypatch):
+        _settled(tmp_store, settle)
+        idx = store.index_path(tmp_store)
+        before = idx.stat()
+        seen = _spy(monkeypatch, tmp_store)
+        for _ in range(2):
+            assert store.load(tmp_store) == _reference_load(tmp_store)
+        # only the index's own digest, of its body behind the 40-byte head
+        assert seen == {"digested": [before.st_size - 40] * 2, "opened": 0}
+        after = idx.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                     before.st_mtime_ns)
+
+    def test_just_written_store_gets_no_fingerprint(self, tmp_store):
+        _fill(tmp_store)
+        for _ in range(2):
+            assert store.load(tmp_store) == _reference_load(tmp_store)
+            assert _recorded(tmp_store) is None
+
+    @pytest.mark.parametrize("change", [
+        "append", "in-place-edit", "chmod", "rename-over", "truncate-regrow"])
+    def test_changed_store_is_hashed_again(self, tmp_store, settle,
+                                           monkeypatch, change):
+        _settled(tmp_store, settle)
+        st = tmp_store.stat()
+        data = tmp_store.read_bytes()
+        edited = data.replace(b'"c1"', b'"e1"')
+        assert len(edited) == len(data) and edited != data
+        if change == "append":
+            store.append(tmp_store, _record(clip_id="new"))
+        elif change == "in-place-edit":
+            with open(tmp_store, "r+b") as f:
+                f.write(edited)
+        elif change == "chmod":
+            tmp_store.chmod(stat.S_IMODE(st.st_mode) ^ stat.S_IXUSR)
+        elif change == "rename-over":
+            copy = tmp_store.with_name("copy.jsonl")
+            copy.write_bytes(edited)
+            os.replace(copy, tmp_store)
+        else:
+            cut = data.index(b"\n") + 1  # keep the first line
+            os.truncate(tmp_store, cut)
+            with open(tmp_store, "ab") as f:
+                f.write(edited[cut:])
+        if change != "append":
+            os.utime(tmp_store, ns=(st.st_atime_ns, st.st_mtime_ns))
+            assert tmp_store.stat().st_size == st.st_size
+            assert tmp_store.stat().st_mtime_ns == st.st_mtime_ns
+        seen = _spy(monkeypatch, tmp_store)
+        got = store.load(tmp_store)
+        assert got == _reference_load(tmp_store)
+        assert seen["opened"] == 1
+        assert st.st_size in seen["digested"]  # the indexed bytes, hashed
+        want = {"append": ["c0", "c1", "c2", "new"],
+                "chmod": ["c0", "c1", "c2"]}
+        assert [r.clip_id for r in got] == want.get(change, ["c0", "c2", "e1"])
