@@ -26,9 +26,12 @@ rate and quality per ladder rung on each side, then a single BD-Rate).
 ``curves_from_records`` returns a ``ClipCurves`` mapping over the
 padded points of a configuration's clip curves.
 ``classic_bd_rate_matrix`` stacks every configuration's clip curves of
-a grid once and integrates the shared clips of its pairs in passes of
-bounded size; ``classic_bd_rate`` is its one-pair case, so each cell
-equals the ``classic_bd_rate`` of its pair to the bit. A grid of
+a grid once and integrates the shared clips of each unordered pair
+once, in passes of bounded size: the BD mean is taken over the interval
+two curves share, so (i, j) and (j, i) have the same integrals, and
+cell (j, i) comes from the negated deltas of cell (i, j).
+``classic_bd_rate`` is its one-pair case, so each cell equals the
+``classic_bd_rate`` of its ordered pair to the bit. A grid of
 aggregate curves is its one-clip case, each config mapping one id to
 its curve, so each cell equals the ``bd_rate`` of its pair to the bit.
 
@@ -756,8 +759,9 @@ def classic_bd_rate(
     import numpy as np
     a = _clip_curves(anchor_curves)
     t = _clip_curves(test_curves)
-    shared, mixed, values, lo, hi, a_n, t_n = _classic(
+    shared, mixed, delta, ends, lo, hi, a_n, t_n = _classic(
         *_stacked([a, t]), np.array([0]), np.array([1]))
+    values = _means(delta, ends)
     if mixed[0] is not None:
         _check_kinds(*mixed[0])
     missing = len(a) + len(t) - 2 * int(shared[0])
@@ -788,12 +792,20 @@ def classic_bd_rate_matrix(
     or no shared clip overlaps. Every config's clip curves go into one
     stack; the cells are integrated in passes of whole pairs, at most
     ``_CHUNK`` (pair, clip) cells each (a grid of 8 configs and 60 clips
-    takes one pass), so memory stays bounded as the grid grows. Each
-    value equals ``classic_bd_rate``'s to the bit.
+    takes one pass), so memory stays bounded as the grid grows.
+
+    Each unordered pair {i, j}, i < j, is integrated once, and cell
+    (j, i) is the mean percent of the negated per-clip deltas of cell
+    (i, j). Both orders share the same clips and, for each clip, the
+    same overlap (``_bd`` keeps the anchor's bound only where the two
+    are equal), so the same two integrals; IEEE subtraction and
+    division are exactly antisymmetric, so the negated delta is the
+    other order's delta, up to the sign of a zero, which ``10.0 ** d``
+    does not see. Each value equals ``classic_bd_rate``'s to the bit.
     """
     import numpy as np
     curves = [_clip_curves(c) for c in curves]
-    i, j = np.nonzero(~np.eye(len(curves), dtype=bool))
+    i, j = np.triu_indices(len(curves), 1)
     cells: list[list[Optional[float]]] = [
         [0.0 if r == c else None for c in range(len(curves))]
         for r in range(len(curves))]
@@ -804,9 +816,11 @@ def classic_bd_rate_matrix(
         step = max(1, _CHUNK // max(1, table.shape[1]))
         for start in range(0, len(i), step):
             a, t = i[start:start + step], j[start:start + step]
-            values = _classic(stack, kinds, table, a, t)[2]
-            for r, c, v in zip(a.tolist(), t.tolist(), values):
+            delta, ends = _classic(stack, kinds, table, a, t)[2:4]
+            for r, c, v, w in zip(a.tolist(), t.tolist(), _means(delta, ends),
+                                  _means(-delta, ends)):
                 cells[r][c] = v
+                cells[c][r] = w
     return cells
 
 
@@ -849,19 +863,19 @@ def _stacked(curves: Sequence[ClipCurves], over_rate: bool = False) -> tuple:
 
 def _classic(stack: CurveStack, kinds: np.ndarray, table: np.ndarray,
              i: np.ndarray, j: np.ndarray) -> tuple:
-    """Classic BD-Rates of the pairs (config ``i[p]``, config ``j[p]``)
-    of a ``_stacked`` grid.
+    """The classic BD-Rate work of the pairs (config ``i[p]``, config
+    ``j[p]``) of a ``_stacked`` grid.
 
     A pair's shared clips are the columns where both its rows of
     ``table`` hold a stack row, in clip-id order. Every shared clip of
     every pair goes through one ``_bd`` call.
 
-    Returns, per pair: its shared clip count; the (anchor, test) metric
-    kinds of its first shared clip whose kinds differ, or None; and its
-    value, the mean of its included clips' percents (None for mixed
-    kinds or no included clip). Then, for the included clips of every
-    pair, pair by pair: their overlaps' lo and hi and their anchor's and
-    test's knot counts.
+    Returns, per pair: its shared clip count; and the (anchor, test)
+    metric kinds of its first shared clip whose kinds differ, or None.
+    Then the mean log ratios of the included clips of every pair, pair
+    by pair (none for a pair of mixed kinds), and the running count of
+    them at the end of each pair, for ``_means``. Then, for those clips:
+    their overlaps' lo and hi and their anchor's and test's knot counts.
     """
     import numpy as np
     p, col = np.nonzero((table[i] >= 0) & (table[j] >= 0))
@@ -876,13 +890,20 @@ def _classic(stack: CurveStack, kinds: np.ndarray, table: np.ndarray,
 
     ok, a_rows, t_rows, lo, hi, delta = _bd(stack, a_rows, stack, t_rows)
     ends = np.cumsum(np.bincount(p[ok], minlength=len(i))).tolist()
+    return (shared, mixed, delta, ends, lo, hi, stack.n[a_rows],
+            stack.n[t_rows])
+
+
+def _means(delta: np.ndarray, ends: list[int]) -> list[Optional[float]]:
+    """Each pair's classic BD-Rate from ``_classic``'s deltas and ends:
+    the mean of its clips' percents, or None for a pair with none."""
+    import numpy as np
     percents = np.array(_percents(delta.tolist()))
     # each pair's mean as np.mean takes it: a pairwise np.add.reduce over
     # the pair alone, then one division; np.add.reduceat would sum left
     # to right instead
-    values = [float(np.add.reduce(percents[s:e])) / (e - s) if s < e
-              else None for s, e in zip([0] + ends[:-1], ends)]
-    return shared, mixed, values, lo, hi, stack.n[a_rows], stack.n[t_rows]
+    return [float(np.add.reduce(percents[s:e])) / (e - s) if s < e
+            else None for s, e in zip([0] + ends[:-1], ends)]
 
 
 def _clip_curves(curves: Mapping[str, RDCurve]) -> ClipCurves:

@@ -406,7 +406,8 @@ def summaries_from_csv(text: str) -> list[ConfigSummary]:
     """Parse externally produced summary rows (e.g. published tables).
 
     A missing column or a value that does not parse is an RdgaugeError
-    naming the CSV line and the column.
+    naming the CSV line and the column; so is a line the csv module
+    cannot read, such as one holding a lone CR outside quotes.
     """
     reader = csv.DictReader(io.StringIO(text))
 
@@ -424,11 +425,16 @@ def summaries_from_csv(text: str) -> list[ConfigSummary]:
                                f"be {what}, got {raw!r}") from None
 
     out = []
-    for row in reader:
-        fields = {name: value(row, name) for name in ("family", "preset")}
-        for name in SUMMARY_CSV_FIELDS[2:-1]:
-            fields[name] = value(row, name, int, "an integer")
-        fields["total_hours"] = value(row, "total_hours", float, "a number",
-                                      optional=True)
-        out.append(ConfigSummary(**fields))
+    try:
+        for row in reader:
+            fields = {name: value(row, name) for name in ("family", "preset")}
+            for name in SUMMARY_CSV_FIELDS[2:-1]:
+                fields[name] = value(row, name, int, "an integer")
+            fields["total_hours"] = value(row, "total_hours", float,
+                                          "a number", optional=True)
+            out.append(ConfigSummary(**fields))
+    except csv.Error as exc:
+        # line_num counts the lines read before the one that failed
+        raise RdgaugeError(
+            f"summary line {reader.line_num + 1}: {exc}") from None
     return out

@@ -12,7 +12,7 @@ record (re-runs supersede).
 repeat load parses only the lines appended since. The index holds the
 keep-latest state of the store's first n bytes as the table's columns,
 in load order, with n, their line count and a sha256 digest of them
-(index format 4). It is a cache and is never trusted over the JSONL:
+(index format 5). It is a cache and is never trusted over the JSONL:
 when the store was rewritten, truncated or replaced, or the index is
 missing, corrupt or from another index format or marshal version,
 ``load`` parses the whole store and returns the same records it would
@@ -31,27 +31,37 @@ the read. A store is settled when its ctime is at least
 read before that ``fstat``, so no later write can land in the same
 timestamp tick. A load whose ``stat`` of the store matches the
 fingerprint exactly returns the indexed table without reading or
-hashing the store; it still checks the index's own digest. Any other
-load reads the store and hashes the covered prefix, and a load that so
-finds the whole store covered and settled, without a matching
-fingerprint, rewrites the index once to record it. Creating, writing,
-truncating, renaming, ``chmod`` and ``utime`` each set a file's ctime
-to the current clock, and no system call sets it to a chosen value, so
-any change to the store, or a file renamed over it, makes the next load
-hash again. The one change this misses is an edit of the same size made
-after the clock was stepped back so far that the edit's ctime equals
-the recorded one to the nanosecond.
+hashing the store; it still checks the index's own header, length and
+CRC-32. Any other load reads the store and hashes the covered prefix,
+and a load that so finds the whole store covered and settled, without a
+matching fingerprint, rewrites the index once to record it. Creating,
+writing, truncating, renaming, ``chmod`` and ``utime`` each set a
+file's ctime to the current clock, and no system call sets it to a
+chosen value, so any change to the store, or a file renamed over it,
+makes the next load hash again. The one change this misses is an edit
+of the same size made after the clock was stepped back so far that the
+edit's ctime equals the recorded one to the nanosecond.
 
 ``load`` writes the index to a temporary file in the same directory and
 renames it over the old one, so no reader sees half of it; a failed
 write is logged and changes no result. ``load`` never writes the
 JSONL. The index is read with :mod:`marshal`, whose format is not safe
-against maliciously built data; its own digest guards against
-accidents, not against someone who can write beside the store.
+against maliciously built data. Its header holds the body's length and
+CRC-32, as gzip's trailer does: a guard against accidents (a cut,
+grown or damaged file), not against someone who can write beside the
+store. The body is checked and unmarshalled in place, without a copy.
+
+``append`` holds an exclusive ``flock`` on the store while it writes,
+and starts its line on a line boundary. A store that does not end in a
+line break (``\\n`` or ``\\r``) holds the partial last line of a
+crashed write, which ``append`` cuts off with a warning that gives its
+line number and byte count; a last line that ``load`` reads as a whole
+record only gets its missing ``\\n``.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import marshal
@@ -61,6 +71,7 @@ import stat
 import struct
 import tempfile
 import time
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -79,10 +90,10 @@ FIELDS = ("clip", "family", "preset", "passes", "tbr_kbps", "kbps", "vmaf",
           "psnr_y", "enc_s", "bytes", "tool", "ts")
 
 
-_INDEX_HEADER = struct.Struct("<4sHH")  # magic, index format, marshal version
+# magic, index format, marshal version, body length, body CRC-32
+_INDEX_HEADER = struct.Struct("<4sHHQI")
 _INDEX_MAGIC = b"RDGI"
-_INDEX_FORMAT = 4
-_DIGEST_SIZE = 32
+_INDEX_FORMAT = 5
 # A store whose ctime is this much older than the clock is settled.
 _SETTLE_NS = 2_000_000_000
 
@@ -198,14 +209,44 @@ _ROW_ORDER = itemgetter(0, 1, 2, 3, 4, 11)
 
 
 def append(path: Union[str, Path], record: MetricRecord) -> None:
-    """Validate and append one record as a single atomic line write."""
+    """Validate and append one record as a single line write, under an
+    exclusive lock on the store, after cutting off a partial last line
+    left by a crashed write (see the module docstring)."""
     record.validate()
     line = record.to_line()
     if "\n" in line:
         raise StoreValidationError("record serialises to multiple lines")
-    with open(path, "a", encoding="utf-8") as f:
-        f.write(line + "\n")
-        f.flush()
+    data = (line + "\n").encode("utf-8")
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        end = os.lseek(fd, 0, os.SEEK_END)
+        if end and os.pread(fd, 1, end - 1) not in (b"\n", b"\r"):
+            _end_last_line(fd, end, path)
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)  # and with it the lock
+
+
+def _end_last_line(fd: int, end: int, path) -> None:
+    """Make the store open on ``fd``, ``end`` bytes long and not ending
+    in a line break, end in one: terminate a last line that is a whole
+    record, as ``load`` reads it, else truncate the partial line."""
+    data = os.pread(fd, end, 0)
+    cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+    try:
+        _fields(json.loads(data[cut:].decode("utf-8")))
+    except _LINE_ERRORS:
+        # the cut line's number, counting line breaks as load does
+        head = data[:cut]
+        number = (head.count(b"\n") + head.count(b"\r")
+                  - head.count(b"\r\n") + 1)
+        log.warning("cutting partial trailing line %d (%d bytes) from %s "
+                    "before appending", number, end - cut, path)
+        os.ftruncate(fd, cut)
+    else:
+        os.write(fd, b"\n")
 
 
 def load(path: Union[str, Path]) -> RecordTable:
@@ -338,19 +379,21 @@ def _read_index(path: Path) -> tuple:
     except OSError as exc:
         log.warning("ignoring store index %s: %s", idx, exc)
         return nothing
-    head = _INDEX_HEADER.size
-    body = blob[head + _DIGEST_SIZE:]
-    if len(blob) < head + _DIGEST_SIZE or blob[:4] != _INDEX_MAGIC:
+    if len(blob) < _INDEX_HEADER.size or blob[:4] != _INDEX_MAGIC:
         log.warning("ignoring store index %s: not an index", idx)
         return nothing
-    _, fmt, version = _INDEX_HEADER.unpack_from(blob)
+    # every format starts with magic, format and marshal version, so an
+    # older index is named by its format
+    _, fmt, version, length, crc = _INDEX_HEADER.unpack_from(blob)
     if (fmt, version) != (_INDEX_FORMAT, marshal.version):
         log.warning("ignoring store index %s: format %d, marshal version %d "
                     "(want %d, %d)", idx, fmt, version, _INDEX_FORMAT,
                     marshal.version)
         return nothing
-    if blob[head:head + _DIGEST_SIZE] != _digest(body):
-        log.warning("ignoring store index %s: digest mismatch", idx)
+    body = memoryview(blob)[_INDEX_HEADER.size:]
+    if length != len(body) or zlib.crc32(body) != crc:
+        log.warning("ignoring store index %s: length or checksum mismatch",
+                    idx)
         return nothing
     return marshal.loads(body)
 
@@ -363,8 +406,8 @@ def _write_index(path: Path, covered, lines: int, table: "RecordTable",
     # and value lists do not need.
     body = marshal.dumps((len(covered), _digest(covered), lines, fingerprint,
                           table.buffers()), 2)
-    blob = (_INDEX_HEADER.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version)
-            + _digest(body) + body)
+    blob = _INDEX_HEADER.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version,
+                              len(body), zlib.crc32(body)) + body
     idx = index_path(path)
     tmp = None
     try:

@@ -12,6 +12,7 @@ from conftest import make_header, make_records, synthetic_clip, write_clip
 from rdgauge import complexity as cx_mod
 from rdgauge import store
 from rdgauge.cli import main
+from rdgauge.cpus import available_cpus
 
 DATA = Path(__file__).parent / "data"
 LADDER = "500,1000,2000,4000,8000"
@@ -880,6 +881,7 @@ def check(what):
 import rdgauge.cli
 check("import rdgauge.cli")
 from rdgauge.cli import main
+from rdgauge.cpus import available_cpus
 assert main(["plan", "--clips", "a", "--show", "1"]) == 0
 check("plan")
 assert main(["import", "--csv", {str(DATA / "toolsweep_table.csv")!r},
@@ -912,6 +914,7 @@ def test_grid_and_curves_do_not_load_numpy_ma(tmp_path):
     script = f"""
 import sys
 from rdgauge.cli import main
+from rdgauge.cpus import available_cpus
 store = {str(store_path)!r}
 assert main(["grid", "--store", store, "--configs",
              "x264:medium:1,svt-av1:6:1", "--method", "classic"]) == 0
@@ -922,6 +925,34 @@ assert "numpy.ma" not in sys.modules
     subprocess.run([sys.executable, "-c", script],
                    env={**os.environ, "PYTHONPATH": path}, check=True,
                    capture_output=True)
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs")
+@pytest.mark.parametrize("threads,want", [(None, 1), ("2", 2)])
+def test_analysis_starts_one_blas_thread_unless_told(tmp_path, threads, want):
+    """An analysis command loads numpy with one OpenBLAS thread, the
+    process's only thread, unless OPENBLAS_NUM_THREADS says otherwise."""
+    store_path = tmp_path / "s.jsonl"
+    _fill_store(store_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS")}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    script = f"""
+import os
+from rdgauge.cli import main
+from rdgauge.cpus import available_cpus
+assert main(["grid", "--store", {str(store_path)!r}, "--configs",
+             "x264:medium:1,svt-av1:6:1", "--method", "classic"]) == 0
+print(len(os.listdir("/proc/self/task")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**env, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout.split()[-1]) == want
 
 
 def test_log_level_option(tmp_path):

@@ -455,6 +455,15 @@ class TestSummaryCsvErrors:
         (summary,) = summaries_from_csv(text)
         assert summary.total_hours is None
 
+    @pytest.mark.parametrize("text,line", [
+        ("family,preset,passes\rx264,medium,1\n", 1),
+        (HEADER + "\n" + ROW + "\n" + '"x264"\rmedium,1\n', 3)])
+    def test_unreadable_line_is_named(self, text, line):
+        with pytest.raises(RdgaugeError, match=(
+                f"summary line {line}: new-line character seen in unquoted "
+                "field")):
+            summaries_from_csv(text)
+
 
 @settings(max_examples=200, deadline=None)
 @given(seconds=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40))

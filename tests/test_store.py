@@ -1,13 +1,18 @@
 import dataclasses
+import fcntl
 import hashlib
 import json
+import logging
 import marshal
 import math
 import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -563,6 +568,18 @@ def _format_3_index(path):
         _sha256)
 
 
+def _format_4_index(path):
+    """The index a format-4 loader wrote for ``path``: the table's column
+    buffers and the store's fingerprint under sha256 digests."""
+    from rdgauge.table import RecordTable
+
+    data = path.read_bytes()
+    table = RecordTable.from_records(_reference_load(path))
+    _write_old_index(path, 4, marshal.dumps(
+        (len(data), _sha256(data), data.count(b"\n"),
+         store._fingerprint(os.stat(path)), table.buffers()), 2), _sha256)
+
+
 def test_format_1_index_falls_back_and_is_rewritten(tmp_store, caplog):
     _fill(tmp_store, 4)
     _format_1_index(tmp_store)
@@ -581,15 +598,21 @@ def test_format_3_index_falls_back_and_is_rewritten(tmp_store, caplog):
     _check_old_index_is_rewritten(tmp_store, caplog, 3)
 
 
+def test_format_4_index_falls_back_and_is_rewritten(tmp_store, caplog):
+    _fill(tmp_store, 4)
+    _format_4_index(tmp_store)  # its matching fingerprint is not trusted
+    _check_old_index_is_rewritten(tmp_store, caplog, 4)
+
+
 def _check_old_index_is_rewritten(tmp_store, caplog, fmt):
     with caplog.at_level("WARNING"):
         got = store.load(tmp_store)
     assert got == _reference_load(tmp_store)
     assert any("ignoring store index" in r.message
-               and f"format {fmt}" in r.message and "want 4" in r.message
+               and f"format {fmt}" in r.message and "want 5" in r.message
                for r in caplog.records)
     head = store.index_path(tmp_store).read_bytes()[:8]
-    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 4)
+    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 5)
     caplog.clear()
     with caplog.at_level("WARNING"):
         assert store.load(tmp_store) == got
@@ -795,8 +818,8 @@ class TestFingerprint:
         seen = _spy(monkeypatch, tmp_store)
         for _ in range(2):
             assert store.load(tmp_store) == _reference_load(tmp_store)
-        # only the index's own digest, of its body behind the 40-byte head
-        assert seen == {"digested": [before.st_size - 40] * 2, "opened": 0}
+        # no digest at all: the index's own guard is a CRC-32
+        assert seen == {"digested": [], "opened": 0}
         after = idx.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
                                                      before.st_mtime_ns)
@@ -844,3 +867,151 @@ class TestFingerprint:
         want = {"append": ["c0", "c1", "c2", "new"],
                 "chmod": ["c0", "c1", "c2"]}
         assert [r.clip_id for r in got] == want.get(change, ["c0", "c2", "e1"])
+
+
+def _src_env():
+    """The environment of a subprocess that imports this checkout's rdgauge."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_settled_load_does_not_import_hashlib(tmp_store, settle):
+    """A settled, unchanged store loads with the index's CRC-32 alone,
+    so the command never pays for loading OpenSSL."""
+    _settled(tmp_store, settle)
+    script = f"""
+import sys
+from rdgauge import store
+got = store.load({str(tmp_store)!r})
+assert [r.clip_id for r in got] == ["c0", "c1", "c2"], got
+assert "hashlib" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+class _Warnings(logging.Handler):
+    """The messages ``rdgauge.store`` logs inside a ``with`` block."""
+
+    def __enter__(self):
+        self.messages = []
+        logging.getLogger("rdgauge.store").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("rdgauge.store").removeHandler(self)
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=300, deadline=None)
+@given(damage=st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 10 ** 6), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64))))
+def test_damaged_index_is_ignored(damage):
+    """Any single-byte change, truncation or extension of a valid index
+    is caught by its header, length or CRC-32 (which detects every error
+    in one byte): the load warns, parses the store in full and raises
+    nothing. The index is planted, so trusting it would show."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.jsonl"
+        _fill(path)
+        _plant(path)
+        idx = store.index_path(path)
+        blob = bytearray(idx.read_bytes())
+        if damage[0] == "byte":
+            blob[damage[1] % len(blob)] ^= damage[2]
+        elif damage[0] == "cut":
+            blob = blob[:damage[1] % len(blob)]
+        else:
+            blob += damage[1]
+        idx.write_bytes(bytes(blob))
+        with _Warnings() as messages:
+            got = store.load(path)
+        assert got == _reference_load(path)
+        assert [r.clip_id for r in got] == ["c0", "c1", "c2"]
+        assert any("ignoring store index" in m for m in messages), messages
+
+
+class TestAppendAfterCrash:
+    def test_partial_last_line_is_cut_before_an_append(self, tmp_store,
+                                                       caplog):
+        _fill(tmp_store, 2)
+        size = tmp_store.stat().st_size
+        os.truncate(tmp_store, size - 30)  # record 2 lost its last 30 bytes
+        cut = size - 30 - (tmp_store.read_bytes().index(b"\n") + 1)
+        with caplog.at_level("WARNING"):
+            store.append(tmp_store, _record(clip_id="c2", created_at="t2"))
+        assert any(f"partial trailing line 2 ({cut} bytes)" in r.message
+                   for r in caplog.records)
+        assert [r.clip_id for r in store.load(tmp_store)] == ["c0", "c2"]
+        store.append(tmp_store, _record(clip_id="c3", created_at="t3"))
+        assert [r.clip_id for r in store.load(tmp_store)] == ["c0", "c2",
+                                                              "c3"]
+        assert store.load(tmp_store) == _reference_load(tmp_store)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_complete_last_line_is_kept(self, tmp_store, caplog, end):
+        tmp_store.write_bytes(_record(clip_id="c0").to_line().encode() + end)
+        with caplog.at_level("WARNING"):
+            store.append(tmp_store, _record(clip_id="c1"))
+        assert caplog.records == []
+        assert [r.clip_id for r in store.load(tmp_store)] == ["c0", "c1"]
+
+    def test_whole_unterminated_record_is_kept(self, tmp_store, caplog):
+        tmp_store.write_bytes(_record(clip_id="c0").to_line().encode())
+        assert [r.clip_id for r in store.load(tmp_store)] == ["c0"]
+        with caplog.at_level("WARNING"):
+            store.append(tmp_store, _record(clip_id="c1"))
+        assert caplog.records == []
+        assert [r.clip_id for r in store.load(tmp_store)] == ["c0", "c1"]
+
+    def test_store_that_is_all_partial_line_is_emptied(self, tmp_store):
+        tmp_store.write_bytes(_record(clip_id="c0").to_line().encode()[:40])
+        record = _record(clip_id="c1")
+        store.append(tmp_store, record)
+        assert tmp_store.read_text() == record.to_line() + "\n"
+
+    def test_append_waits_for_the_lock(self, tmp_store):
+        _fill(tmp_store, 1)
+        before = tmp_store.read_bytes()
+        with open(tmp_store, "rb") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            writer = threading.Thread(target=store.append, args=(
+                tmp_store, _record(clip_id="c9", created_at="t9")))
+            writer.start()
+            writer.join(0.3)
+            assert writer.is_alive()
+            assert tmp_store.read_bytes() == before
+        writer.join(10)  # closing the holder released the lock
+        assert not writer.is_alive()
+        assert [r.clip_id for r in store.load(tmp_store)] == ["c0", "c9"]
+
+    def test_two_processes_append_whole_lines(self, tmp_store):
+        n = 200
+        script = """
+import sys
+from rdgauge import store
+from rdgauge.store import MetricRecord
+for i in range(int(sys.argv[2])):
+    store.append(sys.argv[1], MetricRecord(
+        clip_id=f"{sys.argv[3]}{i}", family="x264", preset="medium",
+        passes=1, target_kbps=1000.0, measured_kbps=1000.0,
+        tool_version="x" * 2000))
+"""
+        procs = [subprocess.Popen([sys.executable, "-c", script,
+                                   str(tmp_store), str(n), who],
+                                  env=_src_env(), stderr=subprocess.PIPE)
+                 for who in ("a", "b")]
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+        lines = tmp_store.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        assert len(lines) == 2 * n
+        assert len({json.loads(line)["clip"] for line in lines}) == 2 * n
+        assert len(store.load(tmp_store)) == 2 * n
