@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import logging
 import math
@@ -64,6 +65,18 @@ def _parse_ladder(text: Optional[str]) -> tuple[int, ...]:
     return _int_list(text, "ladder") if text else encoders.DEFAULT_LADDER
 
 
+def _read_text(path: str) -> str:
+    """The text of the user's file at ``path``, read as UTF-8; a byte
+    that does not decode is a data error naming the file and its
+    offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RdgaugeError(f"{path}: not UTF-8 text at byte {exc.start}: "
+                           f"{exc.reason}") from None
+
+
 def _clip_list(args) -> list:
     if args.clips_dir:
         paths = sorted(Path(args.clips_dir).glob("*.y4m"))
@@ -71,7 +84,7 @@ def _clip_list(args) -> list:
             raise PlanError(f"no .y4m clips under {args.clips_dir}")
         return [str(p) for p in paths]
     if args.clips_file:
-        lines = Path(args.clips_file).read_text().splitlines()
+        lines = _read_text(args.clips_file).splitlines()
         return [ln.strip() for ln in lines if ln.strip()]
     if args.clips:
         return [c.strip() for c in args.clips.split(",") if c.strip()]
@@ -180,13 +193,17 @@ def _cmd_import(args) -> int:
     config = (args.family, args.preset, args.passes)
     if scenario.parse_config(scenario.label(config)) != config:
         raise PlanError(f"no command can name {scenario.label(config)!r}")
-    with open(args.csv, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+    reader = csv.DictReader(io.StringIO(_read_text(args.csv), newline=""))
+    try:
         for name in ("label", "kbps", "vmaf", "psnr_y"):
             if reader.fieldnames is not None and name not in reader.fieldnames:
                 raise StoreImportError(f"{args.csv}: no {name!r} column")
         rows = [(row["label"], row["kbps"], row["vmaf"], row["psnr_y"],
                  row.get("enc_s") or None) for row in reader]
+    except csv.Error as exc:
+        # line_num counts the lines read before the one that failed
+        raise StoreImportError(
+            f"{args.csv}: line {reader.line_num + 1}: {exc}") from None
     count = store.import_table(
         store_path, rows, family=args.family, preset=args.preset,
         passes=args.passes, target_kbps=args.tbr, clip_prefix=args.clip_prefix)
@@ -295,8 +312,10 @@ def _print_scenario_report(rep: scenario.ScenarioReport) -> None:
 def _cmd_scenario(args) -> int:
     spec = _scenario_spec(args, args.id)
     if args.from_summaries:
+        text = _read_text(args.from_summaries)
+        # universal newlines, as a text-mode read gives
         summaries = scenario.summaries_from_csv(
-            Path(args.from_summaries).read_text(encoding="utf-8"))
+            text.replace("\r\n", "\n").replace("\r", "\n"))
     else:
         summaries = scenario.summarize(_groups(args), spec)
     rep = scenario.select_presets(summaries, spec)

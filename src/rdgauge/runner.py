@@ -298,15 +298,16 @@ def run_plan(
         return list(pool.map(run, jobs))
 
 
-def parse_vmaf_log(text: str) -> tuple[float, float, int]:
+def parse_vmaf_log(text: Union[str, bytes]) -> tuple[float, float, int]:
     """Pooled mean VMAF, mean PSNR-Y and frame count from a JSON metric log.
 
-    Raises MetricParseError when the log is not a JSON object, a mean is
-    missing or not a finite number, or ``frames`` is not a list.
+    Raises MetricParseError when the log is not JSON (bytes that do not
+    decode included), not a JSON object, a mean is missing or not a
+    finite number, or ``frames`` is not a list.
     """
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long
         raise MetricParseError(f"metric log is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MetricParseError("metric log is not a JSON object")
@@ -367,7 +368,7 @@ def measure_quality(
         if status != 0:
             tail = output.strip()[-_OUTPUT_TAIL:]
             raise MetricError(f"metric tool failed: {tail}")
-        vmaf, psnr, n_frames = parse_vmaf_log(Path(log_path).read_text())
+        vmaf, psnr, n_frames = parse_vmaf_log(Path(log_path).read_bytes())
     finally:
         try:
             os.remove(log_path)

@@ -8,48 +8,39 @@ record (re-runs supersede).
 ``load`` returns the deduped records as columns, a
 ``rdgauge.table.RecordTable`` (imported, with numpy, on first load).
 
-``load`` keeps an index next to the store, ``<store>.idx``, so that a
-repeat load parses only the lines appended since. The index holds the
-keep-latest state of the store's first n bytes as the table's columns,
-in load order, with n, their line count and a sha256 digest of them
-(index format 5). It is a cache and is never trusted over the JSONL:
-when the store was rewritten, truncated or replaced, or the index is
-missing, corrupt or from another index format or marshal version,
-``load`` parses the whole store and returns the same records it would
-without an index. Deleting the index is always safe. Every line past
-the index is parsed on its own, with one ``json.loads``. The index
-advances only when a load parsed every such line and the store ends in
-a newline (and holds no lone CR), so after a crashed append each load
-parses the lines since the last good index until the line is
-completed or fails as a malformed line.
-
-A load that verified the whole store, and found it settled, also
-records the store's fingerprint in the index: its device, inode, size,
-mtime and ctime, from ``fstat`` on the descriptor it read, taken before
-the read. A store is settled when its ctime is at least
-``_SETTLE_NS`` (2 s, FAT's timestamp granularity) older than the clock
-read before that ``fstat``, so no later write can land in the same
-timestamp tick. A load whose ``stat`` of the store matches the
-fingerprint exactly returns the indexed table without reading or
-hashing the store; it still checks the index's own header, length and
-CRC-32. Any other load reads the store and hashes the covered prefix,
-and a load that so finds the whole store covered and settled, without a
-matching fingerprint, rewrites the index once to record it. Creating,
-writing, truncating, renaming, ``chmod`` and ``utime`` each set a
-file's ctime to the current clock, and no system call sets it to a
-chosen value, so any change to the store, or a file renamed over it,
-makes the next load hash again. The one change this misses is an edit
+``load`` keeps an index next to the store, ``<store>.idx``: a memo of
+one parse of the whole store, keyed by the store's fingerprint (index
+format 6). The fingerprint is the store's device, inode, size, mtime
+and ctime. A load whose ``stat`` of the store matches the index's
+fingerprint exactly returns the indexed table's columns without reading
+the store; it still checks the index's own header, length and CRC-32.
+Any other load reads the store and parses every line. It takes the
+fingerprint with ``fstat`` on the descriptor it reads, before the read,
+and writes the index only when the read returned the whole file, the
+store is not empty, every line parsed and the store is settled: its
+ctime is at least ``_SETTLE_NS`` (2 s, FAT's timestamp granularity)
+older than the clock read before that ``fstat``, so no later write can
+land in the same timestamp tick. Creating, writing, truncating,
+renaming, ``chmod`` and ``utime`` each set a file's ctime to the
+current clock, and no system call sets it to a chosen value, so any
+change to the store, an append included, or a file renamed over it,
+makes the next load parse it in full; the first load after the store
+settles again indexes it again. The one change this misses is an edit
 of the same size made after the clock was stepped back so far that the
 edit's ctime equals the recorded one to the nanosecond.
 
-``load`` writes the index to a temporary file in the same directory and
-renames it over the old one, so no reader sees half of it; a failed
-write is logged and changes no result. ``load`` never writes the
-JSONL. The index is read with :mod:`marshal`, whose format is not safe
-against maliciously built data. Its header holds the body's length and
-CRC-32, as gzip's trailer does: a guard against accidents (a cut,
-grown or damaged file), not against someone who can write beside the
-store. The body is checked and unmarshalled in place, without a copy.
+The index is a cache and is never trusted over the JSONL: when it is
+missing, corrupt or from another index format or marshal version,
+``load`` parses the whole store and returns the same records it would
+without an index. Deleting the index is always safe. ``load`` writes it
+to a temporary file in the same directory and renames it over the old
+one, so no reader sees half of it; a failed write is logged and changes
+no result. ``load`` never writes the JSONL. The index is read with
+:mod:`marshal`, whose format is not safe against maliciously built
+data. Its header holds the body's length and CRC-32, as gzip's trailer
+does: a guard against accidents (a cut, grown or damaged file), not
+against someone who can write beside the store. The body is checked
+and unmarshalled in place, without a copy.
 
 ``append`` holds an exclusive ``flock`` on the store while it writes,
 and starts its line on a line boundary. A store that does not end in a
@@ -93,7 +84,7 @@ FIELDS = ("clip", "family", "preset", "passes", "tbr_kbps", "kbps", "vmaf",
 # magic, index format, marshal version, body length, body CRC-32
 _INDEX_HEADER = struct.Struct("<4sHHQI")
 _INDEX_MAGIC = b"RDGI"
-_INDEX_FORMAT = 5
+_INDEX_FORMAT = 6
 # A store whose ctime is this much older than the clock is settled.
 _SETTLE_NS = 2_000_000_000
 
@@ -254,9 +245,8 @@ def load(path: Union[str, Path]) -> RecordTable:
 
     A malformed trailing line is assumed to be a crashed write and is
     skipped with a warning; a malformed line anywhere else is an error.
-    Lines already covered by the store's index are not parsed again,
-    and a settled store that has not changed since its index recorded
-    its fingerprint is not read at all (see the module docstring).
+    A store that has not changed since its index recorded its
+    fingerprint is not read at all (see the module docstring).
     """
     from .table import from_buffers
 
@@ -264,30 +254,18 @@ def load(path: Union[str, Path]) -> RecordTable:
     try:
         seen = _fingerprint(os.stat(path))
     except FileNotFoundError:
-        return _state({})
-    size, digest, lines, recorded, packed = _read_index(path)
+        return _state(())
+    recorded, packed = _read_index(path)
     if recorded == seen:
         return from_buffers(packed)
     now = time.time_ns()
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
         data = f.read()
-    settled = (len(data) == st.st_size
-               and now - st.st_ctime_ns >= _SETTLE_NS)
-    fingerprint = _fingerprint(st) if settled else None
-    if packed is not None and (
-            size > len(data) or _digest(memoryview(data)[:size]) != digest):
-        log.info("%s changed within its first %d bytes; parsing it in full",
-                 path, size)
-        packed = None
-    if packed is None:
-        size, lines, table = 0, 0, _state({})
-    else:
-        table = from_buffers(packed)
-    if size < len(data):
-        return _load_tail(path, data, size, lines, table, fingerprint)
-    if data and fingerprint is not None and recorded != fingerprint:
-        _write_index(path, data, lines, table, fingerprint)
+    table, whole = _parse(path, data)
+    if (whole and data and len(data) == st.st_size
+            and now - st.st_ctime_ns >= _SETTLE_NS):
+        _write_index(path, _fingerprint(st), table)
     return table
 
 
@@ -296,38 +274,28 @@ def _fingerprint(st: os.stat_result) -> tuple:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
-def _load_tail(path: Path, data: bytes, start: int, first: int,
-               table: "RecordTable",
-               fingerprint: Optional[tuple]) -> "RecordTable":
-    """Fold the lines from byte ``start``, the first of them line
-    ``first``, into the keep-latest ``table`` of the lines before.
+def _parse(path: Path, data: bytes) -> tuple:
+    """The keep-latest table of the store's bytes ``data``, and whether
+    every line parsed.
 
     Each line is decoded and parsed on its own. A malformed line, one
     that is not UTF-8 included, is an error, except a malformed last
     line, which a crashed append leaves and which is skipped with a
-    warning. The index is rewritten, with ``fingerprint``, only when
-    every line parsed, the data ends in a newline and no line ends in a
-    lone CR.
+    warning.
     """
-    chunk = data[start:]
-    lone_cr = False
-    if b"\r" in chunk:  # universal newlines, as a text-mode read gives
-        lone_cr = chunk.count(b"\r") != chunk.count(b"\r\n")
-        chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    lines = chunk.split(b"\n")
+    if b"\r" in data:  # universal newlines, as a text-mode read gives
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = data.split(b"\n")
     if lines[-1] == b"":
         lines.pop()
 
-    # Every line here follows every line of the table, so a tie on
-    # created_at goes to the line here whatever the table row's line.
-    latest = {row[:5]: (row[11], -1, row) for row in table.rows()}
+    latest = {}
     whole = True
-    for k, line in enumerate(lines):
-        i = first + k
+    for i, line in enumerate(lines):
         try:
             row = _fields(json.loads(line.decode("utf-8")))
         except _LINE_ERRORS as exc:
-            if k < len(lines) - 1:
+            if i < len(lines) - 1:
                 raise StoreLoadError(
                     f"{path}: malformed line {i + 1}: {exc}") from exc
             log.warning("ignoring partial trailing line %d in %s", i + 1, path)
@@ -335,22 +303,16 @@ def _load_tail(path: Path, data: bytes, start: int, first: int,
             continue
         key = row[:5]
         seen = latest.get(key)
-        if seen is None or (row[11], i) >= seen[:2]:
-            latest[key] = (row[11], i, row)
-
-    table = _state(latest)
-    if whole and data.endswith(b"\n") and not lone_cr:
-        _write_index(path, data, first + len(lines), table, fingerprint)
-    return table
+        if seen is None or row[11] >= seen[11]:  # a later line wins a tie
+            latest[key] = row
+    return _state(latest.values()), whole
 
 
-def _state(latest: dict) -> "RecordTable":
-    """The table of a keep-latest map's rows, sorted as ``load`` returns
-    them."""
+def _state(rows: Iterable[tuple]) -> "RecordTable":
+    """The table of the rows, sorted as ``load`` returns them."""
     from .table import from_rows
 
-    return from_rows(sorted((row for _, _, row in latest.values()),
-                            key=_ROW_ORDER))
+    return from_rows(sorted(rows, key=_ROW_ORDER))
 
 
 def index_path(path: Union[str, Path]) -> Path:
@@ -359,18 +321,10 @@ def index_path(path: Union[str, Path]) -> Path:
     return path.with_name(path.name + ".idx")
 
 
-def _digest(data) -> bytes:
-    # Imported here: hashlib loads OpenSSL, a cost at start-up that the
-    # commands which never read a store should not pay.
-    import hashlib
-    return hashlib.sha256(data).digest()
-
-
 def _read_index(path: Path) -> tuple:
-    """(covered bytes, their digest, covered lines, store fingerprint or
-    None, table buffers) from a valid index of the store, else zeros and
-    Nones."""
-    nothing = (0, None, 0, None, None)
+    """(store fingerprint, table buffers) from a valid index of the
+    store, else Nones."""
+    nothing = (None, None)
     idx = index_path(path)
     try:
         blob = idx.read_bytes()
@@ -398,14 +352,13 @@ def _read_index(path: Path) -> tuple:
     return marshal.loads(body)
 
 
-def _write_index(path: Path, covered, lines: int, table: "RecordTable",
-                 fingerprint: Optional[tuple] = None) -> None:
-    """Atomically replace the index with the table of the covered lines
-    and, when they are the whole settled store, its fingerprint."""
+def _write_index(path: Path, fingerprint: tuple,
+                 table: "RecordTable") -> None:
+    """Atomically replace the index with the table of the whole store,
+    keyed by the store's fingerprint."""
     # Marshal format 2 writes no back-references, which the column bytes
     # and value lists do not need.
-    body = marshal.dumps((len(covered), _digest(covered), lines, fingerprint,
-                          table.buffers()), 2)
+    body = marshal.dumps((fingerprint, table.buffers()), 2)
     blob = _INDEX_HEADER.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version,
                               len(body), zlib.crc32(body)) + body
     idx = index_path(path)

@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 from conftest import make_header, make_records, synthetic_clip, write_clip
+from hypothesis import given, settings
+from mutations import edits, mutate
 from rdgauge import complexity as cx_mod
 from rdgauge import store
 from rdgauge.cli import main
@@ -72,6 +77,20 @@ class TestPlan:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    def test_clips_file_is_read_as_utf8(self, tmp_path, capsys):
+        clips = tmp_path / "clips.txt"
+        clips.write_bytes("caf\u00e9\r\nshot2\n".encode())
+        assert main(["plan", "--clips-file", str(clips), "--families",
+                     "x264", "--presets", "medium", "--passes", "1",
+                     "--ladder", "8000", "--show", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "planned 2 jobs" in out and "caf\u00e9" in out
+        clips.write_bytes(b"shot1\ncaf\xe9\n")
+        assert main(["plan", "--clips-file", str(clips)]) == 2
+        err = capsys.readouterr().err
+        assert f"{clips}: not UTF-8 text at byte 9: " in err
+        assert "Traceback" not in err
 
     def test_work_dir_env_is_read_per_call(self, tmp_path, monkeypatch,
                                            capsys):
@@ -242,6 +261,82 @@ class TestImportAndScenario:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_import_names_a_line_that_is_not_utf8(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_bytes(b"label,kbps,vmaf,psnr_y\ncaf\xe9,1000,90,40\n")
+        rc = main(["import", "--csv", str(table), "--store",
+                   str(tmp_path / "s.jsonl"), "--family", "x264",
+                   "--preset", "medium", "--passes", "1", "--tbr", "4000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{table}: not UTF-8 text at byte 26: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_import_names_a_field_beyond_the_csv_limit(self, tmp_path,
+                                                       capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("label,kbps,vmaf,psnr_y\ncfg,1000,90,40\n"
+                         f"{'x' * 131073},1000,90,40\n")
+        rc = main(["import", "--csv", str(table), "--store",
+                   str(tmp_path / "s.jsonl"), "--family", "x264",
+                   "--preset", "medium", "--passes", "1", "--tbr", "4000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"{table}: line 3: field larger than field limit (131072)"
+                in err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_summaries_that_are_not_utf8_are_a_data_error(self, tmp_path,
+                                                          capsys):
+        summaries = tmp_path / "s.csv"
+        text = (DATA / "summary_s1.csv").read_bytes()
+        summaries.write_bytes(text.replace(b"x264", b"x\xe964", 1))
+        rc = main(["scenario", "--id", "S1", "--from-summaries",
+                   str(summaries)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        at = text.index(b"x264") + 1
+        assert f"{summaries}: not UTF-8 text at byte {at}: " in err
+        assert "Traceback" not in err
+
+    def test_summaries_with_lone_cr_line_ends_are_read(self, tmp_path,
+                                                       capsys):
+        summaries = tmp_path / "s.csv"
+        summaries.write_bytes(
+            (DATA / "summary_s1.csv").read_bytes().replace(b"\n", b"\r"))
+        rc = main(["scenario", "--id", "S1", "--from-summaries",
+                   str(summaries)])
+        assert rc == 0
+        assert "svt-av1: 2 @ 1-pass" in capsys.readouterr().out
+
+    @settings(max_examples=150, deadline=None)
+    @given(changes=edits)
+    def test_mutated_import_csv_imports_or_fails_closed(self, changes):
+        """Reader contract: a results table with a few bytes changed, cut
+        or inserted imports every row, or is a data error that appends
+        nothing, and raises nothing else."""
+        with tempfile.TemporaryDirectory() as tmp:
+            table, store_path = Path(tmp) / "t.csv", Path(tmp) / "s.jsonl"
+            table.write_bytes(mutate(
+                (DATA / "toolsweep_table.csv").read_bytes(), changes))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = main(["import", "--csv", str(table), "--store",
+                           str(store_path), "--family", "x264", "--preset",
+                           "medium", "--passes", "1", "--tbr", "4000"])
+            if rc == 2:
+                assert err.getvalue().startswith("error: ")
+                assert not store_path.exists()
+                return
+            assert rc == 0
+            count = int(re.fullmatch(r"imported (\d+) records\n",
+                                     out.getvalue())[1])
+            lines = store_path.read_bytes().count(b"\n") if count else 0
+            assert lines == count
 
     @pytest.mark.parametrize("command", [
         ["scenario", "--id", "S1"],
@@ -960,29 +1055,26 @@ def test_log_level_option(tmp_path):
     as it was."""
     store_path = tmp_path / "s.jsonl"
     _fill_store(store_path)
+    # a clip with one rung, which the curve build drops at INFO level
+    for rec in make_records(["lone"], "svt-av1", "6", 1, (500,)):
+        store.append(store_path, rec)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
     def run(*options):
-        # rewrite the store's first record in place, so the index no longer
-        # matches and the store logs its full parse at INFO level
-        data = store_path.read_bytes()
-        swap = (b"x264", b"x265") if b"x264" in data[:200] else (b"x265", b"x264")
-        store_path.write_bytes(data.replace(*swap, 1))
         return subprocess.run(
             [sys.executable, "-m", "rdgauge.cli", *options, "curves",
              "--store", str(store_path), "--config", "svt-av1:6:1",
-             "--ladder", LADDER],
+             "--ladder", LADDER, "--per-clip"],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True,
             text=True, check=True)
 
-    store.load(store_path)
     quiet = run()
     assert quiet.stderr == ""
     for options in (["-v"], ["--log-level", "debug"]):
         loud = run(*options)
         assert loud.stdout == quiet.stdout
-        assert re.search(r"^INFO rdgauge\.store: .*parsing it in full$",
+        assert re.search(r"^INFO rdgauge\.bd: dropping clip lone of ",
                          loud.stderr, re.M)
     assert run("--log-level", "WARNING").stderr == ""
     assert main(["--log-level", "loud", "curves", "--config", "a:b:1"]) == 1

@@ -169,3 +169,28 @@ def test_chunked_gemms_equal_one_gemm_per_product(dtype, width, block_rows):
     cycle = [k for kind in _PLANTS[dtype] for k in (kind, None)]
     kinds = [cycle[n % len(cycle)] for n in range(nbx * block_rows)]
     _assert_matches_full_test(_planted_plane(dtype, kinds, nbx, seed=width))
+
+
+# A padded 1080p plane, a 3840-wide one, and one whose 4-row strips
+# leave a partial last CHUNK (1952: 7808 columns).
+@pytest.mark.parametrize("shape", [(1088, 1920), (2 * STRIP + 32, 3840),
+                                   (STRIP + 32, 1952)],
+                         ids=["1080p", "3840-wide", "partial-chunk"])
+def test_every_gemm_stays_within_one_blas_thread(monkeypatch, shape):
+    """Each matrix product is at most 32x256x32 = 262,144 multiply-adds,
+    which OpenBLAS runs on the calling thread; the one-BLAS-thread
+    default that ``cli.main`` sets rests on this bound."""
+    matmul = np.matmul
+    sizes = []
+
+    def spy(a, b, *args, **kwargs):
+        assert a.ndim >= 2 and b.ndim >= 2
+        (m, k), n = a.shape[-2:], b.shape[-1]
+        assert b.shape[-2] == k
+        sizes.append(m * n * k)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    plane = np.random.default_rng(5).integers(0, 256, shape, dtype=np.uint8)
+    kernels.block_energies(plane)
+    assert sizes and max(sizes) <= 32 * 256 * 32

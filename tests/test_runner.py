@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import struct
@@ -8,8 +9,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import make_header, synthetic_clip, write_clip
+from mutations import edits, mutate
 from rdgauge import runner, store, y4m
 from rdgauge.cli import main
 from rdgauge.encoders import EncodeJob
@@ -424,6 +427,20 @@ class TestParseVmafLog:
             runner.parse_vmaf_log(json.dumps(log))
 
 
+@settings(max_examples=300, deadline=None)
+@given(changes=edits)
+def test_mutated_metric_log_parses_or_fails_closed(changes):
+    """Reader contract: a metric log with a few bytes changed, cut or
+    inserted gives finite means and a frame count, or raises
+    MetricParseError, and raises nothing else."""
+    log = json.dumps({**VMAF_LOG, "frames": VMAF_LOG["frames"][:2]}).encode()
+    try:
+        vmaf, psnr, frames = runner.parse_vmaf_log(mutate(log, changes))
+    except MetricParseError:
+        return
+    assert math.isfinite(vmaf) and math.isfinite(psnr) and frames >= 0
+
+
 def test_measure_quality_frame_mismatch(tmp_path, monkeypatch):
     # fake ffmpeg that writes a valid metric log wherever log_path points
     bin_dir = tmp_path / "bin"
@@ -681,6 +698,27 @@ def test_bad_metric_log_fails_only_its_job(fake_bin, small_clip, tmp_path,
     assert records[200.0].vmaf is None and records[200.0].psnr_y is None
     assert records[200.0].measured_kbps == pytest.approx(40.0)
     assert records[100.0].vmaf == records[300.0].vmaf == pytest.approx(91.495)
+
+
+def test_metric_log_that_is_not_utf8_fails_its_jobs(fake_bin, small_clip,
+                                                    tmp_path, capsys):
+    log = json.dumps({**VMAF_LOG, "version": "caf\u00e9"}, ensure_ascii=False)
+    (fake_bin / "vmaf.json").write_bytes(log.encode("latin-1"))
+    rc = _encode(["--families", "x264", "--presets", "medium",
+                  "--passes", "1", "--ladder", "100,200",
+                  "--jobs", "1", "--with-vmaf"], small_clip, fake_bin,
+                 tmp_path)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "encoded: 0 ok, 2 failed, 0 skipped" in captured.out
+    failed = captured.err.splitlines()
+    assert [line.split(":")[0] for line in failed] == [
+        "FAILED clip_x264_medium_1p_100k", "FAILED clip_x264_medium_1p_200k"]
+    assert all("metric log is not valid JSON: 'utf-8' codec can't decode "
+               "byte 0xe9" in line for line in failed)
+    records = store.load(tmp_path / "s.jsonl")
+    assert [r.target_kbps for r in records] == [100.0, 200.0]
+    assert all(r.vmaf is None and r.psnr_y is None for r in records)
 
 
 def test_metric_frame_count_is_checked(fake_bin, tmp_path, capsys):

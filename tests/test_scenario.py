@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_records
+from mutations import edits, mutate
 from rdgauge import scenario
 from rdgauge.scenario import (
     ConfigSummary,
@@ -463,6 +464,20 @@ class TestSummaryCsvErrors:
                 f"summary line {line}: new-line character seen in unquoted "
                 "field")):
             summaries_from_csv(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(changes=edits)
+def test_mutated_summaries_parse_or_fail_closed(changes):
+    """Reader contract: a summary CSV with a few bytes changed, cut or
+    inserted gives summaries or raises an RdgaugeError, and raises
+    nothing else."""
+    data = mutate((DATA / "summary_s1.csv").read_bytes(), changes)
+    try:
+        summaries = summaries_from_csv(data.decode("utf-8", "replace"))
+    except RdgaugeError:
+        return
+    assert all(isinstance(s, ConfigSummary) for s in summaries)
 
 
 @settings(max_examples=200, deadline=None)

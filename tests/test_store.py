@@ -1,6 +1,7 @@
 import dataclasses
 import fcntl
 import hashlib
+import itertools
 import json
 import logging
 import marshal
@@ -14,12 +15,15 @@ import sys
 import tempfile
 import threading
 import time
+import zlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutations import edits, mutate
 from rdgauge import store
 from rdgauge.errors import StoreImportError, StoreLoadError, StoreValidationError
 from rdgauge.store import MetricRecord
@@ -191,19 +195,23 @@ class TestImportTable:
 
 def _reference_load(path):
     """The per-line loader that the indexed one replaces, kept as the
-    reference: one parse per line, keep-latest by (created_at,
-    line index), sorted by key and then created_at."""
+    reference: universal newlines, one UTF-8 decode and one parse per
+    line, keep-latest by (created_at, line index), sorted by key and
+    then created_at."""
     path = Path(path)
     if not path.exists():
         return []
-    raw = path.read_text(encoding="utf-8").split("\n")
-    if raw and raw[-1] == "":
+    data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = data.split(b"\n")
+    if raw and raw[-1] == b"":
         raw.pop()
     records = {}
     for idx, line in enumerate(raw):
         try:
-            rec = MetricRecord(*store._fields(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            row = json.loads(line.decode("utf-8"))
+            rec = MetricRecord(*store._fields(row))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
             if idx == len(raw) - 1:
                 continue
             raise StoreLoadError(f"{path}: malformed line {idx + 1}: {exc}") from exc
@@ -241,12 +249,23 @@ def _fill(path, n=3):
 
 
 def _plant(path):
-    """Index the whole store as holding one record it does not hold."""
-    data = path.read_bytes()
-    fake = _record(clip_id="planted", created_at="t9")
-    row = dataclasses.astuple(fake)
-    store._write_index(path, data, data.count(b"\n"),
-                       store._state({row[:5]: (row[11], 0, row)}))
+    """Index the store, as it is now, as holding one record it does not
+    hold."""
+    row = dataclasses.astuple(_record(clip_id="planted", created_at="t9"))
+    store._write_index(path, store._fingerprint(os.stat(path)),
+                       store._state([row]))
+
+
+@pytest.fixture
+def settle(monkeypatch):
+    """A 50 ms settle margin, and a wait past it on the real clock."""
+    monkeypatch.setattr(store, "_SETTLE_NS", 50_000_000)
+    return lambda: time.sleep(0.1)
+
+
+def _recorded(path):
+    """The store fingerprint the index holds, or None."""
+    return store._read_index(path)[0]
 
 
 def _patch_index(path, offset, new):
@@ -278,8 +297,14 @@ def test_indexed_load_equals_full_parse(ops):
     """After any mix of appends, duplicates, crashed and completed
     appends, truncation, same-length rewrites and index damage, load()
     gives what a full parse without the index gives: the same records or
-    the same StoreLoadError."""
-    with tempfile.TemporaryDirectory() as tmp:
+    the same StoreLoadError.
+
+    The settle margin is 0 and each step stamps the store with a new
+    mtime, as a clock that ticks between writes would, so every load
+    that parses a whole store indexes it."""
+    stamps = itertools.count(10 ** 18, 10 ** 9)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(store, "_SETTLE_NS", 0):
         path = Path(tmp) / "s.jsonl"
         path.touch()
         idx = store.index_path(path)
@@ -327,6 +352,8 @@ def test_indexed_load_equals_full_parse(ops):
                     idx.write_bytes(bytes(blob))
             elif kind == "delete_index":
                 idx.unlink(missing_ok=True)
+            if kind not in ("corrupt_index", "delete_index"):
+                os.utime(path, ns=(0, next(stamps)))
 
             before = path.read_bytes()
             got = _outcome(store.load, path)
@@ -335,28 +362,35 @@ def test_indexed_load_equals_full_parse(ops):
             assert path.read_bytes() == before
 
 
-class TestIndex:
-    def test_repeat_load_parses_only_the_tail(self, tmp_store):
-        _fill(tmp_store)
-        store.load(tmp_store)
-        assert store.index_path(tmp_store).exists()
-        _plant(tmp_store)  # lines 1-3 are now read from the index only
-        assert [r.clip_id for r in store.load(tmp_store)] == ["planted"]
-        store.append(tmp_store, _record(clip_id="new"))
-        assert [r.clip_id for r in store.load(tmp_store)] == ["new", "planted"]
+@settings(max_examples=300, deadline=None)
+@given(changes=edits)
+def test_mutated_store_loads_as_the_reference_or_fails_closed(changes):
+    """Reader contract: a valid three-line store with a few bytes
+    changed, cut or inserted loads as the reference parse does, to the
+    same records or the same StoreLoadError, and raises nothing else."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.jsonl"
+        _fill(path)
+        path.write_bytes(mutate(path.read_bytes(), changes))
+        got = _outcome(store.load, path)
+        assert got == _outcome(_reference_load, path)
 
+
+class TestIndex:
     @pytest.mark.parametrize("field,offset", [("index format", 4),
                                               ("marshal version", 6)])
-    def test_foreign_version_index_falls_back(self, tmp_store, caplog, field,
-                                              offset):
+    def test_foreign_version_index_falls_back(self, tmp_store, caplog, settle,
+                                              field, offset):
         _fill(tmp_store)
         _plant(tmp_store)
         _patch_index(tmp_store, offset, struct.pack("<H", 999))
+        settle()
         with caplog.at_level("WARNING"):
             got = store.load(tmp_store)
         assert got == _reference_load(tmp_store)
         assert any("ignoring store index" in r.message and "999" in r.message
                    for r in caplog.records)
+        assert _recorded(tmp_store) == store._fingerprint(tmp_store.stat())
         assert store.load(tmp_store) == got  # the index was rewritten
 
     @pytest.mark.parametrize("where", ["magic", "digest", "body", "cut",
@@ -380,10 +414,12 @@ class TestIndex:
         assert [r.clip_id for r in got] == ["c0", "c1", "c2"]
         assert any("ignoring store index" in r.message for r in caplog.records)
 
-    def test_same_length_replacement_falls_back(self, tmp_store):
+    def test_same_length_replacement_falls_back(self, tmp_store, settle):
         store.append(tmp_store, _record(vmaf=88.5))
         store.append(tmp_store, _record(clip_id="shot02", vmaf=70.25))
+        settle()
         store.load(tmp_store)
+        assert _recorded(tmp_store) is not None
         before = tmp_store.read_bytes()
         after = before.replace(b"88.5", b"77.5")
         assert len(after) == len(before) and after != before
@@ -392,12 +428,15 @@ class TestIndex:
         assert [r.vmaf for r in got] == [77.5, 70.25]
         assert got == _reference_load(tmp_store)
 
-    def test_in_place_edit_with_restored_times_falls_back(self, tmp_store):
+    def test_in_place_edit_with_restored_times_falls_back(self, tmp_store,
+                                                          settle):
         """An edit of the same length whose file times are put back, as
         ``cp -p`` or ``rsync -t`` leave them, is still seen."""
         store.append(tmp_store, _record(vmaf=88.5))
         store.append(tmp_store, _record(clip_id="shot02", vmaf=70.25))
+        settle()
         store.load(tmp_store)
+        assert _recorded(tmp_store) is not None
         before = tmp_store.stat()
         data = tmp_store.read_bytes()
         with open(tmp_store, "r+b") as f:
@@ -410,16 +449,19 @@ class TestIndex:
         assert [r.vmaf for r in got] == [77.5, 70.25]
         assert got == _reference_load(tmp_store)
 
-    def test_truncated_store_falls_back(self, tmp_store):
+    def test_truncated_store_falls_back(self, tmp_store, settle):
         _fill(tmp_store)
+        settle()
         store.load(tmp_store)
+        assert _recorded(tmp_store) is not None
         lines = tmp_store.read_text().splitlines(keepends=True)
         tmp_store.write_text("".join(lines[:2]))
         assert [r.clip_id for r in store.load(tmp_store)] == ["c0", "c1"]
 
     def test_failed_index_write_is_logged(self, tmp_store, caplog,
-                                          monkeypatch):
+                                          monkeypatch, settle):
         _fill(tmp_store)
+        settle()
 
         def refuse(src, dst):
             raise OSError("read-only directory")
@@ -447,44 +489,60 @@ class TestIndex:
         assert tmp_store.stat().st_mtime_ns == mtime
 
     @pytest.mark.parametrize("tail,rest", [
-        (_WHOLE[:12], _WHOLE[12:] + "\n"), ('{"clip": "cut"}\n', None),
-        (_WHOLE, "\n")], ids=["cut", "bad", "unterminated"])
+        (_WHOLE[:12], _WHOLE[12:] + "\n"), ('{"clip": "cut"}\n', None)],
+        ids=["cut", "bad"])
     def test_skipped_or_unterminated_last_line_is_not_indexed(self, tmp_store,
-                                                             tail, rest):
-        """A load that skips its last line or finds it unterminated leaves
-        the index as it was, or absent; once the line is completed, the
-        next load indexes the whole store."""
+                                                             settle, tail,
+                                                             rest):
+        """A load that skips its last line, cut short or malformed, leaves
+        the index as it was, or absent, though the store has settled; once
+        the line is completed, the next load indexes the whole store."""
         idx = store.index_path(tmp_store)
         for indexed in (False, True):
             tmp_store.unlink(missing_ok=True)
             idx.unlink(missing_ok=True)
             _fill(tmp_store)
             if indexed:
+                settle()
                 store.load(tmp_store)
             before = idx.read_bytes() if indexed else None
             with open(tmp_store, "a") as f:
                 f.write(tail)
+            settle()
             assert store.load(tmp_store) == _reference_load(tmp_store)
             assert (idx.read_bytes() if idx.exists() else None) == before
         if rest is None:  # a complete malformed line stays malformed
             store.append(tmp_store, _record(clip_id="later"))
+            settle()
             with pytest.raises(StoreLoadError, match="malformed line 4"):
                 store.load(tmp_store)
             assert idx.read_bytes() == before
             return
         with open(tmp_store, "a") as f:
             f.write(rest)
+        settle()
         got = store.load(tmp_store)
         assert got == _reference_load(tmp_store)
         assert [r.clip_id for r in got] == ["c0", "c1", "c2", "whole"]
-        data = tmp_store.read_bytes()
-        assert store._read_index(tmp_store)[0] == len(data)
+        assert _recorded(tmp_store) == store._fingerprint(tmp_store.stat())
+
+    def test_unterminated_last_line_is_indexed(self, tmp_store, settle):
+        """A last line that is a whole record but for its newline is a
+        record, so a settled store that ends in one is indexed."""
+        _fill(tmp_store)
+        with open(tmp_store, "a") as f:
+            f.write(_WHOLE)
+        settle()
+        got = store.load(tmp_store)
+        assert [r.clip_id for r in got] == ["c0", "c1", "c2", "whole"]
+        assert _recorded(tmp_store) == store._fingerprint(tmp_store.stat())
+        assert store.load(tmp_store) == got == _reference_load(tmp_store)
 
     @pytest.mark.parametrize("layout", [
         "crlf", "lone-cr", "mixed-cr", "padded",
         "two-objects-and-split-record", "two-numbers-and-split-record",
         "blank-line", "array-line"])
-    def test_odd_layouts_match_reference(self, tmp_store, layout):
+    def test_odd_layouts_match_reference(self, tmp_store, settle, layout):
         lines = [_record(clip_id=f"c{i}").to_line() for i in range(4)]
         if layout == "crlf":
             text = "\r\n".join(lines) + "\r\n"
@@ -508,9 +566,10 @@ class TestIndex:
         else:
             text = "\n".join(lines[:2] + ["[1, 2]"] + lines[2:]) + "\n"
         tmp_store.write_bytes(text.encode())
+        settle()
         want = _outcome(_reference_load, tmp_store)
         assert _outcome(store.load, tmp_store) == want
-        assert _outcome(store.load, tmp_store) == want
+        assert _outcome(store.load, tmp_store) == want  # indexed, if it loads
         for clip in ("later", "later still"):
             with open(tmp_store, "a", newline="") as f:
                 f.write(_record(clip_id=clip).to_line() + "\n")
@@ -580,39 +639,68 @@ def _format_4_index(path):
          store._fingerprint(os.stat(path)), table.buffers()), 2), _sha256)
 
 
-def test_format_1_index_falls_back_and_is_rewritten(tmp_store, caplog):
+def _format_5_index(path):
+    """The index a format-5 loader wrote for ``path``: the covered size,
+    its sha256 digest, its line count, the store's fingerprint and the
+    table's column buffers, under a header with the body's length and
+    CRC-32."""
+    from rdgauge.table import RecordTable
+
+    data = path.read_bytes()
+    table = RecordTable.from_records(_reference_load(path))
+    body = marshal.dumps(
+        (len(data), _sha256(data), data.count(b"\n"),
+         store._fingerprint(os.stat(path)), table.buffers()), 2)
+    store.index_path(path).write_bytes(
+        struct.pack("<4sHHQI", b"RDGI", 5, marshal.version, len(body),
+                    zlib.crc32(body)) + body)
+
+
+def test_format_1_index_falls_back_and_is_rewritten(tmp_store, caplog,
+                                                    settle):
     _fill(tmp_store, 4)
     _format_1_index(tmp_store)
-    _check_old_index_is_rewritten(tmp_store, caplog, 1)
+    _check_old_index_is_rewritten(tmp_store, caplog, settle, 1)
 
 
-def test_format_2_index_falls_back_and_is_rewritten(tmp_store, caplog):
+def test_format_2_index_falls_back_and_is_rewritten(tmp_store, caplog,
+                                                    settle):
     _fill(tmp_store, 4)
     _format_2_index(tmp_store)
-    _check_old_index_is_rewritten(tmp_store, caplog, 2)
+    _check_old_index_is_rewritten(tmp_store, caplog, settle, 2)
 
 
-def test_format_3_index_falls_back_and_is_rewritten(tmp_store, caplog):
+def test_format_3_index_falls_back_and_is_rewritten(tmp_store, caplog,
+                                                    settle):
     _fill(tmp_store, 4)
     _format_3_index(tmp_store)
-    _check_old_index_is_rewritten(tmp_store, caplog, 3)
+    _check_old_index_is_rewritten(tmp_store, caplog, settle, 3)
 
 
-def test_format_4_index_falls_back_and_is_rewritten(tmp_store, caplog):
+def test_format_4_index_falls_back_and_is_rewritten(tmp_store, caplog,
+                                                    settle):
     _fill(tmp_store, 4)
     _format_4_index(tmp_store)  # its matching fingerprint is not trusted
-    _check_old_index_is_rewritten(tmp_store, caplog, 4)
+    _check_old_index_is_rewritten(tmp_store, caplog, settle, 4)
 
 
-def _check_old_index_is_rewritten(tmp_store, caplog, fmt):
+def test_format_5_index_falls_back_and_is_rewritten(tmp_store, caplog,
+                                                    settle):
+    _fill(tmp_store, 4)
+    _format_5_index(tmp_store)  # its matching fingerprint is not trusted
+    _check_old_index_is_rewritten(tmp_store, caplog, settle, 5)
+
+
+def _check_old_index_is_rewritten(tmp_store, caplog, settle, fmt):
+    settle()
     with caplog.at_level("WARNING"):
         got = store.load(tmp_store)
     assert got == _reference_load(tmp_store)
     assert any("ignoring store index" in r.message
-               and f"format {fmt}" in r.message and "want 5" in r.message
+               and f"format {fmt}" in r.message and "want 6" in r.message
                for r in caplog.records)
     head = store.index_path(tmp_store).read_bytes()[:8]
-    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 5)
+    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 6)
     caplog.clear()
     with caplog.at_level("WARNING"):
         assert store.load(tmp_store) == got
@@ -736,7 +824,7 @@ class TestRecordTable:
         with pytest.raises(IndexError):
             table[3]
         assert table != "records" and table != want[:2]
-        assert table == store.load(tmp_store)  # from the index
+        assert table == store.load(tmp_store)
 
     def test_columns_are_coded_and_read_only(self, tmp_store):
         table, _ = self._table(tmp_store)
@@ -758,49 +846,39 @@ class TestRecordTable:
         assert store.load(tmp_store.with_name("missing.jsonl")) == []
 
 
-def test_tail_line_wins_a_tie_with_an_indexed_row(tmp_store):
-    # The index keeps no line numbers: a line after the indexed ones
-    # follows all of them, so it wins a created_at tie, as in a full parse.
+def test_tail_line_wins_a_tie_with_an_indexed_row(tmp_store, settle):
+    # A line appended to an indexed store follows every line before it,
+    # so it wins a created_at tie, as in a full parse.
     store.append(tmp_store, _record(vmaf=1.0, created_at="t0"))
+    settle()
     assert store.load(tmp_store)[0].vmaf == 1.0
+    assert _recorded(tmp_store) is not None
     store.append(tmp_store, _record(vmaf=2.0, created_at="t0"))
     assert store.load(tmp_store)[0].vmaf == 2.0
     assert store.load(tmp_store) == _full_parse(tmp_store)
 
 
-@pytest.fixture
-def settle(monkeypatch):
-    """A 50 ms settle margin, and a wait past it on the real clock."""
-    monkeypatch.setattr(store, "_SETTLE_NS", 50_000_000)
-    return lambda: time.sleep(0.1)
-
-
-def _recorded(path):
-    """The store fingerprint the index holds, or None."""
-    return store._read_index(path)[3]
-
-
 def _spy(monkeypatch, path):
-    """Record the length of every ``store._digest`` input and count the
+    """Record the length of every ``store._parse`` input and count the
     opens of the store at ``path``."""
-    seen = {"digested": [], "opened": 0}
-    digest = store._digest
+    seen = {"parsed": [], "opened": 0}
+    parse = store._parse
 
-    def counted_digest(data):
-        seen["digested"].append(len(data))
-        return digest(data)
+    def counted_parse(path, data):
+        seen["parsed"].append(len(data))
+        return parse(path, data)
 
     def counted_open(file, *args, **kwargs):
         seen["opened"] += Path(file) == path
         return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(store, "_digest", counted_digest)
+    monkeypatch.setattr(store, "_parse", counted_parse)
     monkeypatch.setattr(store, "open", counted_open, raising=False)
     return seen
 
 
 def _settled(path, settle):
-    """Fill, index and settle the store, and record its fingerprint."""
+    """Fill, settle and index the store."""
     _fill(path)
     store.load(path)
     assert _recorded(path) is None  # written just now: not settled
@@ -818,8 +896,7 @@ class TestFingerprint:
         seen = _spy(monkeypatch, tmp_store)
         for _ in range(2):
             assert store.load(tmp_store) == _reference_load(tmp_store)
-        # no digest at all: the index's own guard is a CRC-32
-        assert seen == {"digested": [], "opened": 0}
+        assert seen == {"parsed": [], "opened": 0}
         after = idx.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
                                                      before.st_mtime_ns)
@@ -829,12 +906,22 @@ class TestFingerprint:
         for _ in range(2):
             assert store.load(tmp_store) == _reference_load(tmp_store)
             assert _recorded(tmp_store) is None
+        assert not store.index_path(tmp_store).exists()
+
+    def test_settled_empty_store_gets_no_index(self, tmp_store, settle):
+        tmp_store.touch()
+        settle()
+        assert store.load(tmp_store) == []
+        assert not store.index_path(tmp_store).exists()
 
     @pytest.mark.parametrize("change", [
         "append", "in-place-edit", "chmod", "rename-over", "truncate-regrow"])
     def test_changed_store_is_hashed_again(self, tmp_store, settle,
                                            monkeypatch, change):
+        """Any change to an indexed store, its times put back or not,
+        makes the next load read and parse the whole store."""
         _settled(tmp_store, settle)
+        recorded = _recorded(tmp_store)
         st = tmp_store.stat()
         data = tmp_store.read_bytes()
         edited = data.replace(b'"c1"', b'"e1"')
@@ -862,11 +949,50 @@ class TestFingerprint:
         seen = _spy(monkeypatch, tmp_store)
         got = store.load(tmp_store)
         assert got == _reference_load(tmp_store)
-        assert seen["opened"] == 1
-        assert st.st_size in seen["digested"]  # the indexed bytes, hashed
+        assert seen == {"parsed": [tmp_store.stat().st_size], "opened": 1}
+        assert _recorded(tmp_store) == recorded  # changed just now
         want = {"append": ["c0", "c1", "c2", "new"],
                 "chmod": ["c0", "c1", "c2"]}
         assert [r.clip_id for r in got] == want.get(change, ["c0", "c2", "e1"])
+
+    def test_append_is_parsed_in_full_until_the_store_settles(
+            self, tmp_store, settle, monkeypatch):
+        """An index is trusted only for the store it recorded: after an
+        append, each load parses the whole store, until one load of the
+        settled store indexes it again and the next does not open it."""
+        _settled(tmp_store, settle)
+        _plant(tmp_store)  # trusted while the store is unchanged
+        assert [r.clip_id for r in store.load(tmp_store)] == ["planted"]
+        store.append(tmp_store, _record(clip_id="new"))
+        seen = _spy(monkeypatch, tmp_store)
+        for _ in range(2):
+            got = store.load(tmp_store)
+            assert [r.clip_id for r in got] == ["c0", "c1", "c2", "new"]
+        size = tmp_store.stat().st_size
+        assert seen == {"parsed": [size, size], "opened": 2}
+        settle()
+        assert store.load(tmp_store) == got
+        assert _recorded(tmp_store) == store._fingerprint(tmp_store.stat())
+        assert store.load(tmp_store) == got == _reference_load(tmp_store)
+        assert seen == {"parsed": [size] * 3, "opened": 3}
+
+    def test_appended_bad_line_is_named_as_in_a_cold_parse(self, tmp_store,
+                                                           settle):
+        """A malformed line appended to an indexed store gets the line
+        number a load without the index gives it."""
+        _fill(tmp_store, 1)
+        settle()
+        store.load(tmp_store)
+        before = store.index_path(tmp_store).read_bytes()
+        with open(tmp_store, "a") as f:
+            f.write("not json\n")
+        store.append(tmp_store, _record(clip_id="c9"))
+        for _ in range(2):
+            with pytest.raises(StoreLoadError, match="malformed line 2: "):
+                store.load(tmp_store)
+            settle()
+        assert store.index_path(tmp_store).read_bytes() == before
+        assert _full_parse(tmp_store) == _outcome(_reference_load, tmp_store)
 
 
 def _src_env():
@@ -878,7 +1004,8 @@ def _src_env():
 
 def test_settled_load_does_not_import_hashlib(tmp_store, settle):
     """A settled, unchanged store loads with the index's CRC-32 alone,
-    so the command never pays for loading OpenSSL."""
+    and no load hashes the store, so the command never pays for loading
+    OpenSSL."""
     _settled(tmp_store, settle)
     script = f"""
 import sys
