@@ -67,8 +67,7 @@ from .errors import (
     DomainError,
     OverlapError,
 )
-from .store import MetricRecord
-from .table import RecordTable
+from .store import MetricRecord, RecordTable
 
 if TYPE_CHECKING:
     import numpy as np

@@ -66,12 +66,12 @@ def _parse_ladder(text: Optional[str]) -> tuple[int, ...]:
 
 
 def _read_text(path: str) -> str:
-    """The text of the user's file at ``path``, read as UTF-8; a byte
-    that does not decode is a data error naming the file and its
-    offset."""
+    """The text of the user's file at ``path``, read as UTF-8 without a
+    leading byte-order mark; a byte that does not decode is a data error
+    naming the file and its offset from the start of the file."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise RdgaugeError(f"{path}: not UTF-8 text at byte {exc.start}: "
                            f"{exc.reason}") from None

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import bd as bd_mod
 from .errors import AnalysisError, PlanError, RdgaugeError
-from .store import MetricRecord
-from .table import RecordTable
+from .store import MetricRecord, RecordTable
 
 OBJECTIVE_MAX_COVERAGE = "max_coverage"
 OBJECTIVE_BUDGETED = "max_coverage_within_budget"
@@ -405,9 +405,11 @@ SUMMARY_CSV_FIELDS = ("family", "preset", "passes", "n_records", "n_above",
 def summaries_from_csv(text: str) -> list[ConfigSummary]:
     """Parse externally produced summary rows (e.g. published tables).
 
-    A missing column or a value that does not parse is an RdgaugeError
-    naming the CSV line and the column; so is a line the csv module
-    cannot read, such as one holding a lone CR outside quotes.
+    A missing column, or a value that does not parse or cannot be (a
+    negative or non-finite total, more records above a bar than counted)
+    is an RdgaugeError naming the CSV line and the column; so is a line
+    the csv module cannot read, such as one holding a lone CR outside
+    quotes.
     """
     reader = csv.DictReader(io.StringIO(text))
 
@@ -432,6 +434,19 @@ def summaries_from_csv(text: str) -> list[ConfigSummary]:
                 fields[name] = value(row, name, int, "an integer")
             fields["total_hours"] = value(row, "total_hours", float,
                                           "a number", optional=True)
+            for name in SUMMARY_CSV_FIELDS[3:]:
+                number = fields[name]
+                if number is not None and not 0 <= number < math.inf:
+                    raise RdgaugeError(
+                        f"summary line {reader.line_num}: {name} must be "
+                        f"finite and >= 0, got {row[name]!r}")
+            # (n_records, n_above) and the checkpoint pair
+            for total, above in (SUMMARY_CSV_FIELDS[3:5],
+                                 SUMMARY_CSV_FIELDS[5:7]):
+                if fields[above] > fields[total]:
+                    raise RdgaugeError(
+                        f"summary line {reader.line_num}: {above} "
+                        f"({fields[above]}) exceeds {total} ({fields[total]})")
             out.append(ConfigSummary(**fields))
     except csv.Error as exc:
         # line_num counts the lines read before the one that failed

@@ -5,12 +5,17 @@ diffs are readable, and a crash mid-write costs at most the trailing
 line. Duplicate keys are resolved at load time, keeping the newest
 record (re-runs supersede).
 
-``load`` returns the deduped records as columns, a
-``rdgauge.table.RecordTable`` (imported, with numpy, on first load).
+``_SCHEMA`` describes the record once, and ``_check`` holds the rules
+every record keeps: ``append`` refuses a record that breaks them, and
+``load`` treats a line that breaks them as malformed. No value is
+coerced.
+
+``load`` returns the deduped records as columns, a ``RecordTable``
+(numpy is imported on first load).
 
 ``load`` keeps an index next to the store, ``<store>.idx``: a memo of
 one parse of the whole store, keyed by the store's fingerprint (index
-format 6). The fingerprint is the store's device, inode, size, mtime
+format 7). The fingerprint is the store's device, inode, size, mtime
 and ctime. A load whose ``stat`` of the store matches the index's
 fingerprint exactly returns the indexed table's columns without reading
 the store; it still checks the index's own header, length and CRC-32.
@@ -53,6 +58,7 @@ record only gets its missing ``\\n``.
 from __future__ import annotations
 
 import fcntl
+import itertools
 import json
 import logging
 import marshal
@@ -63,34 +69,63 @@ import struct
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import StoreImportError, StoreLoadError, StoreValidationError
 
 if TYPE_CHECKING:
-    from .table import RecordTable
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
-# Wire field names, in line order.
-FIELDS = ("clip", "family", "preset", "passes", "tbr_kbps", "kbps", "vmaf",
-          "psnr_y", "enc_s", "bytes", "tool", "ts")
+_NULL = type(None)
+# The record, one entry per field in line order (MetricRecord's attribute
+# order): its wire name; the JSON types a line may give it, and how an
+# error names them; its value when a line leaves it out (a null where the
+# types exclude one is refused); its column dtype: "<i4" an int32 code
+# into the column's value list, "<f8" float64 (NaN under a null), "<i8"
+# int64 (0 under a null).
+_SCHEMA = (
+    ("clip", (str,), "a string", None, "<i4"),
+    ("family", (str,), "a string", None, "<i4"),
+    ("preset", (str,), "a string", None, "<i4"),
+    ("passes", (int,), "an integer", None, "<i4"),
+    ("tbr_kbps", (int, float), "a number", None, "<f8"),
+    ("kbps", (int, float), "a number", None, "<f8"),
+    ("vmaf", (int, float, _NULL), "a number or null", None, "<f8"),
+    ("psnr_y", (int, float, _NULL), "a number or null", None, "<f8"),
+    ("enc_s", (int, float, _NULL), "a number or null", None, "<f8"),
+    ("bytes", (int, _NULL), "an integer or null", None, "<i8"),
+    ("tool", (str,), "a string", "", "<i4"),
+    ("ts", (str,), "a string", "", "<i4"),
+)
+FIELDS = tuple(entry[0] for entry in _SCHEMA)
+_DEFAULTS = tuple(entry[3] for entry in _SCHEMA)
+_LINE_VALUES = itemgetter(*FIELDS)
+# Every tuple of types a record's values may have: one lookup checks all.
+_SIGNATURES = frozenset(itertools.product(*(entry[1] for entry in _SCHEMA)))
+_DTYPES = {entry[0]: entry[4] for entry in _SCHEMA}
+# The columns coded into value lists, and those with a null mask.
+_CODED = tuple(name for name in FIELDS if _DTYPES[name] == "<i4")
+_NULLABLE = tuple(entry[0] for entry in _SCHEMA if _NULL in entry[1])
+_LIMIT = 2.0 ** 63  # a number must lie within an int64 column's range
 
 
 # magic, index format, marshal version, body length, body CRC-32
 _INDEX_HEADER = struct.Struct("<4sHHQI")
 _INDEX_MAGIC = b"RDGI"
-_INDEX_FORMAT = 6
+_INDEX_FORMAT = 7  # an index memoises a parse: new parse rules, new format
 # A store whose ctime is this much older than the clock is settled.
 _SETTLE_NS = 2_000_000_000
 
 # Errors that make a line malformed rather than the store unreadable.
-_LINE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                OverflowError)
+_LINE_ERRORS = (json.JSONDecodeError, TypeError, ValueError, OverflowError,
+                StoreValidationError)
 
 
 def _now() -> str:
@@ -99,7 +134,7 @@ def _now() -> str:
 
 @dataclass
 class MetricRecord:
-    """One persisted benchmark outcome."""
+    """One persisted benchmark outcome; attributes in ``FIELDS`` order."""
 
     clip_id: str
     family: str
@@ -119,84 +154,190 @@ class MetricRecord:
                 self.target_kbps)
 
     def validate(self) -> None:
-        if not self.clip_id or not self.family or not self.preset:
-            raise StoreValidationError("clip, family and preset must be non-empty")
-        if self.passes not in (1, 2):
-            raise StoreValidationError(f"passes must be 1 or 2, got {self.passes}")
-        for name in ("target_kbps", "measured_kbps", "encode_seconds"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise StoreValidationError(
-                    f"{name} must be finite, got {value}")
-        if not (self.target_kbps > 0):
-            raise StoreValidationError(f"target_kbps must be > 0, got {self.target_kbps}")
-        if not (self.measured_kbps > 0):
-            raise StoreValidationError(
-                f"measured_kbps must be > 0, got {self.measured_kbps}")
-        if self.vmaf is not None and not (0.0 <= self.vmaf <= 100.0):
-            raise StoreValidationError(f"vmaf out of [0, 100]: {self.vmaf}")
-        if self.psnr_y is not None and not math.isfinite(self.psnr_y):
-            raise StoreValidationError(f"psnr_y must be finite, got {self.psnr_y}")
-        if self.encode_seconds is not None and self.encode_seconds < 0:
-            raise StoreValidationError(
-                f"encode_seconds must be >= 0, got {self.encode_seconds}")
+        _check(_values(self), _ATTRS)
 
     def to_line(self) -> str:
-        row = {
-            "clip": self.clip_id,
-            "family": self.family,
-            "preset": self.preset,
-            "passes": self.passes,
-            "tbr_kbps": self.target_kbps,
-            "kbps": self.measured_kbps,
-            "vmaf": self.vmaf,
-            "psnr_y": self.psnr_y,
-            "enc_s": self.encode_seconds,
-            "bytes": self.output_bytes,
-            "tool": self.tool_version,
-            "ts": self.created_at,
-        }
-        return json.dumps(row, ensure_ascii=False)
+        return json.dumps(dict(zip(FIELDS, _values(self))),
+                          ensure_ascii=False)
 
 
-def _fields(row: dict) -> tuple:
-    """A parsed line's MetricRecord field values, in field order.
-
-    The key is the first five values and ``created_at`` the last. Every
-    field becomes a typed column, so a value of the wrong type (see
-    ``_TYPED``) makes the line malformed.
-    """
-    fields = (row["clip"], row["family"], str(row["preset"]),
-              int(row["passes"]), row["tbr_kbps"], row["kbps"],
-              row.get("vmaf"), row.get("psnr_y"), row.get("enc_s"),
-              row.get("bytes"), row.get("tool", ""), row.get("ts", ""))
-    for name, k, types, what in _TYPED:
-        value = fields[k]
-        if type(value) not in types:
-            raise TypeError(f"{name} must be {what}, got {json.dumps(value)}")
-        if type(value) is float and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {json.dumps(value)}")
-        if type(value) is int and not -_INT_LIMIT <= value < _INT_LIMIT:
-            raise ValueError(f"{name} out of range, got {value}")
-    return fields
+# A record's attribute names, and its field values, in FIELDS order.
+_ATTRS = tuple(f.name for f in fields(MetricRecord))
+_values = attrgetter(*_ATTRS)
 
 
-# Wire name, field position, accepted types and their description.
-_NUMBER = (int, float)
-_NULL = (type(None),)
-_TYPED = (("clip", 0, (str,), "a string"), ("family", 1, (str,), "a string"),
-          ("tbr_kbps", 4, _NUMBER, "a number"),
-          ("kbps", 5, _NUMBER, "a number"),
-          ("vmaf", 6, _NUMBER + _NULL, "a number or null"),
-          ("psnr_y", 7, _NUMBER + _NULL, "a number or null"),
-          ("enc_s", 8, _NUMBER + _NULL, "a number or null"),
-          ("bytes", 9, (int,) + _NULL, "an integer or null"),
-          ("tool", 10, (str,), "a string"), ("ts", 11, (str,), "a string"))
-_INT_LIMIT = 2 ** 63  # a JSON integer must fit an int64 column
+def _check(values: Sequence, names: Sequence[str]) -> None:
+    """Raise StoreValidationError unless a record's field values, in
+    ``FIELDS`` order, have their JSON types (see ``_SCHEMA``) and keep
+    the store's rules. The error calls each field by its name in
+    ``names``."""
+    if tuple(map(type, values)) not in _SIGNATURES:
+        for name, value, (_, types, what, _, _) in zip(names, values,
+                                                      _SCHEMA):
+            if type(value) not in types:
+                _refuse(name, f"must be {what}", value)
+    if "" in values[:3]:  # clip, family, preset
+        _refuse(names[values.index("")], "must not be empty", "")
+    passes, vmaf = values[3], values[6]
+    if passes not in (1, 2):
+        _refuse(names[3], "must be 1 or 2", passes)
+    for k in range(4, 10):  # the numbers
+        value = values[k]
+        if value is not None and not -_LIMIT <= value < _LIMIT:
+            finite = type(value) is int or math.isfinite(value)
+            _refuse(names[k], "out of range" if finite else "must be finite",
+                    value)
+    for k in (4, 5):  # the rates
+        if not values[k] > 0:
+            _refuse(names[k], "must be > 0", values[k])
+    if vmaf is not None and not 0 <= vmaf <= 100:
+        _refuse(names[6], "must be in [0, 100]", vmaf)
+    for k in (8, 9):  # encode seconds, bytes
+        if values[k] is not None and values[k] < 0:
+            _refuse(names[k], "must be >= 0", values[k])
+
+
+def _refuse(name: str, rule: str, value) -> None:
+    raise StoreValidationError(
+        f"{name} {rule}, got {json.dumps(value, default=repr)}")
+
+
+def _fields(row) -> tuple:
+    """A parsed line's record: its field values in ``FIELDS`` order,
+    which must pass ``_check``."""
+    try:
+        values = _LINE_VALUES(row)
+    except KeyError:  # a line may leave out a field that has a default
+        values = tuple(map(row.get, FIELDS, _DEFAULTS))
+    _check(values, FIELDS)
+    return values
 
 
 # load returns records sorted by MetricRecord.key(), then created_at.
 _ROW_ORDER = itemgetter(0, 1, 2, 3, 4, 11)
+
+
+class RecordTable(Sequence):
+    """Records as read-only columns, in input order.
+
+    ``columns[name]`` holds one array per wire field, of its dtype in
+    ``_SCHEMA``; a coded field's array holds codes into the value list
+    ``tables[name]``. ``nulls[name]`` marks the rows where a nullable
+    field is null; the value under a null means nothing. Indexing,
+    iteration and ``==`` against a list build each ``MetricRecord`` as
+    it is read.
+    """
+
+    def __init__(self, columns: dict, tables: dict, nulls: dict):
+        for column in (*columns.values(), *nulls.values()):
+            column.flags.writeable = False
+        self.columns = columns
+        self.tables = tables
+        self.nulls = nulls
+
+    @classmethod
+    def from_records(cls, records: Iterable[MetricRecord]) -> RecordTable:
+        return from_rows([_values(r) for r in records])
+
+    @classmethod
+    def of(cls, records: Iterable[MetricRecord]) -> RecordTable:
+        """``records`` itself when it is a table, else its table."""
+        return records if isinstance(records, cls) else cls.from_records(records)
+
+    def take(self, rows: np.ndarray) -> RecordTable:
+        """The table of the given rows, in that order."""
+        return RecordTable({k: v[rows] for k, v in self.columns.items()},
+                           self.tables,
+                           {k: v[rows] for k, v in self.nulls.items()})
+
+    def values(self, name: str) -> list:
+        """Column ``name`` as Python values, None where null."""
+        import numpy as np
+        column = self.columns[name].tolist()
+        if name in self.tables:
+            table = self.tables[name]
+            return [table[c] for c in column]
+        if name in self.nulls:
+            for i in np.flatnonzero(self.nulls[name]).tolist():
+                column[i] = None
+        return column
+
+    def rows(self) -> Iterable[tuple]:
+        """Each row's MetricRecord field values, in field order."""
+        return zip(*map(self.values, FIELDS))
+
+    def buffers(self) -> tuple:
+        """The value lists and the raw bytes of every column and null
+        mask, as ``from_buffers`` reads them back."""
+        return (tuple(self.tables[name] for name in _CODED),
+                tuple(self.columns[name].astype(_DTYPES[name], copy=False)
+                      .tobytes() for name in FIELDS),
+                tuple(self.nulls[name].tobytes() for name in _NULLABLE))
+
+    def __len__(self) -> int:
+        return len(self.columns["clip"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # negative indices, IndexError
+        values = []
+        for name in FIELDS:
+            value = self.columns[name][i].item()
+            if name in self.tables:
+                value = self.tables[name][value]
+            elif name in self.nulls and self.nulls[name][i]:
+                value = None
+            values.append(value)
+        return MetricRecord(*values)
+
+    def __iter__(self):
+        return (MetricRecord(*row) for row in self.rows())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RecordTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RecordTable({list(self)!r})"
+
+
+def from_rows(rows: Sequence[tuple]) -> RecordTable:
+    """The table of records' field tuples, in their order."""
+    import numpy as np
+    columns, tables, nulls = {}, {}, {}
+    by_field = zip(*rows) if rows else [()] * len(FIELDS)
+    for name, values in zip(FIELDS, by_field):
+        dtype = _DTYPES[name]
+        if name in _NULLABLE:
+            nulls[name] = np.array([v is None for v in values], dtype=bool)
+        if dtype == "<i4":
+            codes: dict = {}
+            columns[name] = np.array(
+                [codes.setdefault(v, len(codes)) for v in values], dtype)
+            tables[name] = list(codes)
+        elif dtype == "<f8":  # a null becomes NaN, under its mask
+            columns[name] = np.array(values, dtype)
+        else:  # a null becomes 0, under its mask
+            columns[name] = np.array([0 if v is None else v for v in values],
+                                     dtype)
+    return RecordTable(columns, tables, nulls)
+
+
+def from_buffers(buffers: tuple) -> RecordTable:
+    """The table that ``RecordTable.buffers`` gave, over those bytes."""
+    import numpy as np
+    tables, columns, nulls = buffers
+    return RecordTable(
+        {name: np.frombuffer(raw, _DTYPES[name])
+         for name, raw in zip(FIELDS, columns)},
+        dict(zip(_CODED, tables)),
+        {name: np.frombuffer(raw, bool)
+         for name, raw in zip(_NULLABLE, nulls)})
 
 
 def append(path: Union[str, Path], record: MetricRecord) -> None:
@@ -248,8 +389,6 @@ def load(path: Union[str, Path]) -> RecordTable:
     A store that has not changed since its index recorded its
     fingerprint is not read at all (see the module docstring).
     """
-    from .table import from_buffers
-
     path = Path(path)
     try:
         seen = _fingerprint(os.stat(path))
@@ -308,10 +447,8 @@ def _parse(path: Path, data: bytes) -> tuple:
     return _state(latest.values()), whole
 
 
-def _state(rows: Iterable[tuple]) -> "RecordTable":
+def _state(rows: Iterable[tuple]) -> RecordTable:
     """The table of the rows, sorted as ``load`` returns them."""
-    from .table import from_rows
-
     return from_rows(sorted(rows, key=_ROW_ORDER))
 
 
@@ -353,7 +490,7 @@ def _read_index(path: Path) -> tuple:
 
 
 def _write_index(path: Path, fingerprint: tuple,
-                 table: "RecordTable") -> None:
+                 table: RecordTable) -> None:
     """Atomically replace the index with the table of the whole store,
     keyed by the store's fingerprint."""
     # Marshal format 2 writes no back-references, which the column bytes

@@ -25,7 +25,7 @@ from rdgauge.errors import (
     OverlapError,
 )
 from rdgauge.store import MetricRecord
-from rdgauge.table import RecordTable
+from rdgauge.store import RecordTable
 
 FOUR_POINT = [(1000.0, 30.0), (2000.0, 35.0), (4000.0, 40.0), (8000.0, 45.0)]
 

@@ -92,6 +92,19 @@ class TestPlan:
         assert f"{clips}: not UTF-8 text at byte 9: " in err
         assert "Traceback" not in err
 
+    def test_clips_file_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        clips = tmp_path / "clips.txt"
+        clips.write_bytes(b"\xef\xbb\xbfshot1\nshot2\n")
+        assert main(["plan", "--clips-file", str(clips), "--families",
+                     "x264", "--presets", "medium", "--passes", "1",
+                     "--ladder", "8000", "--show", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "-i shot1.y4m" in out and "\ufeff" not in out
+        clips.write_bytes(b"\xef\xbb\xbfshot1\ncaf\xe9\n")
+        assert main(["plan", "--clips-file", str(clips)]) == 2
+        assert f"{clips}: not UTF-8 text at byte 12: " in (
+            capsys.readouterr().err)
+
     def test_work_dir_env_is_read_per_call(self, tmp_path, monkeypatch,
                                            capsys):
         argv = ["plan", "--clips", "a", "--families", "x264", "--presets",
@@ -191,6 +204,21 @@ class TestImportAndScenario:
         tf = [r for r in recs if r.clip_id == "--enable-tf 0"]
         assert tf[0].measured_kbps == 3574.181
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_bytes(
+            b"\xef\xbb\xbf" + (DATA / "toolsweep_table.csv").read_bytes())
+        assert main(["import", "--csv", str(table), "--store",
+                     str(tmp_path / "s.jsonl"), "--family", "svt-av1",
+                     "--preset", "10", "--passes", "1", "--tbr", "4000"]) == 0
+        assert "imported 10 records" in capsys.readouterr().out
+        summaries = tmp_path / "s.csv"
+        summaries.write_bytes(
+            b"\xef\xbb\xbf" + (DATA / "summary_s1.csv").read_bytes())
+        assert main(["scenario", "--id", "S1", "--from-summaries",
+                     str(summaries)]) == 0
+        assert "svt-av1: 2 @ 1-pass" in capsys.readouterr().out
+
     def test_scenario_from_summaries(self, capsys):
         rc = main(["scenario", "--id", "S1", "--from-summaries",
                    str(DATA / "summary_s1.csv")])
@@ -251,7 +279,9 @@ class TestImportAndScenario:
         (lambda t: t.replace("n_above,", ""),
          "summary line 2: no 'n_above' column"),
         (lambda t: t.replace("x264,veryslow,2,", "x264,veryslow,one,"),
-         "summary line 3: passes must be an integer, got 'one'")])
+         "summary line 3: passes must be an integer, got 'one'"),
+        (lambda t: t.replace(",51.18", ",nan"),
+         "summary line 3: total_hours must be finite and >= 0, got 'nan'")])
     def test_bad_summary_is_data_error(self, tmp_path, capsys, edit, message):
         summaries = tmp_path / "s.csv"
         summaries.write_text(edit((DATA / "summary_s1.csv").read_text()))
@@ -343,7 +373,9 @@ class TestImportAndScenario:
         ["curves", "--config", "x264:medium:1", "--per-clip"],
         ["curves", "--config", "x264:medium:1"]])
     @pytest.mark.parametrize("field,value", [("kbps", None), ("vmaf", "91.5"),
-                                             ("kbps", float("inf"))])
+                                             ("kbps", float("inf")),
+                                             ("passes", 3), ("vmaf", 150),
+                                             ("kbps", -5)])
     def test_wrong_typed_measurement_is_data_error(self, tmp_path, capsys,
                                                    command, field, value):
         store_path = tmp_path / "s.jsonl"

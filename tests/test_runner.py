@@ -5,11 +5,13 @@ import stat
 import struct
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_header, synthetic_clip, write_clip
 from mutations import edits, mutate
@@ -601,6 +603,30 @@ class TestContainerKbps:
 
     def test_missing_file_is_none(self, tmp_path):
         assert runner.container_kbps(tmp_path / "absent.mp4") is None
+
+
+# Small IVF and MP4 files with a duration in their headers.
+_CONTAINERS = (
+    _ivf(3, 30000, 1001, payload=bytes(16)),
+    FTYP + _box(b"mdat", bytes(64))
+    + _box(b"moov", _box(b"udta", bytes(16)) + _mvhd(1000, 2500)),
+    FTYP + struct.pack(">I4sQ", 1, b"mdat", 80) + bytes(64)
+    + _box(b"moov", _mvhd(90000, 225000, version=1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.sampled_from(_CONTAINERS), changes=edits)
+def test_mutated_container_header_gives_a_rate_or_none(data, changes):
+    """Reader contract: an IVF or MP4 file with a few bytes changed, cut
+    or inserted gives a finite positive rate or None, and raises
+    nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        path.write_bytes(mutate(data, changes))
+        kbps = runner.container_kbps(path)
+    assert kbps is None or (type(kbps) is float and math.isfinite(kbps)
+                            and kbps > 0)
 
 
 def _encode(args, clip, fake_bin, tmp_path, *extra):

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -443,6 +444,27 @@ class TestSummaryCsvErrors:
         text = "\n".join([self.HEADER, self.ROW, ",".join(row)]) + "\n"
         with pytest.raises(RdgaugeError, match=(
                 f"summary line 3: {column} must be {what}, got '{value}'")):
+            summaries_from_csv(text)
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("total_hours", "nan",
+         "total_hours must be finite and >= 0, got 'nan'"),
+        ("total_hours", "inf",
+         "total_hours must be finite and >= 0, got 'inf'"),
+        ("total_hours", "-0.5",
+         "total_hours must be finite and >= 0, got '-0.5'"),
+        ("n_records", "-3", "n_records must be finite and >= 0, got '-3'"),
+        ("overshoot_count", "-1",
+         "overshoot_count must be finite and >= 0, got '-1'"),
+        ("n_above", "749", "n_above (749) exceeds n_records (744)"),
+        ("n_checkpoint_above", "63",
+         "n_checkpoint_above (63) exceeds n_checkpoint_records (62)")])
+    def test_impossible_value_is_named(self, column, value, message):
+        row = self.ROW.split(",")
+        row[scenario.SUMMARY_CSV_FIELDS.index(column)] = value
+        text = "\n".join([self.HEADER, self.ROW, ",".join(row)]) + "\n"
+        with pytest.raises(RdgaugeError, match=(
+                f"summary line 3: {re.escape(message)}$")):
             summaries_from_csv(text)
 
     def test_short_row_is_named(self):

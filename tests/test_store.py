@@ -211,7 +211,7 @@ def _reference_load(path):
             row = json.loads(line.decode("utf-8"))
             rec = MetricRecord(*store._fields(row))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                OverflowError) as exc:
+                OverflowError, StoreValidationError) as exc:
             if idx == len(raw) - 1:
                 continue
             raise StoreLoadError(f"{path}: malformed line {idx + 1}: {exc}") from exc
@@ -607,7 +607,7 @@ def _format_1_index(path):
 def _format_2_index(path):
     """The index a format-2 loader wrote for ``path``: the table's column
     buffers under blake2b digests."""
-    from rdgauge.table import RecordTable
+    from rdgauge.store import RecordTable
 
     data = path.read_bytes()
     table = RecordTable.from_records(_reference_load(path))
@@ -618,7 +618,7 @@ def _format_2_index(path):
 def _format_3_index(path):
     """The index a format-3 loader wrote for ``path``: the table's column
     buffers under sha256 digests, with no store fingerprint."""
-    from rdgauge.table import RecordTable
+    from rdgauge.store import RecordTable
 
     data = path.read_bytes()
     table = RecordTable.from_records(_reference_load(path))
@@ -630,7 +630,7 @@ def _format_3_index(path):
 def _format_4_index(path):
     """The index a format-4 loader wrote for ``path``: the table's column
     buffers and the store's fingerprint under sha256 digests."""
-    from rdgauge.table import RecordTable
+    from rdgauge.store import RecordTable
 
     data = path.read_bytes()
     table = RecordTable.from_records(_reference_load(path))
@@ -644,7 +644,7 @@ def _format_5_index(path):
     its sha256 digest, its line count, the store's fingerprint and the
     table's column buffers, under a header with the body's length and
     CRC-32."""
-    from rdgauge.table import RecordTable
+    from rdgauge.store import RecordTable
 
     data = path.read_bytes()
     table = RecordTable.from_records(_reference_load(path))
@@ -653,6 +653,21 @@ def _format_5_index(path):
          store._fingerprint(os.stat(path)), table.buffers()), 2)
     store.index_path(path).write_bytes(
         struct.pack("<4sHHQI", b"RDGI", 5, marshal.version, len(body),
+                    zlib.crc32(body)) + body)
+
+
+def _format_6_index(path):
+    """The index a format-6 loader wrote for ``path``: the store's
+    fingerprint and the table's column buffers, under a header with the
+    body's length and CRC-32. Format 6 parsed lines by looser rules, so
+    its matching fingerprint is not trusted either."""
+    from rdgauge.store import RecordTable
+
+    table = RecordTable.from_records(_reference_load(path))
+    body = marshal.dumps((store._fingerprint(os.stat(path)),
+                          table.buffers()), 2)
+    store.index_path(path).write_bytes(
+        struct.pack("<4sHHQI", b"RDGI", 6, marshal.version, len(body),
                     zlib.crc32(body)) + body)
 
 
@@ -691,16 +706,23 @@ def test_format_5_index_falls_back_and_is_rewritten(tmp_store, caplog,
     _check_old_index_is_rewritten(tmp_store, caplog, settle, 5)
 
 
+def test_format_6_index_falls_back_and_is_rewritten(tmp_store, caplog,
+                                                    settle):
+    _fill(tmp_store, 4)
+    _format_6_index(tmp_store)  # its matching fingerprint is not trusted
+    _check_old_index_is_rewritten(tmp_store, caplog, settle, 6)
+
+
 def _check_old_index_is_rewritten(tmp_store, caplog, settle, fmt):
     settle()
     with caplog.at_level("WARNING"):
         got = store.load(tmp_store)
     assert got == _reference_load(tmp_store)
     assert any("ignoring store index" in r.message
-               and f"format {fmt}" in r.message and "want 6" in r.message
+               and f"format {fmt}" in r.message and "want 7" in r.message
                for r in caplog.records)
     head = store.index_path(tmp_store).read_bytes()[:8]
-    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 6)
+    assert struct.unpack("<4sHH", head)[:2] == (b"RDGI", 7)
     caplog.clear()
     with caplog.at_level("WARNING"):
         assert store.load(tmp_store) == got
@@ -729,6 +751,45 @@ def test_wrong_typed_measurement_is_a_malformed_line(tmp_store, field, value,
         store.load(tmp_store)
 
 
+# Values that break a rule of the store, and the rule each breaks.
+_BROKEN = [("passes", 3, "must be 1 or 2, got 3"),
+           ("passes", 1.7, "must be an integer, got 1.7"),
+           ("passes", True, "must be an integer, got true"),
+           ("passes", "2", 'must be an integer, got "2"'),
+           ("preset", None, "must be a string, got null"),
+           ("preset", 10, "must be a string, got 10"),
+           ("preset", "", 'must not be empty, got ""'),
+           ("clip", "", 'must not be empty, got ""'),
+           ("vmaf", 150, "must be in [0, 100], got 150"),
+           ("kbps", -5, "must be > 0, got -5"),
+           ("tbr_kbps", 0, "must be > 0, got 0"),
+           ("enc_s", -1, "must be >= 0, got -1"),
+           ("bytes", -7, "must be >= 0, got -7")]
+_ATTRS = dict(zip(store.FIELDS,
+                  (f.name for f in dataclasses.fields(MetricRecord))))
+
+
+@pytest.mark.parametrize("field,value,rule", _BROKEN)
+def test_load_refuses_what_append_refuses(tmp_store, caplog, field, value,
+                                          rule):
+    bad = json.dumps({**_LINE, "clip": "b", field: value}) + "\n"
+    good = json.dumps(_LINE) + "\n"
+    tmp_store.write_text(good + bad + good)
+    with pytest.raises(StoreLoadError, match=(
+            f"malformed line 2: {re.escape(f'{field} {rule}')}$")):
+        store.load(tmp_store)
+    tmp_store.write_text(good + bad)
+    with caplog.at_level("WARNING"):
+        assert [r.clip_id for r in store.load(tmp_store)] == ["a"]
+    assert any("ignoring partial trailing line 2" in r.message
+               for r in caplog.records)
+    fresh = tmp_store.with_name("fresh.jsonl")
+    with pytest.raises(StoreValidationError, match=(
+            f"^{re.escape(f'{_ATTRS[field]} {rule}')}$")):
+        store.append(fresh, _record(**{_ATTRS[field]: value}))
+    assert not fresh.exists()
+
+
 @pytest.mark.parametrize("field", ["kbps", "bytes", "tbr_kbps"])
 def test_integer_beyond_int64_is_a_malformed_line(tmp_store, field):
     lines = [_LINE, {**_LINE, "clip": "b", field: 2 ** 63}, _LINE]
@@ -741,8 +802,8 @@ def test_integer_beyond_int64_is_a_malformed_line(tmp_store, field):
 def test_infinite_passes_is_a_malformed_line(tmp_store):
     lines = [_LINE, {**_LINE, "clip": "b", "passes": math.inf}, _LINE]
     tmp_store.write_text("".join(json.dumps(row) + "\n" for row in lines))
-    with pytest.raises(StoreLoadError, match="malformed line 2: cannot "
-                       "convert float infinity to integer"):
+    with pytest.raises(StoreLoadError, match="malformed line 2: passes "
+                       "must be an integer, got Infinity$"):
         store.load(tmp_store)
 
 
@@ -836,7 +897,7 @@ class TestRecordTable:
             assert not column.flags.writeable
 
     def test_from_records_and_take(self, tmp_store):
-        from rdgauge.table import RecordTable
+        from rdgauge.store import RecordTable
 
         table, want = self._table(tmp_store)
         assert RecordTable.from_records(want) == want

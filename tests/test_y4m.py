@@ -1,5 +1,7 @@
 import io
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clip_stream, make_header, read_clip, write_clip
+from mutations import edits, mutate
 from rdgauge import y4m
 from rdgauge.errors import (
     IncompleteFrameError,
+    RdgaugeError,
     Y4MFormatError,
     Y4MUnsupportedError,
     Y4MValidationError,
@@ -280,3 +284,44 @@ def test_pipe_payload_read_in_chunks(monkeypatch, chunk):
             else:
                 assert reader.read_frame().v.tolist() == frames[1].v.tolist()
                 assert reader.read_frame() is None
+
+
+# Small valid clips, 8- and 10-bit, whose headers and frame markers carry
+# parameters.
+_CLIPS = (
+    b"YUV4MPEG2 W4 H2 F25:1 Ip A1:1 C420jpeg XYSCSS=420JPEG\n"
+    + b"FRAME\n" + bytes(range(12)) + b"FRAME Ixyz\n" + bytes(12),
+    b"YUV4MPEG2 W2 H2 F30000:1001 C420p10\n"
+    + (b"FRAME\n" + bytes(range(12))) * 2,
+)
+
+
+def _outcome(read):
+    """What ``read`` returns, or the class of the RdgaugeError it
+    raises."""
+    try:
+        return read()
+    except RdgaugeError as exc:
+        return type(exc)
+
+
+def _frames(path):
+    with y4m.Y4MReader(path) as reader:
+        count = 0
+        while reader.read_frame() is not None:
+            count += 1
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(clip=st.sampled_from(_CLIPS), changes=edits)
+def test_mutated_clip_probes_and_reads_or_fails_closed(clip, changes):
+    """Reader contract: a clip with a few bytes changed, cut or inserted
+    probes to its header and frame count, and reads frame by frame to
+    as many frames, or both raise the same RdgaugeError subclass; neither
+    raises anything else."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.y4m"
+        path.write_bytes(mutate(clip, changes))
+        probed = _outcome(lambda: y4m.probe_clip(path)[1])
+        assert probed == _outcome(lambda: _frames(path))
