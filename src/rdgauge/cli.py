@@ -530,10 +530,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         logging.basicConfig(level=args.log_level,
                             format="%(levelname)s %(name)s: %(message)s")
     if args.command not in ("encode", "vmaf"):  # their tools inherit it
-        # rdgauge's largest matrix product is 32 x 256 x 32
-        # (kernels.CHUNK), too small for a BLAS thread pool, whose start
-        # costs about 80 ms of CPU at numpy's import; a value the user
-        # set stays.
+        # rdgauge's matrix products are 32 x 32 x 32 GEMMs, one per
+        # block (kernels.block_energies), too small for a BLAS thread
+        # pool, whose start costs about 80 ms of CPU at numpy's import; a
+        # value the user set stays.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)

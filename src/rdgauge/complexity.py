@@ -24,8 +24,8 @@ not fit uint32.
 ``analyze_clips`` analyses several clips on a thread pool of one worker
 per clip, up to the CPUs the process may run on. The clips are
 independent, numpy releases the interpreter lock in its array work, and
-the kernel's BLAS calls are small enough to run on the calling thread
-(see ``kernels.CHUNK``), so the workers run in parallel. Each clip's
+the kernel's GEMMs (32x32x32, one per block) are small enough to run
+on the calling thread, so the workers run in parallel. Each clip's
 result is the same as from ``analyze_clip`` alone.
 """
 

@@ -3,9 +3,10 @@
 The hot loop of complexity analysis is a 32x32 orthonormal DCT over
 every luma block of a frame (a 4K frame has 8100 blocks).
 ``block_energies`` computes the per-block AC magnitude sums in numpy as
-a separable transform: two matrix products per strip of block rows,
-each issued as batched ``np.matmul`` calls of GEMMs of at most CHUNK
-columns or rows.
+a separable transform, one block row at a time: two batched
+``np.matmul`` calls of one 32x32x32 GEMM per block, and one GEMV for
+the row sums of every block's coefficients. The sums over those row
+sums, the energies and the flat test then run once per frame.
 A flat (constant) block must read exactly zero, but the transform leaves
 round-off in its AC terms, so flat blocks are found by comparing
 samples. That exact comparison runs only on the few candidate blocks
@@ -24,15 +25,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 BLOCK = 32
-# Block rows per strip: two float64 buffers of 32 * STRIP_ROWS * width
-# each (2 MB at 1080p) stay cache-sized.
-STRIP_ROWS = 4
-# Columns or rows per GEMM. OpenBLAS runs a GEMM with m*n*k at most
-# SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65,536 * 4 = 262,144
-# on the calling thread, and 32 * 256 * 32 is exactly that, so clips
-# analysed on several threads run their transforms in parallel instead
-# of queueing on BLAS's shared thread server.
-CHUNK = 256
 # A block is a flat candidate unless its computed AC sum exceeds
 # FLAT_SLACK + FLAT_SLACK_REL * (its sum of all |coefficients|); see
 # block_energies for why no flat block can exceed it.
@@ -63,11 +55,6 @@ def _basis() -> tuple:
     return arrays
 
 
-def _column_chunks(m: np.ndarray) -> np.ndarray:
-    """A (BLOCK, k * CHUNK) view as a stack of k (BLOCK, CHUNK) views."""
-    return m.reshape(BLOCK, -1, CHUNK).transpose(1, 0, 2)
-
-
 def block_energies(plane: np.ndarray) -> np.ndarray:
     """Per-block sum of |AC coefficients| of a plane.
 
@@ -93,58 +80,51 @@ def block_energies(plane: np.ndarray) -> np.ndarray:
     of at least its L2 norm, sqrt(1 - 1/1024) > 0.99: there the
     candidates are exactly the flat blocks.
 
-    The plane is taken STRIP_ROWS block rows at a time. Each strip is
-    cast to float64 as a (BLOCK, rows * width) matrix whose row index is
-    the pixel row inside a block, so ``D @ x`` transforms every block
-    column at once and ``y.reshape(-1, BLOCK) @ D.T`` then transforms
-    every block row, with no copy between them. Each product runs as
-    GEMMs of at most 32x256x32 (CHUNK columns of ``x``, then CHUNK rows
-    of ``y``), small enough that BLAS runs them on the calling thread.
-    Every coefficient is still one 32-term dot product in the same
-    order, so the output is bit-identical to one GEMM per product.
+    The plane is taken one block row at a time. The row's BLOCK pixel
+    rows are cast to float64 into a (BLOCK, width) buffer, whose views
+    as (BLOCK, BLOCK) blocks let one batched ``D @ x`` transform every
+    block's columns. Its output, read as (k, block) rows of BLOCK
+    values, is transformed by ``@ D.T`` in batches of BLOCK rows, and a
+    GEMV with a vector of ones sums each row of |coefficients|. Every
+    GEMM is 32x32x32 = 32,768 multiply-adds, which OpenBLAS runs on the
+    calling thread, and every coefficient is still one 32-term dot
+    product in the same order as in one GEMM per product. Each block's
+    32 row sums are then added in order of k, left to right, for the
+    whole frame at once, so a block's energy is bit for bit that of the
+    block alone.
     """
     import numpy as np
     dct, dct_t, ones = _basis()
     height, width = plane.shape
     nby, nbx = height // BLOCK, width // BLOCK
-    out = np.empty((nby, nbx))
-    size = BLOCK * min(STRIP_ROWS, nby) * width
-    x_buf = np.empty(size)
-    y_buf = np.empty(size)
-    for r0 in range(0, nby, STRIP_ROWS):
-        rows = min(STRIP_ROWS, nby - r0)
-        strip = plane[r0 * BLOCK:(r0 + rows) * BLOCK]
-        n = BLOCK * rows * width
-        x = x_buf[:n].reshape(BLOCK, rows, width)
-        np.copyto(x, strip.reshape(rows, BLOCK, width).transpose(1, 0, 2))
-        cols = rows * width
-        xm, y = x.reshape(BLOCK, cols), y_buf[:n].reshape(BLOCK, cols)
-        full = cols - cols % CHUNK
-        if full:  # all full (BLOCK, CHUNK) column chunks in one call
-            np.matmul(dct, _column_chunks(xm[:, :full]),
-                      out=_column_chunks(y[:, :full]))
-        if full < cols:
-            np.matmul(dct, xm[:, full:], out=y[:, full:])
-        # coeffs[(k, block row, block col), l] is coefficient (k, l);
-        # y and coeffs as (cols, BLOCK) matrices split at the same row
-        yr, coeffs = y.reshape(-1, BLOCK), x_buf[:n].reshape(-1, BLOCK)
-        if full:  # all full (CHUNK, BLOCK) row chunks in one call
-            np.matmul(yr[:full].reshape(-1, CHUNK, BLOCK), dct_t,
-                      out=coeffs[:full].reshape(-1, CHUNK, BLOCK))
-        if full < cols:
-            np.matmul(yr[full:], dct_t, out=coeffs[full:])
-        np.abs(coeffs, out=coeffs)
-        total = (coeffs @ ones).reshape(BLOCK, rows * nbx).sum(axis=0)
-        dc = coeffs.reshape(BLOCK, rows * nbx, BLOCK)[0, :, 0]
-        energy = (total - dc).reshape(rows, nbx)
-        # ~(energy > bound) keeps NaN energies as candidates
-        bound = total.reshape(rows, nbx) * FLAT_SLACK_REL + FLAT_SLACK
-        by, bx = np.nonzero(~(energy > bound))
-        blocks = strip.reshape(rows, BLOCK, nbx, BLOCK)[by, :, bx, :]
-        flat = (blocks == blocks[:, :1, :1]).all(axis=(1, 2))
-        energy[by[flat], bx[flat]] = 0.0
-        out[r0:r0 + rows] = energy
-    return out
+    x = np.empty((BLOCK, width))  # a block row's samples, then |coeffs|
+    y = np.empty((BLOCK, width))
+    x_blocks = x.reshape(BLOCK, nbx, BLOCK).transpose(1, 0, 2)
+    y_blocks = y.reshape(BLOCK, nbx, BLOCK).transpose(1, 0, 2)
+    # row_sums[r, k, c]: the sum over l of |coefficient (k, l)| of block
+    # (r, c); dc[r, c]: its |coefficient (0, 0)|
+    row_sums = np.empty((nby, BLOCK, nbx))
+    dc = np.empty((nby, nbx))
+    for r in range(nby):
+        np.copyto(x, plane[r * BLOCK:(r + 1) * BLOCK])
+        np.matmul(dct, x_blocks, out=y_blocks)
+        # row (k, c) of y, times D.T, is row k of block c's coefficients
+        np.matmul(y.reshape(-1, BLOCK, BLOCK), dct_t,
+                  out=x.reshape(-1, BLOCK, BLOCK))
+        np.abs(x, out=x)
+        np.matmul(x.reshape(-1, BLOCK), ones, out=row_sums[r].reshape(-1))
+        dc[r] = x[0, ::BLOCK]
+    total = row_sums[:, 0].copy()
+    for k in range(1, BLOCK):
+        total += row_sums[:, k]
+    energy = total - dc
+    # ~(energy > bound) keeps NaN energies as candidates
+    bound = total * FLAT_SLACK_REL + FLAT_SLACK
+    by, bx = np.nonzero(~(energy > bound))
+    blocks = plane.reshape(nby, BLOCK, nbx, BLOCK)[by, :, bx, :]
+    flat = (blocks == blocks[:, :1, :1]).all(axis=(1, 2))
+    energy[by[flat], bx[flat]] = 0.0
+    return energy
 
 
 def active_backend() -> str:

@@ -27,13 +27,11 @@ def _scipy_block_energies(plane):
     return energy, flat
 
 
-STRIP = kernels.STRIP_ROWS * 32
-
-
+# In the test ids a strip is four block rows.
 @pytest.mark.parametrize("dtype, top", [
     (np.uint8, 255), (np.uint16, 1023), (np.float64, 1023.0)])
 @pytest.mark.parametrize("shape", [
-    (STRIP, 96), (STRIP + 32, 64), (STRIP + 32, 32)],
+    (4 * 32, 96), (5 * 32, 64), (5 * 32, 32)],
     ids=["one-strip", "strip-plus-row", "one-block-wide"])
 def test_numpy_kernel_matches_scipy_dct(dtype, top, shape):
     rng = np.random.default_rng(17)
@@ -55,32 +53,30 @@ def test_numpy_kernel_matches_scipy_dct(dtype, top, shape):
 
 
 def _reference_block_energies(plane):
-    """``block_energies`` with the flat test run on every block.
+    """``block_energies`` with one GEMM per product and the flat test run
+    on every block.
 
-    The same strips as the kernel, but each of the two products in one
-    GEMM over the whole strip, then an exact comparison of every sample
-    with its block's first one.
+    One block row at a time: each of the two products in one GEMM over
+    the whole row, each block's 32 row sums of |coefficients| added left
+    to right, then an exact comparison of every sample with its block's
+    first one.
     """
     dct, dct_t, ones = kernels._basis()
     height, width = plane.shape
     nby, nbx = height // 32, width // 32
     out = np.empty((nby, nbx))
-    for r0 in range(0, nby, kernels.STRIP_ROWS):
-        rows = min(kernels.STRIP_ROWS, nby - r0)
-        strip = plane[r0 * 32:(r0 + rows) * 32]
-        x = np.empty((32, rows, width))
-        np.copyto(x, strip.reshape(rows, 32, width).transpose(1, 0, 2))
-        y = np.empty((32, rows * width))
-        np.matmul(dct, x.reshape(32, rows * width), out=y)
-        coeffs = x.reshape(-1, 32)
-        np.matmul(y.reshape(-1, 32), dct_t, out=coeffs)
-        np.abs(coeffs, out=coeffs)
-        total = (coeffs @ ones).reshape(32, rows * nbx).sum(axis=0)
-        dc = coeffs.reshape(32, rows * nbx, 32)[0, :, 0]
-        energy = (total - dc).reshape(rows, nbx)
-        blocks = strip.reshape(rows, 32, nbx, 32)
-        energy[(blocks == blocks[:, :1, :, :1]).all(axis=(1, 3))] = 0.0
-        out[r0:r0 + rows] = energy
+    for r in range(nby):
+        row = plane[r * 32:(r + 1) * 32]
+        y = dct @ row.astype(np.float64)
+        mags = np.abs(y.reshape(-1, 32) @ dct_t)
+        sums = (mags @ ones).reshape(32, nbx)
+        total = sums[0].copy()
+        for k in range(1, 32):
+            total += sums[k]
+        energy = total - mags.reshape(32, nbx, 32)[0, :, 0]
+        blocks = row.reshape(32, nbx, 32)
+        energy[(blocks == blocks[:1, :, :1]).all(axis=(0, 2))] = 0.0
+        out[r] = energy
     return out
 
 
@@ -152,18 +148,37 @@ def test_every_planted_block_matches_full_test(dtype):
 def test_candidate_flat_test_matches_full_test(dtype, nbx, seed, data):
     kinds = data.draw(st.lists(
         st.sampled_from((None,) + _PLANTS[dtype]),
-        min_size=1, max_size=nbx * (kernels.STRIP_ROWS + 2)))
+        min_size=1, max_size=nbx * 6))
     _assert_matches_full_test(_planted_plane(dtype, kinds, nbx, seed))
 
 
-# Widths whose strips leave a partial last CHUNK (96: 384 columns in a
-# 4-row strip, 96 in a 1-row strip; 1952: 7808 columns), leave none
-# (3840, a multiple of CHUNK) or hold only a partial chunk (32).
+@settings(max_examples=60, deadline=None)
+@given(dtype=st.sampled_from(sorted(_PLANTS)), nbx=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_block_energy_does_not_depend_on_the_plane_around_it(dtype, nbx,
+                                                             seed, data):
+    kinds = data.draw(st.lists(st.sampled_from((None,) + _PLANTS[dtype]),
+                               min_size=1, max_size=nbx * 6))
+    plane = _planted_plane(dtype, kinds, nbx, seed)
+    with np.errstate(all="ignore"):
+        grid = kernels.block_energies(plane)
+        alone = np.array([
+            [kernels.block_energies(plane[32 * by:32 * (by + 1),
+                                          32 * bx:32 * (bx + 1)])[0, 0]
+             for bx in range(nbx)] for by in range(grid.shape[0])])
+    assert np.array_equal(grid, alone, equal_nan=True)
+
+
+# Widths of one block (32), an odd number of blocks (96, 1952) and a
+# 4K row (3840); in the ids a strip is four block rows.
 @pytest.mark.parametrize("width", [32, 96, 1952, 3840])
-@pytest.mark.parametrize("block_rows", [1, kernels.STRIP_ROWS + 1],
-                         ids=["one-block-row", "strip-plus-one-row"])
+@pytest.mark.parametrize("block_rows", [1, 2, 5],
+                         ids=["one-block-row", "two-block-rows",
+                              "strip-plus-one-row"])
 @pytest.mark.parametrize("dtype", sorted(_PLANTS))
 def test_chunked_gemms_equal_one_gemm_per_product(dtype, width, block_rows):
+    """One 32x32x32 GEMM per block gives each product's bits as one GEMM
+    over the block row does."""
     nbx = width // 32
     # every planted kind, then a random block, repeated over the plane
     cycle = [k for kind in _PLANTS[dtype] for k in (kind, None)]
@@ -171,26 +186,26 @@ def test_chunked_gemms_equal_one_gemm_per_product(dtype, width, block_rows):
     _assert_matches_full_test(_planted_plane(dtype, kinds, nbx, seed=width))
 
 
-# A padded 1080p plane, a 3840-wide one, and one whose 4-row strips
-# leave a partial last CHUNK (1952: 7808 columns).
-@pytest.mark.parametrize("shape", [(1088, 1920), (2 * STRIP + 32, 3840),
-                                   (STRIP + 32, 1952)],
-                         ids=["1080p", "3840-wide", "partial-chunk"])
+@pytest.mark.parametrize("shape", [(1088, 1920), (9 * 32, 3840),
+                                   (5 * 32, 1952)],
+                         ids=["1080p", "3840-wide", "61-blocks-wide"])
 def test_every_gemm_stays_within_one_blas_thread(monkeypatch, shape):
-    """Each matrix product is at most 32x256x32 = 262,144 multiply-adds,
-    which OpenBLAS runs on the calling thread; the one-BLAS-thread
-    default that ``cli.main`` sets rests on this bound."""
+    """Each matrix product is one 32x32x32 = 32,768 multiply-add GEMM per
+    block, far below the 262,144 up to which OpenBLAS runs a GEMM on
+    the calling thread; the one-BLAS-thread default that ``cli.main``
+    sets rests on this bound."""
     matmul = np.matmul
     sizes = []
 
     def spy(a, b, *args, **kwargs):
-        assert a.ndim >= 2 and b.ndim >= 2
-        (m, k), n = a.shape[-2:], b.shape[-1]
-        assert b.shape[-2] == k
-        sizes.append(m * n * k)
+        assert a.ndim >= 2
+        if b.ndim >= 2:  # a GEMM; the row sums are a GEMV
+            (m, k), n = a.shape[-2:], b.shape[-1]
+            assert b.shape[-2] == k
+            sizes.append(m * n * k)
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
     plane = np.random.default_rng(5).integers(0, 256, shape, dtype=np.uint8)
     kernels.block_energies(plane)
-    assert sizes and max(sizes) <= 32 * 256 * 32
+    assert sizes and set(sizes) == {32 * 32 * 32}

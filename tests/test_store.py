@@ -193,11 +193,71 @@ class TestImportTable:
         assert set(row) == set(store.FIELDS)
 
 
+# The README's field table, written out again so that the reference
+# shares no rule with the loader: each wire field in line order, its JSON
+# type, and its value when a line leaves it out.
+_REFERENCE_TYPES = (
+    ("clip", "a string", None), ("family", "a string", None),
+    ("preset", "a string", None), ("passes", "an integer", None),
+    ("tbr_kbps", "a number", None), ("kbps", "a number", None),
+    ("vmaf", "a number or null", None), ("psnr_y", "a number or null", None),
+    ("enc_s", "a number or null", None), ("bytes", "an integer or null", None),
+    ("tool", "a string", ""), ("ts", "a string", ""))
+
+
+def _has_type(value, kind):
+    if value is None:
+        return kind.endswith(" or null")
+    if kind == "a string":
+        return isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return kind.startswith("a number") or isinstance(value, int)
+
+
+def _reference_fields(row):
+    """A parsed line's field values in line order, checked by the README
+    table: every field's type first, then each rule, in the order the
+    store reports the first broken one."""
+    values = {}
+    for name, kind, default in _REFERENCE_TYPES:
+        try:
+            values[name] = row[name]
+        except KeyError:
+            values[name] = default
+
+    def refuse(name, rule):
+        raise ValueError(f"{name} {rule}, got {json.dumps(values[name])}")
+
+    for name, kind, _ in _REFERENCE_TYPES:
+        if not _has_type(values[name], kind):
+            refuse(name, f"must be {kind}")
+    for name in ("clip", "family", "preset"):
+        if values[name] == "":
+            refuse(name, "must not be empty")
+    if values["passes"] not in (1, 2):
+        refuse("passes", "must be 1 or 2")
+    for name in ("tbr_kbps", "kbps", "vmaf", "psnr_y", "enc_s", "bytes"):
+        value = values[name]
+        if value is not None and not -2 ** 63 <= value < 2 ** 63:
+            finite = value == value and abs(value) != math.inf
+            refuse(name, "out of range" if finite else "must be finite")
+    for name in ("tbr_kbps", "kbps"):
+        if not values[name] > 0:
+            refuse(name, "must be > 0")
+    if values["vmaf"] is not None and not 0 <= values["vmaf"] <= 100:
+        refuse("vmaf", "must be in [0, 100]")
+    for name in ("enc_s", "bytes"):
+        if values[name] is not None and values[name] < 0:
+            refuse(name, "must be >= 0")
+    return tuple(values.values())
+
+
 def _reference_load(path):
     """The per-line loader that the indexed one replaces, kept as the
     reference: universal newlines, one UTF-8 decode and one parse per
-    line, keep-latest by (created_at, line index), sorted by key and
-    then created_at."""
+    line, each checked by ``_reference_fields``, keep-latest by
+    (created_at, line index), sorted by key and then created_at."""
     path = Path(path)
     if not path.exists():
         return []
@@ -209,9 +269,8 @@ def _reference_load(path):
     for idx, line in enumerate(raw):
         try:
             row = json.loads(line.decode("utf-8"))
-            rec = MetricRecord(*store._fields(row))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                OverflowError, StoreValidationError) as exc:
+            rec = MetricRecord(*_reference_fields(row))
+        except (TypeError, ValueError) as exc:
             if idx == len(raw) - 1:
                 continue
             raise StoreLoadError(f"{path}: malformed line {idx + 1}: {exc}") from exc
@@ -788,6 +847,23 @@ def test_load_refuses_what_append_refuses(tmp_store, caplog, field, value,
             f"^{re.escape(f'{_ATTRS[field]} {rule}')}$")):
         store.append(fresh, _record(**{_ATTRS[field]: value}))
     assert not fresh.exists()
+
+
+@pytest.mark.parametrize("field,value,ok", [
+    ("passes", 0, False), ("passes", 1, True), ("passes", 2, True),
+    ("passes", 3, False), ("vmaf", -0.0, True), ("vmaf", 100, True),
+    ("vmaf", 100.0000001, False), ("tbr_kbps", 0, False),
+    ("tbr_kbps", 5e-324, True), ("kbps", 0, False), ("kbps", 5e-324, True),
+    ("bytes", -1, False), ("bytes", 0, True)])
+def test_reference_rule_and_load_agree_at_the_boundary(tmp_store, field,
+                                                       value, ok):
+    lines = [_LINE, {**_LINE, "clip": "b", field: value}, _LINE]
+    tmp_store.write_text("".join(json.dumps(row) + "\n" for row in lines))
+    got = _outcome(store.load, tmp_store)
+    assert got == _outcome(_reference_load, tmp_store)
+    assert isinstance(got, str) is not ok
+    if ok:
+        assert [r.clip_id for r in got] == ["a", "b"]
 
 
 @pytest.mark.parametrize("field", ["kbps", "bytes", "tbr_kbps"])
